@@ -417,7 +417,7 @@ def cmd_reproduce(args) -> int:
             (Fraction(1),) * 4, (Fraction(1),) * 4, (Fraction(-1),) * 4, quantum=True
         )
         system = build_system(4, "four", PermTriple(*expected), mult)
-        outcome = solve_quantum(system, seed_rng(args.seed))
+        outcome = solve_quantum(system)
         _pass(results, "the extracted system has a nontrivial quantum family", outcome.status == "nontrivial")
         _pass(
             results,
@@ -455,12 +455,6 @@ def cmd_reproduce(args) -> int:
     ok = all(flag for _, flag in results)
     print(f"{'PASS' if ok else 'FAIL'}  {target}: {sum(f for _, f in results)}/{len(results)} checks")
     return EXIT_OK if ok else EXIT_NEGATIVE
-
-
-def seed_rng(seed):
-    from ._util import make_rng
-
-    return make_rng(seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

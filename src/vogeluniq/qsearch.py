@@ -12,7 +12,12 @@ with multiplier products equal to one; requiring 1 on the fourth line
     y_i = r_i y_{v(i)},   c_i n_{p(i)} + 3 x_i = r_i (n_{v(i)} + 3 x_{v(i)}).
 
 In the quantum case every multiplier is +-1, which turns the search into a
-finite enumeration over permutation tuples and sign vectors.  The classical
+finite enumeration over permutation tuples and sign vectors.  All its
+coefficients are then integers in {0, +-1, +-3}: each case is solved by
+fraction-free integer elimination and decided by exact tests (degeneracy,
+and nontriviality by pairing the factors' linear maps up to sign), so the
+search draws no random numbers and its result does not depend on a seed;
+Fraction vectors are built only for the families it returns.  The classical
 multipliers form a continuum; they are verified rather than searched, except
 for the dedicated k = 3 survey which decides nontriviality stratum by
 stratum with generic rational sampling.
@@ -22,11 +27,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._linalg import int_nullspace, nullspace
+from ._linalg import int_nullspace, rref_basis
 from ._util import make_rng, rand_rational
 from .formula import FactorProduct, cancel, ratio
 from .plane import Basis, LinearForm
@@ -48,10 +54,6 @@ PRIMED_LINES = {
 
 class InvalidMultiplierError(ValueError):
     """Multiplier vector violates a product-one constraint."""
-
-
-class DegenerateFamilyError(RuntimeError):
-    """No nondegenerate instantiation found within the retry budget."""
 
 
 Perm = tuple[int, ...]
@@ -132,35 +134,60 @@ class ConstraintSystem:
         return PRIMED_LINES[self.lines]
 
     def equations(self) -> list[tuple[str, dict[int, Fraction]]]:
-        k = self.k
-        s, p, v = self.perms.s, self.perms.p, self.perms.v
-        c, km, r = self.mult.c, self.mult.kmul, self.mult.r
+        """Labelled sparse rows {unknown: coefficient}, for verify_solution."""
+        k, perms, mult = self.k, self.perms, self.mult
+        labels = [t.format(i=i) for i in range(k) for t in _THREE_LINE_LABELS]
+        if self.lines == "four":
+            labels += [t.format(i=i) for i in range(k) for t in _FOURTH_LINE_LABELS]
+        terms = _relation_terms(k, perms.s, perms.p, mult.c, mult.kmul, perms.v, mult.r)
         eqs: list[tuple[str, dict[int, Fraction]]] = []
-
-        def add(label: str, terms: list[tuple[int, Fraction]]) -> None:
+        for label, row_terms in zip(labels, terms):
             row: dict[int, Fraction] = {}
-            for idx, coef in terms:
+            for idx, coef in row_terms:
                 row[idx] = row.get(idx, Fraction(0)) + coef
             eqs.append((label, {i: q for i, q in row.items() if q != 0}))
-
-        for i in range(k):
-            add(f"x[{i}] = c[{i}]*x[p({i})]", [(k + i, Fraction(1)), (k + p[i], -c[i])])
-            add(f"y[{i}] = k[{i}]*y[s({i})]", [(2 * k + i, Fraction(1)), (2 * k + s[i], -km[i])])
-            add(f"k[{i}]*n[s({i})] = c[{i}]*n[p({i})]", [(s[i], km[i]), (p[i], -c[i])])
-        if self.lines == "four":
-            assert v is not None and r is not None
-            for i in range(k):
-                add(f"y[{i}] = r[{i}]*y[v({i})]", [(2 * k + i, Fraction(1)), (2 * k + v[i], -r[i])])
-                add(
-                    f"c[{i}]*n[p({i})] + 3x[{i}] = r[{i}]*(n[v({i})] + 3x[v({i})])",
-                    [
-                        (p[i], c[i]),
-                        (k + i, Fraction(3)),
-                        (v[i], -r[i]),
-                        (k + v[i], -3 * r[i]),
-                    ],
-                )
         return eqs
+
+
+_THREE_LINE_LABELS = (
+    "x[{i}] = c[{i}]*x[p({i})]",
+    "y[{i}] = k[{i}]*y[s({i})]",
+    "k[{i}]*n[s({i})] = c[{i}]*n[p({i})]",
+)
+_FOURTH_LINE_LABELS = (
+    "y[{i}] = r[{i}]*y[v({i})]",
+    "c[{i}]*n[p({i})] + 3x[{i}] = r[{i}]*(n[v({i})] + 3x[v({i})])",
+)
+
+
+def _relation_terms(k: int, s, p, c, km, v=None, r=None, base: bool = True) -> list[tuple]:
+    """The relations of a system as (unknown, coefficient) terms, one tuple
+    per equation, with the coefficients of a repeated unknown to be summed:
+    for each i the three-line relations (left out with base=False), then,
+    given v and r, the fourth-line relations for each i.  This is the order
+    of the label templates above.  Coefficients are integers for integer
+    (+-1) multipliers."""
+    rows = []
+    if base:
+        for i in range(k):
+            rows.append(((k + i, 1), (k + p[i], -c[i])))
+            rows.append(((2 * k + i, 1), (2 * k + s[i], -km[i])))
+            rows.append(((s[i], km[i]), (p[i], -c[i])))
+    if v is not None:
+        for i in range(k):
+            rows.append(((2 * k + i, 1), (2 * k + v[i], -r[i])))
+            rows.append(((p[i], c[i]), (k + i, 3), (v[i], -r[i]), (k + v[i], -3 * r[i])))
+    return rows
+
+
+def _dense_rows(k: int, terms: list[tuple]) -> list[list]:
+    rows = []
+    for row_terms in terms:
+        row = [0] * (3 * k)
+        for idx, coef in row_terms:
+            row[idx] += coef
+        rows.append(row)
+    return rows
 
 
 def build_system(
@@ -265,30 +292,57 @@ class SolveOutcome:
     reason: str = ""
 
 
-def _restriction_rows(system: ConstraintSystem, side: str, i: int) -> list[list[tuple[int, Fraction]]]:
-    """Row combinations whose simultaneous vanishing makes factor i of the
-    given side restrict to zero on each system line, in line order."""
-    k = system.k
-    s, km = system.perms.s, system.mult.kmul
-    n_row = [(i, Fraction(1))] if side == "num" else [(s[i], km[i])]
-    x_row = [(k + i, Fraction(1))]
-    y_row = [(2 * k + i, Fraction(1))]
-    rows = [
-        [x_row, y_row],  # a' = 0
-        [n_row, y_row],  # b' = 0
-        [n_row, x_row],  # c' = 0
+def _columns(k: int, vectors) -> list[tuple]:
+    """Each unknown's values across the basis vectors: its linear map of the
+    family parameters."""
+    return [tuple(vec[u] for vec in vectors) for u in range(3 * k)]
+
+
+def _factor_maps(k: int, s, km, cols) -> tuple[list, list]:
+    """The (alpha, beta, gamma) coefficient maps of the numerator and of the
+    denominator factors, given each unknown's map in `cols`.  Denominator
+    alpha-coefficients are m_i = k_i * n_{s(i)}."""
+    num = [(cols[i], cols[k + i], cols[2 * k + i]) for i in range(k)]
+    den = [
+        (
+            cols[s[i]] if km[i] == 1 else tuple(km[i] * a for a in cols[s[i]]),
+            cols[k + i],
+            cols[2 * k + i],
+        )
+        for i in range(k)
     ]
-    if system.lines == "four":
-        combo = n_row + [(idx, 3 * coef) for idx, coef in x_row]
-        rows.append([combo, y_row])  # 3a' - b' = 0
-    return rows
+    return num, den
 
 
-def _combo_is_zero(vectors, combo: list[tuple[int, Fraction]]) -> bool:
-    for vec in vectors:
-        if sum(coef * vec[idx] for idx, coef in combo) != 0:
-            return False
-    return True
+def _degeneracy(maps: tuple[list, list], four: bool) -> str | None:
+    """The first factor, numerator factors before denominator factors, that
+    is zero or restricts to zero on a system line for every parameter value;
+    a restriction vanishes when both coefficients it keeps are zero maps."""
+    for side, factors in zip(("num", "den"), maps):
+        for i, (n, x, y) in enumerate(factors):
+            n_zero, x_zero, y_zero = not any(n), not any(x), not any(y)
+            if n_zero and x_zero and y_zero:
+                return f"{side}[{i}] is identically zero"
+            vanishing = [x_zero and y_zero, n_zero and y_zero, n_zero and x_zero]
+            if four:  # 3a' - b' = 0 keeps n + 3x and y
+                vanishing.append(y_zero and not any(a + 3 * b for a, b in zip(n, x)))
+            if any(vanishing):
+                return f"{side}[{i}] vanishes identically on system line {vanishing.index(True)}"
+    return None
+
+
+def _up_to_sign(flat: tuple) -> tuple:
+    lead = next((a for a in flat if a), 0)
+    return flat if lead > 0 else tuple(-a for a in flat)
+
+
+def _keeps_a_factor(maps: tuple[list, list]) -> bool:
+    """Whether the factor maps fail to pair up one-to-one, numerator with
+    denominator, equal up to sign.  Equality up to sign is an equivalence,
+    so they pair up exactly when each class is as common on both sides."""
+    num, den = maps
+    key = lambda factors: Counter(_up_to_sign(n + x + y) for n, x, y in factors)
+    return key(num) != key(den)
 
 
 def family_degeneracy(family: SolutionFamily) -> str | None:
@@ -297,50 +351,30 @@ def family_degeneracy(family: SolutionFamily) -> str | None:
     whose restriction to a system line vanishes identically."""
     system = family.system
     k = system.k
-    vectors = family.vectors
-    for side in ("num", "den"):
-        for i in range(k):
-            rows = _restriction_rows(system, side, i)
-            n_row = rows[1][0]
-            x_row = rows[0][0]
-            y_row = rows[0][1]
-            if all(_combo_is_zero(vectors, row) for row in (n_row, x_row, y_row)):
-                return f"{side}[{i}] is identically zero"
-            for line_idx, pair in enumerate(rows):
-                if all(_combo_is_zero(vectors, combo) for combo in pair):
-                    return f"{side}[{i}] vanishes identically on system line {line_idx}"
-    return None
+    maps = _factor_maps(k, system.perms.s, system.mult.kmul, _columns(k, family.vectors))
+    return _degeneracy(maps, system.lines == "four")
 
 
-def is_nontrivial(
-    family: SolutionFamily, rng: random.Random | None = None, attempts: int = 100
-) -> bool:
-    """Semantic nontriviality: two independent generic instantiations both
-    keep a nonempty product after cancellation."""
+def is_nontrivial(family: SolutionFamily) -> bool:
+    """Semantic nontriviality of a quantum family: a generic instantiation
+    keeps a nonempty product after quantum cancellation.
+
+    Every factor is linear in the family parameters, and quantum
+    cancellation drops only pairs of factors equal up to sign, so a generic
+    instantiation cancels completely exactly when the numerator and
+    denominator factor maps pair up one-to-one, equal up to sign as linear
+    maps.  The test is exact and draws no random numbers; it does not depend
+    on the basis chosen for the family.
+    """
     if family.free_parameters < 1:
         raise ValueError("family has no free parameters")
-    rng = rng or make_rng()
-    quantum = family.system.mult.quantum
-    survivors = 0
-    draws = 0
-    tried = 0
-    while draws < 2:
-        if tried >= attempts:
-            raise DegenerateFamilyError(
-                f"no nondegenerate instantiation in {attempts} draws"
-            )
-        tried += 1
-        params = tuple(rand_rational(rng, 30, nonzero=True) for _ in range(family.free_parameters))
-        try:
-            product = family.factor_product(params, quantum=quantum)
-        except ValueError:
-            continue
-        if _instantiation_restriction_vanishes(family.system, product):
-            continue
-        draws += 1
-        if cancel(product).k > 0:
-            survivors += 1
-    return survivors == 2
+    system = family.system
+    if not system.mult.quantum:
+        raise ValueError("is_nontrivial decides quantum cancellation; the family is classical")
+    k = system.k
+    return _keeps_a_factor(
+        _factor_maps(k, system.perms.s, system.mult.kmul, _columns(k, family.vectors))
+    )
 
 
 def _instantiation_restriction_vanishes(system: ConstraintSystem, product: FactorProduct) -> bool:
@@ -356,30 +390,38 @@ def _instantiation_restriction_vanishes(system: ConstraintSystem, product: Facto
     return False
 
 
-def solve_quantum(system: ConstraintSystem, rng: random.Random | None = None) -> SolveOutcome:
+def solve_quantum(system: ConstraintSystem) -> SolveOutcome:
     """Solve the system exactly for +-1 multipliers.
 
-    The equations are linear over the rationals; the returned family is the
-    nullspace in rref parametrization.  Families whose every instantiation
-    has a zero factor or a factor vanishing identically on a system line are
-    reported infeasible; the rest are split by the semantic triviality test.
+    The equations are linear with integer coefficients; they are solved by
+    fraction-free elimination, and the returned family is the nullspace in
+    rref parametrization.  Families whose every instantiation has a zero
+    factor or a factor vanishing identically on a system line are reported
+    infeasible; the rest are split by the exact triviality test of
+    `is_nontrivial`.  Nothing is sampled, so the outcome is deterministic.
     """
     if not system.mult.quantum:
         raise ValueError("solve_quantum needs +-1 multipliers (quantum assignment)")
-    rows = [
-        [row.get(idx, Fraction(0)) for idx in range(3 * system.k)]
-        for _, row in system.equations()
-    ]
-    basis = nullspace(rows, 3 * system.k)
-    if not basis:
+    k, perms, mult = system.k, system.perms, system.mult
+    c, km = _ints(mult.c), _ints(mult.kmul)
+    r = None if mult.r is None else _ints(mult.r)
+    vectors = int_nullspace(
+        _dense_rows(k, _relation_terms(k, perms.s, perms.p, c, km, perms.v, r)), 3 * k
+    )
+    if not vectors:
         return SolveOutcome("infeasible", reason="only the zero solution")
-    family = SolutionFamily(system, tuple(tuple(v) for v in basis))
-    reason = family_degeneracy(family)
+    family = SolutionFamily(system, tuple(map(tuple, rref_basis(vectors))))
+    maps = _factor_maps(k, perms.s, km, _columns(k, vectors))
+    reason = _degeneracy(maps, system.lines == "four")
     if reason is not None:
         return SolveOutcome("infeasible", family=family, reason=reason)
-    if is_nontrivial(family, rng=rng):
+    if _keeps_a_factor(maps):
         return SolveOutcome("nontrivial", family=family)
     return SolveOutcome("trivial", family=family)
+
+
+def _ints(signs: tuple[Fraction, ...]) -> tuple[int, ...]:
+    return tuple(int(q) for q in signs)
 
 
 def sign_vectors(k: int) -> list[tuple[int, ...]]:
@@ -420,18 +462,76 @@ def _conj_vec(tau: Perm, vec: tuple) -> tuple:
     return tuple(vec[inv[j]] for j in range(len(tau)))
 
 
-def _stage1_canonical(s: Perm, p: Perm, c, km, taus) -> tuple[bool, list[Perm]]:
-    """Whether (s, p, c, k) is the minimum of its simultaneous-relabeling
-    orbit, plus the stabilizer used to dedup the second stage."""
-    me = (s, p, c, km)
-    stab = []
-    for tau in taus:
-        other = (_conj_perm(tau, s), _conj_perm(tau, p), _conj_vec(tau, c), _conj_vec(tau, km))
-        if other < me:
-            return False, []
-        if other == me:
-            stab.append(tau)
-    return True, stab
+@dataclass(frozen=True)
+class _Relabelings:
+    """Index tables of the simultaneous relabelings tau of the k factors.
+    Relabeling factor i as tau(i) maps a pairing sigma to tau sigma tau^-1
+    and a sign vector to the one holding vec[i] at tau(i).  `perms` is in
+    lexicographic order, so perm indices compare like the tuples; `signs` is
+    in sign_vectors order, and `sign_rank` ranks it in tuple order."""
+
+    perms: list[Perm]
+    signs: list[tuple[int, ...]]
+    perm_index: dict[Perm, int]
+    perm_image: list[list[int]]  # [t][i]: index of the image of perms[i] under perms[t]
+    sign_image: list[list[int]]  # [t][j]: index of the image of signs[j] under perms[t]
+    sign_rank: list[int]
+
+
+def _relabelings(k: int) -> _Relabelings:
+    perms = list(itertools.permutations(range(k)))
+    signs = sign_vectors(k)
+    perm_index = {perm: i for i, perm in enumerate(perms)}
+    sign_index = {vec: j for j, vec in enumerate(signs)}
+    perm_image = [[perm_index[_conj_perm(tau, sigma)] for sigma in perms] for tau in perms]
+    sign_image = [[sign_index[_conj_vec(tau, vec)] for vec in signs] for tau in perms]
+    sign_rank = [0] * len(signs)
+    for rank, j in enumerate(sorted(range(len(signs)), key=signs.__getitem__)):
+        sign_rank[j] = rank
+    return _Relabelings(perms, signs, perm_index, perm_image, sign_image, sign_rank)
+
+
+def _stage1_classes(k: int, dedup: bool = True) -> list[tuple]:
+    """Three-line classes as (flat index, s, p, c, kmul, stabilizer), in flat
+    order, where the flat index numbers the tuples (s, p, c, kmul) of
+    permutations x permutations x sign vectors x sign vectors.
+
+    With dedup, each orbit under simultaneous relabeling is swept once and
+    gives one class: its minimum in tuple order, with the relabelings that
+    fix it, in lexicographic order.  Without dedup every tuple is a class
+    with an empty stabilizer."""
+    rel = _relabelings(k)
+    perms, signs = rel.perms, rel.signs
+    if not dedup:
+        return [
+            (flat, s, p, c, km, ())
+            for flat, (s, p, c, km) in enumerate(itertools.product(perms, perms, signs, signs))
+        ]
+    n_p, n_s, rank = len(perms), len(signs), rel.sign_rank
+    tables = list(zip(perms, rel.perm_image, rel.sign_image))
+
+    def flat_index(i_s, i_p, j_c, j_k):
+        return ((i_s * n_p + i_p) * n_s + j_c) * n_s + j_k
+
+    seen = bytearray(n_p * n_p * n_s * n_s)
+    classes = []
+    for flat in range(len(seen)):
+        if seen[flat]:
+            continue
+        rest, j_k = divmod(flat, n_s)
+        rest, j_c = divmod(rest, n_s)
+        i_s, i_p = divmod(rest, n_p)
+        orbit = [(pi[i_s], pi[i_p], si[j_c], si[j_k]) for _, pi, si in tables]
+        for image in orbit:
+            seen[flat_index(*image)] = 1
+        rep = min(orbit, key=lambda t: (t[0], t[1], rank[t[2]], rank[t[3]]))
+        i_s, i_p, j_c, j_k = rep
+        stab = tuple(
+            tau for tau, pi, si in tables if (pi[i_s], pi[i_p], si[j_c], si[j_k]) == rep
+        )
+        classes.append((flat_index(*rep), perms[i_s], perms[i_p], signs[j_c], signs[j_k], stab))
+    classes.sort(key=lambda cls: cls[0])
+    return classes
 
 
 def enumerate_families(
@@ -448,9 +548,12 @@ def enumerate_families(
     With dedup on, permutation tuples are reduced to class representatives
     under simultaneous factor relabeling, and within a surviving three-line
     class the fourth-line choices are deduplicated by the class stabilizer;
-    dedup off iterates every raw tuple.  Iteration order, and therefore the
-    output, is deterministic.  `budget` caps the number of examined cases and
-    flags the result incomplete when exceeded (budgeted runs are serial).
+    dedup off iterates every raw tuple.  Every case is decided exactly by
+    integer elimination and the exact tests of `family_degeneracy` and
+    `is_nontrivial`; nothing is sampled, so `seed` is accepted but changes
+    nothing.  Iteration order, and therefore the output, is deterministic.
+    `budget` caps the number of examined cases and flags the result
+    incomplete when exceeded (budgeted runs are serial).
     """
     if not quantum:
         raise ValueError(
@@ -459,33 +562,17 @@ def enumerate_families(
         )
     if lines not in ("three", "four"):
         raise ValueError("lines must be 'three' or 'four'")
-    taus = list(itertools.permutations(range(k)))
-    perms = list(itertools.permutations(range(k)))
-    signs = sign_vectors(k)
-    per_class = 1 if lines == "three" else len(perms) * len(signs)
-    stage1 = []
-    flat = 0
-    for s in perms:
-        for p in perms:
-            for c in signs:
-                for km in signs:
-                    if dedup:
-                        canonical, stab = _stage1_canonical(s, p, c, km, taus)
-                    else:
-                        canonical, stab = True, ()
-                    if canonical:
-                        stage1.append((flat * per_class, s, p, c, km, tuple(stab)))
-                    flat += 1
+    stage1 = _stage1_classes(k, dedup)
     if threads > 1 and budget is None:
         chunks = [stage1[i::threads] for i in range(threads)]
-        args = [(k, lines, chunk, seed, None) for chunk in chunks if chunk]
+        args = [(k, lines, chunk, None) for chunk in chunks if chunk]
         with ProcessPoolExecutor(max_workers=len(args)) as pool:
             parts = list(pool.map(_enumerate_chunk, args))
         found = [item for part in parts for item in part[0]]
         cases = sum(part[1] for part in parts)
         complete = all(part[2] for part in parts)
     else:
-        found, cases, complete = _enumerate_chunk((k, lines, stage1, seed, budget))
+        found, cases, complete = _enumerate_chunk((k, lines, stage1, budget))
     found.sort(key=lambda item: item[0])
     families = tuple(FoundFamily(idx, system, family) for idx, system, family in found)
     return EnumerationResult(families, complete, cases)
@@ -494,106 +581,93 @@ def enumerate_families(
 def _enumerate_chunk(args):
     """Worker: process three-line classes; returns (found, cases, complete)
     where found holds (global_case_index, system, family) triples."""
-    k, lines, entries, seed, budget = args
-    rng = make_rng(seed)
+    k, lines, entries, budget = args
     found = []
     cases = 0
-    for offset, s, p, c, km, stab in entries:
-        if lines == "three":
+    if lines == "three":
+        for flat, s, p, c, km, _ in entries:
             if budget is not None and cases >= budget:
                 return found, cases, False
             cases += 1
             mult = MultiplierAssignment(c, km, quantum=True)
             system = build_system(k, "three", PermTriple(s, p), mult)
-            outcome = solve_quantum(system, rng=rng)
+            outcome = solve_quantum(system)
             if outcome.status == "nontrivial":
-                found.append((offset, system, outcome.family))
-            continue
-        base = build_system(k, "three", PermTriple(s, p), MultiplierAssignment(c, km, quantum=True))
-        base_basis = nullspace(_system_rows(base), 3 * k)
-        for local_index, (v, r) in enumerate(_stage2_cases(k, stab)):
+                found.append((flat, system, outcome.family))
+        return found, cases, True
+    rel = _relabelings(k)
+    per_class = len(rel.perms) * len(rel.signs)
+    for flat, s, p, c, km, stab in entries:
+        base = int_nullspace(_dense_rows(k, _relation_terms(k, s, p, c, km)), 3 * k)
+        if base:
+            choices = _fourth_line_choices(k, s, p, c, km, base)
+        for local_index, (v, r) in enumerate(_stage2_cases(rel, stab)):
             if budget is not None and cases >= budget:
                 return found, cases, False
             cases += 1
-            if not base_basis:
+            if not base:
                 continue
-            family = _extend_family(k, s, p, c, km, v, r, base_basis, rng)
-            if family is not None:
-                found.append((offset + local_index, family.system, family))
+            rows = [row for i in range(k) for row in choices[v[i], r[i]][i]]
+            if _extends(k, s, km, base, rows):
+                mult = MultiplierAssignment(c, km, r, quantum=True)
+                system = build_system(k, "four", PermTriple(s, p, v), mult)
+                found.append((flat * per_class + local_index, system, solve_quantum(system).family))
     return found, cases, True
 
 
-def _system_rows(system: ConstraintSystem) -> list[list[Fraction]]:
-    return [
-        [row.get(idx, Fraction(0)) for idx in range(3 * system.k)]
-        for _, row in system.equations()
-    ]
+def _fourth_line_choices(k, s, p, c, km, base) -> dict:
+    """The fourth-line relations of each factor i, applied to the integer
+    three-line basis `base`: choices[j, sign][i] holds factor i's two rows
+    for v(i) = j and r_i = sign, as coefficients over the basis vectors."""
+    cols = _columns(k, base)
+    choices = {}
+    for j in range(k):
+        for sign in (1, -1):
+            terms = _relation_terms(k, s, p, c, km, (j,) * k, (sign,) * k, base=False)
+            rows = []
+            for (idx, coef), *rest in terms:
+                row = [coef * a for a in cols[idx]]
+                for idx, coef in rest:
+                    row = [b + coef * a for b, a in zip(row, cols[idx])]
+                rows.append(row)
+            choices[j, sign] = [rows[2 * i : 2 * i + 2] for i in range(k)]
+    return choices
 
 
-def _stage2_cases(k: int, stab) -> list[tuple[Perm, tuple]]:
-    """Fourth-line choices (v, r) in lex order, minus stabilizer duplicates."""
+def _stage2_cases(rel: _Relabelings, stab) -> list[tuple[Perm, tuple]]:
+    """Fourth-line choices (v, r) in lex order, minus stabilizer duplicates:
+    a choice is dropped when a relabeling in the stabilizer maps it below
+    itself in tuple order."""
+    taus = [rel.perm_index[tau] for tau in stab] if len(stab) > 1 else []
+    rank = rel.sign_rank
     cases = []
-    for v in itertools.permutations(range(k)):
-        for r in sign_vectors(k):
-            if len(stab) > 1:
-                me = (v, r)
-                if any((_conj_perm(tau, v), _conj_vec(tau, r)) < me for tau in stab):
-                    continue
+    for i_v, v in enumerate(rel.perms):
+        for j_r, r in enumerate(rel.signs):
+            me = (i_v, rank[j_r])
+            if any((rel.perm_image[t][i_v], rank[rel.sign_image[t][j_r]]) < me for t in taus):
+                continue
             cases.append((v, r))
     return cases
 
 
-def _fourth_line_sparse_rows(k: int, s, p, c, km, v, r) -> list[list[tuple[int, int]]]:
-    """The equations the fourth line adds, as sparse (index, coefficient)
-    rows over the 3k unknowns; all coefficients are integers for +-1 signs."""
-    rows = []
-    for i in range(k):
-        acc: dict[int, int] = {}
-        for idx, coef in ((2 * k + i, 1), (2 * k + v[i], -r[i])):
-            acc[idx] = acc.get(idx, 0) + coef
-        rows.append([(idx, q) for idx, q in acc.items() if q])
-        acc = {}
-        for idx, coef in (
-            (p[i], c[i]),
-            (k + i, 3),
-            (v[i], -r[i]),
-            (k + v[i], -3 * r[i]),
-        ):
-            acc[idx] = acc.get(idx, 0) + coef
-        rows.append([(idx, q) for idx, q in acc.items() if q])
-    return rows
-
-
-def _extend_family(k, s, p, c, km, v, r, base_basis, rng) -> SolutionFamily | None:
-    """Compose the fourth-line equations with the three-line nullspace; keep
-    the combined space only if it is a valid nontrivial family."""
-    reduced = [
-        [sum(coef * vec[idx] for idx, coef in row) for vec in base_basis]
-        for row in _fourth_line_sparse_rows(k, s, p, c, km, v, r)
-    ]
-    sub_basis = nullspace(reduced, len(base_basis))
-    if not sub_basis:
-        return None
+def _extends(k, s, km, base, reduced) -> bool:
+    """Whether the fourth-line relations, given as rows `reduced` over the
+    integer three-line basis `base`, cut its space down to a nonempty,
+    nondegenerate and nontrivial family.  The tests run on the integer
+    basis of the cut-down space lifted from `base`, as neither depends on
+    the basis."""
     lifted = []
-    for sub in sub_basis:
-        vec = [Fraction(0)] * (3 * k)
-        for t, base_vec in zip(sub, base_basis):
-            if t == 0:
-                continue
-            for idx, component in enumerate(base_vec):
-                vec[idx] += t * component
-        lifted.append(tuple(vec))
-    mult = MultiplierAssignment(c, km, r, quantum=True)
-    system = build_system(k, "four", PermTriple(s, p, v), mult)
-    family = SolutionFamily(system, tuple(lifted))
-    if family_degeneracy(family) is not None:
-        return None
-    try:
-        if is_nontrivial(family, rng=rng):
-            return family
-    except DegenerateFamilyError:
-        return None
-    return None
+    for vec in int_nullspace(reduced, len(base)):
+        out = None
+        for t, b in zip(vec, base):
+            if t:
+                out = [t * a for a in b] if out is None else [o + t * a for o, a in zip(out, b)]
+        lifted.append(out)
+    if not lifted:
+        return False
+    cols = list(zip(*lifted))
+    maps = _factor_maps(k, s, km, cols)
+    return _degeneracy(maps, True) is None and _keeps_a_factor(maps)
 
 
 # --- built-in closed-form factors --------------------------------------------

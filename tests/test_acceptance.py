@@ -212,6 +212,12 @@ def test_criterion_7_k4_search_finds_the_four_line_family():
         result = enumerate_families(4, "four")
         assert result.complete
         assert result.families
+        assert result.cases_examined == 300232
+        assert [ff.case_index for ff in result.families] == [
+            2261058, 2261063, 2262401, 2262403, 2269963, 2270002, 2270011, 2271805,
+            2271811, 2273150, 2273159, 2723815, 2724389, 2724627, 2726500, 2727318,
+            2727849, 2741275, 2741654, 2749762, 2750149, 2751062, 2751451,
+        ]
         assert any(matches_builtin_four_line(ff.family) for ff in result.families)
 
 

@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,6 @@ from vogeluniq.qsearch import (
     FOUR_LINE_PERMS,
     PRIMED_LINES,
     ConstraintSystem,
-    DegenerateFamilyError,
     InvalidMultiplierError,
     MultiplierAssignment,
     PermTriple,
@@ -27,8 +28,9 @@ from vogeluniq.qsearch import (
     solve_quantum,
     survey_k3_classical,
     verify_solution,
+    _stage1_classes,
 )
-from vogeluniq._util import make_rng, rand_rational
+from vogeluniq._util import rand_rational
 
 ONES = (Fraction(1),) * 4
 NEGS = (Fraction(-1),) * 4
@@ -179,7 +181,7 @@ def test_is_nontrivial_on_forced_equal_family():
     system = build_system(3, "three", ident, mult)
     outcome = solve_quantum(system)
     assert outcome.status == "trivial"
-    assert not is_nontrivial(outcome.family, rng=make_rng(3))
+    assert not is_nontrivial(outcome.family)
 
 
 # --- enumeration ---------------------------------------------------------------------
@@ -292,11 +294,74 @@ def test_family_identities_hold_exactly_on_system_lines(rng):
     assert others and not any(r.identically_one for r in other_reports)
 
 
-def test_threaded_enumeration_matches_serial():
-    serial = enumerate_families(3, "four", threads=1)
-    threaded = enumerate_families(3, "four", threads=2)
+@pytest.mark.parametrize("k,lines", [(3, "four"), (4, "three")])
+def test_threaded_enumeration_matches_serial(k, lines):
+    serial = enumerate_families(k, lines, threads=1)
+    threaded = enumerate_families(k, lines, threads=2)
     assert serial == threaded
     assert serial.complete and threaded.complete
+
+
+# The nontrivial k = 4 three-line families, one case per stage-1 class, as
+# found by an independent exact search (bench/oracle.py).
+K4_THREE_LINE_CASES = [
+    2566, 2567, 2606, 2607, 2622, 2623, 2631, 2638, 2663, 2670, 2678, 2687,
+    10912, 10918, 10919, 10936, 10942, 10943, 11335, 11351, 11361, 11368, 11377,
+    11384, 11776, 11783, 11822, 11832, 11839, 11847, 11886, 11888, 11903, 14186,
+    14189, 14190, 14200, 14204, 14207, 14277, 14279, 14321, 14323, 14328, 14330,
+    14853, 14894, 14904, 14911, 14983, 15021, 15027, 15032,
+]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 6])
+def test_k4_three_line_search_finds_every_family_for_every_seed(seed):
+    for threads in (1, 2):
+        result = enumerate_families(4, "three", threads=threads, seed=seed)
+        assert result.complete and result.cases_examined == 1756
+        assert [ff.case_index for ff in result.families] == K4_THREE_LINE_CASES
+
+
+def _brute_force_classes(k):
+    """Orbit minima of (s, p, c, kmul) under simultaneous relabeling, with
+    their flat indices and stabilizers, by conjugating every tuple."""
+    perms = list(itertools.permutations(range(k)))
+    signs = sign_vectors(k)
+
+    def conjugate(tau, sigma):
+        out = [0] * k
+        for i, img in enumerate(sigma):
+            out[tau[i]] = tau[img]
+        return tuple(out)
+
+    def move(tau, vec):
+        out = [0] * k
+        for i, val in enumerate(vec):
+            out[tau[i]] = val
+        return tuple(out)
+
+    def image(tau, item):
+        s, p, c, km = item
+        return conjugate(tau, s), conjugate(tau, p), move(tau, c), move(tau, km)
+
+    tuples = list(itertools.product(perms, perms, signs, signs))
+    flat_of = {item: flat for flat, item in enumerate(tuples)}
+    reps = {min(image(tau, item) for tau in perms) for item in tuples}
+    return sorted(
+        (flat_of[rep], *rep, tuple(tau for tau in perms if image(tau, rep) == rep))
+        for rep in reps
+    )
+
+
+def test_stage1_classes_are_the_orbit_minima():
+    assert _stage1_classes(3) == _brute_force_classes(3)
+
+
+def test_stage1_k4_class_count_and_stabilizers():
+    classes = _stage1_classes(4)
+    assert len(classes) == 1756
+    assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
+    sizes = Counter(len(cls[5]) for cls in classes)
+    assert sizes == {1: 1408, 2: 168, 3: 16, 4: 148, 8: 12, 24: 4}
 
 
 # --- the classical k = 3 survey -----------------------------------------------------
