@@ -3,7 +3,9 @@
 A configuration table records which points lie on which lines; validity means
 every point label occurs in exactly `gamma` columns, every column holds `pi`
 distinct labels, and two columns share at most one label.  Tables are compared
-up to relabeling of points and lines via a maximal-code canonical form.
+up to relabeling of points and lines via a canonical form: an exact
+individualization-refinement canonical labeling of the point-line incidence
+(Levi) graph.
 
 A colorable table splits its lines into black, red and green classes so that
 every point lies on one line of each color: the combinatorial shadow of a
@@ -87,7 +89,17 @@ class ConfigurationTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConfigurationTable":
-        return cls(obj["columns"])
+        columns = obj.get("columns") if isinstance(obj, dict) else None
+        if not isinstance(columns, list) or not all(map(_is_int_list, columns)):
+            raise ValueError(
+                'table JSON must be an object whose "columns" is a list of lists '
+                "of integer point labels"
+            )
+        return cls(columns)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 def validate_table(table: ConfigurationTable) -> list[str]:
@@ -123,65 +135,161 @@ def validate_table(table: ConfigurationTable) -> list[str]:
 
 
 # --- canonical labeling -------------------------------------------------------
+#
+# Individualization-refinement on the Levi graph (McKay & Piperno, "Practical
+# graph isomorphism II", arXiv:1301.1493).  Vertices 0..p-1 are the points and
+# p..p+l-1 the lines.  An ordered partition is held as `lab` (the vertices in
+# cell order), `colour` (vertex -> index in `lab` where its cell starts) and
+# `size` (cell start -> cell size); a colour is thus a position, which does
+# not depend on the input labels.
 
 
-def _canonical_search(columns: list[frozenset[int]], points: list[int]):
-    """Point labeling maximizing the level-by-level sorted column-prefix code.
+def _refine(adj, lab, colour, size, active, bound=None) -> tuple | None:
+    """Refine the partition in place to the coarsest equitable one.
 
-    Classic maximal-code canonicalization: labels are assigned one point at a
-    time; after each label every column has a prefix integer (bit t set when
-    the column contains the point labeled t, earlier labels more significant)
-    and the level code is the descending-sorted prefix tuple.  Assignments are
-    compared by the sequence of level codes, which makes branch-and-bound
-    exact.  Returns (point order, column order) of the winning labeling.
+    `active` holds the starts of the cells to split against.  The active cell
+    W with the smallest start is taken out and every cell with a neighbour
+    of W is split by its members' neighbour counts in W, subcells in count
+    order, so cell order is kept.  Subcells of an active cell become active;
+    of any other split cell, all but the first largest do (the counts into it
+    follow from the rest).  Returns the positions, counts and subcell sizes
+    of every split: an invariant of the partition and the vertices
+    individualized so far.  Returns None, leaving the partition half
+    refined, as soon as that invariant falls below `bound`.
     """
-    npts = len(points)
-    membership = {pt: frozenset(i for i, col in enumerate(columns) if pt in col) for pt in points}
-    best: dict = {"levels": None, "order": None}
-
-    def dfs(order: list[int], prefixes: list[int], levels: list, better: bool):
-        t = len(order)
-        if t == npts:
-            if better or best["levels"] is None:
-                best["levels"] = list(levels)
-                best["order"] = list(order)
-            return
-        used = set(order)
-        scored = []
-        for pt in points:
-            if pt in used:
+    trace = []
+    active = set(active)
+    while active:
+        splitter = min(active)
+        active.remove(splitter)
+        count = {}
+        for v in lab[splitter : splitter + size[splitter]]:
+            for u in adj[v]:
+                count[u] = count.get(u, 0) + 1
+        for start in sorted({colour[u] for u in count}):
+            k = size[start]
+            if k == 1:
                 continue
-            new_prefixes = [
-                (pfx << 1) | (1 if idx in membership[pt] else 0)
-                for idx, pfx in enumerate(prefixes)
-            ]
-            code = tuple(sorted(new_prefixes, reverse=True))
-            scored.append((code, pt, new_prefixes))
-        scored.sort(key=lambda item: item[0], reverse=True)
-        seen_codes = set()
-        for code, pt, new_prefixes in scored:
-            child_better = better
-            if not child_better and best["levels"] is not None:
-                ref = best["levels"][t]
-                if code < ref:
-                    continue  # candidates are sorted; all further ones also lose
-                if code > ref:
-                    child_better = True
-            if not child_better and code in seen_codes:
-                pass  # equal-code siblings can still differ deeper; explore all
-            seen_codes.add(code)
-            levels.append(code)
-            order.append(pt)
-            dfs(order, new_prefixes, levels, child_better)
-            order.pop()
-            levels.pop()
+            cell = lab[start : start + k]
+            keys = [count.get(v, 0) for v in cell]
+            distinct = sorted(set(keys))
+            if len(distinct) == 1:
+                continue
+            groups = {key: [] for key in distinct}
+            for v, key in zip(cell, keys):
+                groups[key].append(v)
+            sizes = tuple(map(len, groups.values()))
+            trace.append((splitter, start, tuple(distinct), sizes))
+            if bound is not None:
+                ref = bound[len(trace) - 1] if len(trace) <= len(bound) else None
+                if ref is not None and trace[-1] < ref:
+                    return None
+                if ref is None or trace[-1] > ref:
+                    bound = None
+            keep = None if start in active else start + sum(sizes[: sizes.index(max(sizes))])
+            pos = start
+            for group in groups.values():
+                size[pos] = len(group)
+                for v in group:
+                    colour[v] = pos
+                lab[pos : pos + len(group)] = group
+                if pos != keep:
+                    active.add(pos)
+                pos += len(group)
+    if bound is not None and len(trace) < len(bound):
+        return None
+    return tuple(trace)
 
-    dfs([], [0] * len(columns), [], False)
-    order = best["order"]
-    label_of = {pt: t for t, pt in enumerate(order)}
-    relabeled = [tuple(sorted(label_of[pt] for pt in col)) for col in columns]
-    col_order = sorted(range(len(columns)), key=lambda i: relabeled[i])
-    return order, col_order
+
+def _canonical_labeling(columns: list[list[int]], npts: int) -> list[int]:
+    """Vertex order (points, then lines) of the canonical leaf of the Levi
+    graph of `columns`, whose entries are point indices 0..npts-1.
+
+    The canonical leaf maximizes (the refinement invariants along its path,
+    then its certificate), the certificate being the line-by-line point
+    positions of the graph relabeled by the leaf.  A node whose path
+    invariant is below the best leaf's prefix is dropped, and a child in the
+    orbit of an explored sibling under the automorphisms found so far that
+    fix the node's individualized vertices is skipped.
+    """
+    n = npts + len(columns)
+    adj = [[] for _ in range(n)]
+    for j, col in enumerate(columns):
+        for pt in col:
+            adj[pt].append(npts + j)
+            adj[npts + j].append(pt)
+    lab = list(range(n))
+    colour = [0] * npts + [npts] * len(columns)
+    size = [0] * n
+    cells = [(start, end) for start, end in ((0, npts), (npts, n)) if start < end]
+    for start, end in cells:
+        size[start] = end - start
+    _refine(adj, lab, colour, size, [start for start, _ in cells])
+    best = None  # (path invariant, certificate, lab) of the best leaf so far
+    first = None  # (certificate, lab) of the first leaf
+    automorphisms: list[list[int]] = []
+
+    def leaf(path, lab, colour):
+        nonlocal best, first
+        cert = tuple(tuple(sorted([colour[u] for u in adj[v]])) for v in lab[npts:])
+        if first is None:
+            first = (cert, lab)
+            best = (path, cert, lab)
+            return
+        for ref_cert, ref_lab in (first, best[1:]):
+            if cert == ref_cert:
+                image = [0] * n
+                for v, w in zip(ref_lab, lab):
+                    image[v] = w
+                automorphisms.append(image)
+                return
+        if (path, cert) > best[:2]:
+            best = (path, cert, lab)
+
+    def skipped(w, explored, fixed) -> bool:
+        gens = [g for g in automorphisms if all(g[v] == v for v in fixed)]
+        orbit, frontier = {w}, [w]
+        while frontier:
+            v = frontier.pop()
+            for g in gens:
+                if g[v] not in orbit:
+                    orbit.add(g[v])
+                    frontier.append(g[v])
+        return not orbit.isdisjoint(explored)
+
+    def visit(lab, colour, size, path, fixed):
+        target, start = None, 0
+        while start < n:
+            if 1 < size[start] and (target is None or size[start] < size[target]):
+                target = start
+            start += size[start]
+        if target is None:
+            leaf(path, lab, colour)
+            return
+        k = size[target]
+        depth = len(path)
+        explored = []
+        for w in lab[target : target + k]:
+            if explored and automorphisms and skipped(w, explored, fixed):
+                continue
+            explored.append(w)
+            child_lab, child_colour, child_size = lab[:], colour[:], size[:]
+            i = child_lab.index(w, target)
+            child_lab[i] = child_lab[target]
+            child_lab[target] = w
+            rest = child_lab[target + 1 : target + k]
+            for v in rest:
+                child_colour[v] = target + 1
+            child_size[target], child_size[target + 1] = 1, k - 1
+            bound = None
+            if best is not None and best[0][:depth] == path and len(best[0]) > depth:
+                bound = best[0][depth]
+            inv = _refine(adj, child_lab, child_colour, child_size, [target], bound)
+            if inv is not None:
+                visit(child_lab, child_colour, child_size, path + (inv,), fixed + [w])
+
+    visit(lab, colour, size, (), [])
+    return best[2]
 
 
 def canonical_form(table: ConfigurationTable) -> ConfigurationTable:
@@ -192,15 +300,18 @@ def canonical_form(table: ConfigurationTable) -> ConfigurationTable:
 
 def _canonicalize(table: ConfigurationTable):
     """Canonical table plus the point map (original label -> canonical label)
-    and the column order (canonical index -> original index)."""
-    columns = [frozenset(col) for col in table.columns]
-    points = list(table.points)
-    order, col_order = _canonical_search(columns, points)
-    label_of = {pt: t for t, pt in enumerate(order)}
-    new_columns = [
-        tuple(sorted(label_of[pt] for pt in table.columns[orig])) for orig in col_order
-    ]
-    return ConfigurationTable(new_columns), label_of, tuple(col_order)
+    and the column order (canonical index -> original index).
+
+    Points are numbered in the order of the canonical leaf of the table's
+    Levi graph (`_canonical_labeling`); the relabeled columns are sorted.
+    """
+    points = table.points
+    index = {pt: i for i, pt in enumerate(points)}
+    order = _canonical_labeling([[index[pt] for pt in col] for col in table.columns], len(points))
+    label_of = {points[v]: t for t, v in enumerate(order[: len(points)])}
+    relabeled = [tuple(sorted(label_of[pt] for pt in col)) for col in table.columns]
+    col_order = tuple(sorted(range(table.l), key=relabeled.__getitem__))
+    return ConfigurationTable([relabeled[i] for i in col_order]), label_of, col_order
 
 
 def isomorphic(t1: ConfigurationTable, t2: ConfigurationTable) -> bool:
@@ -300,7 +411,13 @@ class Coloring:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Coloring":
-        return cls(tuple(obj["black"]), tuple(obj["red"]), tuple(obj["green"]))
+        keys = ("black", "red", "green")
+        if not isinstance(obj, dict) or not all(_is_int_list(obj.get(key)) for key in keys):
+            raise ValueError(
+                'coloring JSON must be an object whose "black", "red" and "green" '
+                "are lists of integer line indices"
+            )
+        return cls(*(tuple(obj[key]) for key in keys))
 
 
 def validate_coloring(table: ConfigurationTable, coloring: Coloring) -> list[str]:

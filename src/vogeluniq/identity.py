@@ -18,6 +18,7 @@ from . import _poly
 from ._util import make_rng, rand_rational, rat_to_json
 from .formula import (
     FactorProduct,
+    SingularPointError,
     act_product,
     cancel,
     convert,
@@ -36,6 +37,8 @@ from .plane import (
 )
 
 BinaryForm = tuple[Fraction, Fraction]  # u*s + v*t
+
+WITNESS_ROUNDS = 9  # the 14 fixed parameters, then 8 rounds of 32 random ones
 
 
 class InternalConsistencyError(RuntimeError):
@@ -147,13 +150,18 @@ def _expand(forms: list[BinaryForm]) -> _poly.Poly:
 def _witness_on_line(
     F: FactorProduct, lp: LineParam, quantum: bool, rng: random.Random | None = None
 ) -> ProjPoint:
-    """An exact rational point on the line where the value differs from 1."""
+    """An exact rational point on the line where the value differs from 1.
+
+    Raises InternalConsistencyError when WITNESS_ROUNDS rounds of candidate
+    points find none, although the symbolic check found the product not
+    constant on the line.
+    """
     rng = rng or make_rng()
     param = _align(lp, F.basis)
     candidates: list[tuple[Fraction, Fraction]] = [
         (Fraction(1), Fraction(n)) for n in range(-6, 7)
     ] + [(Fraction(0), Fraction(1))]
-    while True:
+    for _ in range(WITNESS_ROUNDS):
         for s, t in candidates:
             try:
                 pt = param.point_at(s, t)
@@ -162,7 +170,7 @@ def _witness_on_line(
             if quantum:
                 try:
                     vals = [eval_quantum(F, pt, x) for x in (0.37, 0.83, 1.29)]
-                except Exception:
+                except SingularPointError:
                     continue
                 if any(abs(v - 1) > 1e-6 for v in vals):
                     return pt
@@ -174,6 +182,10 @@ def _witness_on_line(
             (rand_rational(rng, 40), rand_rational(rng, 40, nonzero=True))
             for _ in range(32)
         ]
+    raise InternalConsistencyError(
+        f"symbolic check says not constant on {lp.line}, but no sampled point "
+        "has a value other than 1"
+    )
 
 
 def _match_multiset(
@@ -317,7 +329,7 @@ def numeric_crosscheck(
         if F.quantum:
             try:
                 values = [eval_quantum(F, pt, x) for x in xs]
-            except Exception:
+            except SingularPointError:
                 continue  # hit a factor zero; resample
         else:
             res = eval_classical(F, pt)

@@ -184,6 +184,27 @@ def test_configs_color_rejects_bad_json(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "body", [{"cols": []}, {"columns": [1, 2]}, [[1, 2, 3]], {"columns": [[1, None]]}]
+)
+def test_configs_color_rejects_malformed_table(tmp_path, capsys, body):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(body))
+    code = main(["configs-color", "--table-json", str(path)])
+    assert code == 2
+    assert '"columns"' in capsys.readouterr().err
+
+
+def test_extract_perms_rejects_malformed_coloring(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"columns": [[1, 2, 3], [4, 5, 6], [7, 8, 9]]}))
+    coloring = tmp_path / "coloring.json"
+    coloring.write_text(json.dumps({"black": [0], "green": [2]}))
+    code = main(["extract-perms", "--table-json", str(table), "--coloring-json", str(coloring)])
+    assert code == 2
+    assert '"red"' in capsys.readouterr().err
+
+
 def test_uncolorable_table_gives_negative_exit(tmp_path, capsys):
     from vogeluniq.configs import enumerate_n3, find_coloring
 

@@ -61,6 +61,24 @@ def test_canonical_form_is_idempotent():
     assert canonical_form(canon).columns == canon.columns
 
 
+def _relabeled(table, rng):
+    """The table with its point labels permuted and its columns shuffled."""
+    labels = list(table.points)
+    image = dict(zip(table.points, rng.sample(labels, len(labels))))
+    columns = [[image[v] for v in col] for col in table.columns]
+    rng.shuffle(columns)
+    return ConfigurationTable(columns)
+
+
+def test_canonical_form_is_invariant_under_relabeling():
+    rng = random.Random(2021)
+    p4 = sketch_from_q(builtin_q_prop4(1, 2, 3, 5), PRIMED_LINES["four"]).table
+    for table in enumerate_n3(9) + enumerate_n3(10) + [p4]:
+        canon = canonical_form(table)
+        for _ in range(10):
+            assert canonical_form(_relabeled(table, rng)).columns == canon.columns
+
+
 def test_relabeled_tables_are_isomorphic():
     rng = random.Random(42)
     labels = list(range(1, 10))
@@ -82,7 +100,9 @@ def test_different_classes_are_not_isomorphic():
 # --- enumeration ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,count", [(3, 0), (4, 0), (5, 0), (6, 0), (7, 1), (8, 1), (9, 3)])
+@pytest.mark.parametrize(
+    "n,count", [(3, 0), (4, 0), (5, 0), (6, 0), (7, 1), (8, 1), (9, 3), (10, 10)]
+)
 def test_small_n3_counts(n, count):
     assert len(enumerate_n3(n)) == count
 
@@ -131,6 +151,17 @@ def test_coloring_success_is_independent_of_column_order():
     assert find_coloring(canonical_form(NINE)) == find_coloring(
         canonical_form(ConfigurationTable(list(reversed(NINE.columns))))
     )
+
+
+def test_coloring_of_a_relabeled_table_is_valid():
+    rng = random.Random(11)
+    p4 = sketch_from_q(builtin_q_prop4(1, 2, 3, 5), PRIMED_LINES["four"]).table
+    for table in (NINE, p4):
+        for _ in range(5):
+            relabeled = _relabeled(table, rng)
+            coloring = find_coloring(relabeled)
+            assert coloring is not None
+            assert validate_coloring(relabeled, coloring) == []
 
 
 def test_uncolorable_classes_return_none():

@@ -208,6 +208,17 @@ def test_numeric_crosscheck_catches_a_lie(monkeypatch):
         identity_module.numeric_crosscheck(q, SP, samples=4, rng=make_rng(7))
 
 
+def test_witness_search_gives_up_with_a_named_error():
+    # q33 is identically one on its black lines, so no witness exists there
+    import vogeluniq.identity as identity_module
+
+    lp = LineParam.from_line(PRIMED_LINES["three"][0])
+    for quantum in (False, True):
+        q = builtin_q33(2, 3, 1, 1, quantum=quantum)
+        with pytest.raises(InternalConsistencyError):
+            identity_module._witness_on_line(q, lp, quantum, rng=make_rng(1))
+
+
 def test_verdicts_are_equivariant_under_coordinate_permutations(rng):
     q = builtin_q33(2, 3, 1, 1)
     for perm in ALL_PERM3:
