@@ -205,12 +205,19 @@ def _canonical_labeling(columns: list[list[int]], npts: int) -> list[int]:
     """Vertex order (points, then lines) of the canonical leaf of the Levi
     graph of `columns`, whose entries are point indices 0..npts-1.
 
-    The canonical leaf maximizes (the refinement invariants along its path,
-    then its certificate), the certificate being the line-by-line point
-    positions of the graph relabeled by the leaf.  A node whose path
-    invariant is below the best leaf's prefix is dropped, and a child in the
-    orbit of an explored sibling under the automorphisms found so far that
-    fix the node's individualized vertices is skipped.
+    Points and lines start as two cells, points first.  A node's children
+    individualize each vertex of its first largest non-singleton cell (on
+    highly regular tables, such as the rows, columns and symbols of a group
+    table, individualizing lines barely splits anything and the tree grows
+    factorially).  The canonical leaf maximizes (the refinement invariants
+    along its path, then its certificate), the certificate being the
+    line-by-line point positions of the graph relabeled by the leaf.
+
+    Pruning: a node whose path invariant falls below the best leaf's prefix
+    is dropped; a child in the orbit of an explored sibling, under the
+    automorphisms found so far that fix the node's individualized vertices,
+    is skipped; and a leaf equivalent to the first or the best leaf abandons
+    its branch below the deepest node it shares with that leaf.
     """
     n = npts + len(columns)
     adj = [[] for _ in range(n)]
@@ -225,26 +232,30 @@ def _canonical_labeling(columns: list[list[int]], npts: int) -> list[int]:
     for start, end in cells:
         size[start] = end - start
     _refine(adj, lab, colour, size, [start for start, _ in cells])
-    best = None  # (path invariant, certificate, lab) of the best leaf so far
-    first = None  # (certificate, lab) of the first leaf
+    best = None  # (path invariant, certificate, lab, path vertices) of the best leaf so far
+    first = None  # (certificate, lab, path vertices) of the first leaf
     automorphisms: list[list[int]] = []
 
-    def leaf(path, lab, colour):
+    def leaf(path, lab, colour, fixed) -> int:
         nonlocal best, first
         cert = tuple(tuple(sorted([colour[u] for u in adj[v]])) for v in lab[npts:])
         if first is None:
-            first = (cert, lab)
-            best = (path, cert, lab)
-            return
-        for ref_cert, ref_lab in (first, best[1:]):
+            first = (cert, lab, fixed)
+            best = (path, cert, lab, fixed)
+            return len(fixed)
+        for ref_cert, ref_lab, ref_fixed in (first, best[1:]):
             if cert == ref_cert:
                 image = [0] * n
                 for v, w in zip(ref_lab, lab):
                     image[v] = w
                 automorphisms.append(image)
-                return
+                # The reference leaf's branch below the deepest common node
+                # is done, and this automorphism maps it onto the current
+                # branch: resume at that node.
+                return next(d for d, (v, w) in enumerate(zip(fixed, ref_fixed)) if v != w)
         if (path, cert) > best[:2]:
-            best = (path, cert, lab)
+            best = (path, cert, lab, fixed)
+        return len(fixed)
 
     def skipped(w, explored, fixed) -> bool:
         gens = [g for g in automorphisms if all(g[v] == v for v in fixed)]
@@ -257,15 +268,15 @@ def _canonical_labeling(columns: list[list[int]], npts: int) -> list[int]:
                     frontier.append(g[v])
         return not orbit.isdisjoint(explored)
 
-    def visit(lab, colour, size, path, fixed):
+    def visit(lab, colour, size, path, fixed) -> int:
+        """Search below a node; returns the depth the search resumes at."""
         target, start = None, 0
         while start < n:
-            if 1 < size[start] and (target is None or size[start] < size[target]):
+            if 1 < size[start] and (target is None or size[start] > size[target]):
                 target = start
             start += size[start]
         if target is None:
-            leaf(path, lab, colour)
-            return
+            return leaf(path, lab, colour, fixed)
         k = size[target]
         depth = len(path)
         explored = []
@@ -286,7 +297,10 @@ def _canonical_labeling(columns: list[list[int]], npts: int) -> list[int]:
                 bound = best[0][depth]
             inv = _refine(adj, child_lab, child_colour, child_size, [target], bound)
             if inv is not None:
-                visit(child_lab, child_colour, child_size, path + (inv,), fixed + [w])
+                resume = visit(child_lab, child_colour, child_size, path + (inv,), fixed + [w])
+                if resume < depth:
+                    return resume
+        return depth
 
     visit(lab, colour, size, (), [])
     return best[2]

@@ -70,10 +70,21 @@ def _relabeled(table, rng):
     return ConfigurationTable(columns)
 
 
+def _cyclic_group_table(k):
+    """The (k^2_3 3k_k) table of rows, columns and symbols of the Cayley
+    table of the cyclic group of order k."""
+    rows = [[k * r + c for c in range(k)] for r in range(k)]
+    cols = [[k * r + c for r in range(k)] for c in range(k)]
+    symbols = [[k * r + (s - r) % k for r in range(k)] for s in range(k)]
+    return ConfigurationTable(rows + cols + symbols)
+
+
 def test_canonical_form_is_invariant_under_relabeling():
     rng = random.Random(2021)
     p4 = sketch_from_q(builtin_q_prop4(1, 2, 3, 5), PRIMED_LINES["four"]).table
-    for table in enumerate_n3(9) + enumerate_n3(10) + [p4]:
+    # the group table has 144 points on 36 lines, the size of a 12-line picture
+    tables = enumerate_n3(9) + enumerate_n3(10) + [p4, _cyclic_group_table(12)]
+    for table in tables:
         canon = canonical_form(table)
         for _ in range(10):
             assert canonical_form(_relabeled(table, rng)).columns == canon.columns
