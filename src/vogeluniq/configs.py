@@ -145,7 +145,8 @@ def validate_table(table: ConfigurationTable) -> list[str]:
 
 
 def _refine(adj, lab, colour, size, active, bound=None) -> tuple | None:
-    """Refine the partition in place to the coarsest equitable one.
+    """Refine the partition in place to the coarsest equitable partition
+    finer than it.
 
     `active` holds the starts of the cells to split against.  The active cell
     W with the smallest start is taken out and every cell with a neighbour
@@ -216,8 +217,8 @@ def _canonical_labeling(columns: list[list[int]], npts: int) -> list[int]:
     Pruning: a node whose path invariant falls below the best leaf's prefix
     is dropped; a child in the orbit of an explored sibling, under the
     automorphisms found so far that fix the node's individualized vertices,
-    is skipped; and a leaf equivalent to the first or the best leaf abandons
-    its branch below the deepest node it shares with that leaf.
+    is skipped; and a leaf equivalent to the best leaf so far abandons its
+    branch below the deepest node it shares with that leaf.
     """
     n = npts + len(columns)
     adj = [[] for _ in range(n)]
@@ -233,27 +234,21 @@ def _canonical_labeling(columns: list[list[int]], npts: int) -> list[int]:
         size[start] = end - start
     _refine(adj, lab, colour, size, [start for start, _ in cells])
     best = None  # (path invariant, certificate, lab, path vertices) of the best leaf so far
-    first = None  # (certificate, lab, path vertices) of the first leaf
     automorphisms: list[list[int]] = []
 
     def leaf(path, lab, colour, fixed) -> int:
-        nonlocal best, first
+        nonlocal best
         cert = tuple(tuple(sorted([colour[u] for u in adj[v]])) for v in lab[npts:])
-        if first is None:
-            first = (cert, lab, fixed)
-            best = (path, cert, lab, fixed)
-            return len(fixed)
-        for ref_cert, ref_lab, ref_fixed in (first, best[1:]):
-            if cert == ref_cert:
-                image = [0] * n
-                for v, w in zip(ref_lab, lab):
-                    image[v] = w
-                automorphisms.append(image)
-                # The reference leaf's branch below the deepest common node
-                # is done, and this automorphism maps it onto the current
-                # branch: resume at that node.
-                return next(d for d, (v, w) in enumerate(zip(fixed, ref_fixed)) if v != w)
-        if (path, cert) > best[:2]:
+        if best is not None and cert == best[1]:
+            image = [0] * n
+            for v, w in zip(best[2], lab):
+                image[v] = w
+            automorphisms.append(image)
+            # The best leaf's branch below the deepest common node is done,
+            # and this automorphism maps it onto the current branch: resume
+            # at that node.
+            return next(d for d, (v, w) in enumerate(zip(fixed, best[3])) if v != w)
+        if best is None or (path, cert) > best[:2]:
             best = (path, cert, lab, fixed)
         return len(fixed)
 
