@@ -72,7 +72,6 @@ from .configs import (
     extract_permutations,
     find_coloring,
     isomorphic,
-    search_144,
     sketch_from_q,
     validate_table,
 )

@@ -38,10 +38,6 @@ def add(a: Poly, b: Poly) -> Poly:
     )
 
 
-def neg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
-
-
 def mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ZERO

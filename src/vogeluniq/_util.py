@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 
@@ -10,11 +9,8 @@ DEFAULT_SEED = 20210
 
 
 def make_rng(seed: int | None = None) -> random.Random:
-    """RNG for witness sampling; VOGEL_SEED overrides the built-in default."""
-    if seed is None:
-        env = os.environ.get("VOGEL_SEED")
-        seed = int(env) if env else DEFAULT_SEED
-    return random.Random(seed)
+    """RNG for witness sampling; seed None takes the built-in default."""
+    return random.Random(DEFAULT_SEED if seed is None else seed)
 
 
 def rand_rational(rng: random.Random, bound: int = 1000, nonzero: bool = False) -> Fraction:

@@ -4,7 +4,9 @@ tools, sketches, and scripted reproduction pipelines.
 Exit codes: 0 for success / positive verdicts, 1 for negative verdicts
 (not constant, no coloring, nothing found), 2 for usage or input errors.
 Points and parameters are exact rational strings; only the quantum
-evaluation variable x is a float.  VOGEL_SEED fixes the sampling seed.
+evaluation variable x is a float.  --seed seeds the random sampling of
+`reproduce`; every other random draw uses a fixed seed, so all output is
+reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from ._util import parse_rational, rat_to_json
+from ._util import make_rng, parse_rational, rand_rational, rat_to_json
 from .plane import (
     Basis,
     LinearForm,
@@ -35,7 +37,6 @@ from .formula import (
 from .identity import check_on_lines, check_symmetric
 from .qsearch import (
     PRIMED_LINES,
-    FOUR_LINE_PERMS,
     MultiplierAssignment,
     PermTriple,
     build_system,
@@ -58,7 +59,6 @@ from .configs import (
     extract_permutations,
     find_coloring,
     isomorphic,
-    search_144,
     sketch_from_q,
     validate_table,
 )
@@ -194,7 +194,6 @@ def cmd_search(args) -> int:
     result = enumerate_families(
         args.k,
         args.lines,
-        quantum=True,
         budget=args.budget,
         threads=args.threads,
         seed=args.seed,
@@ -217,8 +216,6 @@ def cmd_search(args) -> int:
 def _family_json(ff) -> dict:
     """Family record: pairings, signs, parametric factors, the (semantic)
     triviality verdict, and a line check of one generic instantiation."""
-    from ._util import make_rng, rand_rational
-
     family, system = ff.family, ff.system
     rng = make_rng(0)
     line_check = None
@@ -352,16 +349,6 @@ def cmd_vogel_table(args) -> int:
     return EXIT_OK
 
 
-def cmd_search_144(args) -> int:
-    report = search_144(args.budget)
-    text = (
-        f"budget {report.budget}: nodes {report.nodes_used}, best depth "
-        f"{report.best_depth}/12, per-depth candidates {list(report.depth_candidates)}"
-    )
-    _emit(args, report.to_json(), text)
-    return EXIT_OK if report.found else EXIT_NEGATIVE
-
-
 def _pass(results: list[tuple[str, bool]], name: str, ok: bool) -> None:
     results.append((name, ok))
     print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -422,7 +409,8 @@ def cmd_reproduce(args) -> int:
         _pass(
             results,
             "the family matches the closed-form four-line factor",
-            outcome.family is not None and matches_builtin_four_line(outcome.family),
+            outcome.family is not None
+            and matches_builtin_four_line(outcome.family, make_rng(args.seed)),
         )
         classical = builtin_q_prop4(2, 3, -1, 7)
         quantum = builtin_q_prop4(2, 3, -1, 7, quantum=True)
@@ -470,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    parser.add_argument("--seed", type=int, default=None, help="override VOGEL_SEED")
+    parser.add_argument("--seed", type=int, default=None, help="sampling seed for reproduce")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_formula_opts(p, with_point=False):
@@ -535,10 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param")
     p.set_defaults(func=cmd_vogel_table)
 
-    p = sub.add_parser("search-144", help="bounded search for the 12-line extension")
-    p.add_argument("--budget", type=int, required=True)
-    p.set_defaults(func=cmd_search_144)
-
     p = sub.add_parser("reproduce", help="scripted verification pipelines")
     p.add_argument("target", choices=["P1-remark", "P2-k3", "P3", "P4"])
     p.set_defaults(func=cmd_reproduce)
@@ -552,8 +536,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
-    if args.seed is not None:
-        os.environ["VOGEL_SEED"] = str(args.seed)
     try:
         return args.func(args)
     except UsageError as err:

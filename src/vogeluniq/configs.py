@@ -25,7 +25,6 @@ from .plane import (
     DegenerateInputError,
     LinearForm,
     ProjPoint,
-    distinguished_lines,
     family_line,
     incident,
     meet,
@@ -811,98 +810,3 @@ def _clip_line(a, b, c, x0, y0, x1, y1):
     dedup.sort()
     return dedup[0], dedup[-1]
 
-
-# --- bounded search for the 12-line extension --------------------------------------
-
-
-@dataclass(frozen=True)
-class SearchReport:
-    budget: int
-    nodes_used: int
-    best_depth: int
-    depth_candidates: tuple[int, ...]
-    found: bool
-
-    def to_json(self) -> dict:
-        return {
-            "budget": self.budget,
-            "nodes_used": self.nodes_used,
-            "best_depth": self.best_depth,
-            "depth_candidates": list(self.depth_candidates),
-            "found": self.found,
-        }
-
-
-def search_144(budget: int, pool_bound: int = 2) -> SearchReport:
-    """Bounded backtracking attempt to extend the 12 distinguished lines with
-    12 red and 12 green lines so every red/green crossing needed lands on a
-    black line.  Candidate lines come from a deterministic small-coefficient
-    pool; the report records how deep the search got and how many candidates
-    each depth offered.  This is a harness: it never claims completeness.
-    """
-    blacks = distinguished_lines(Basis.PRIMED)
-    for i, j in itertools.combinations(range(len(blacks)), 2):
-        assert not blacks[i].same_line(blacks[j]), "distinguished lines must be distinct"
-    if budget <= 0:
-        return SearchReport(budget, 0, 0, (), False)
-    pool = _line_pool(Basis.PRIMED, pool_bound, blacks)
-    black_pair_points = {
-        meet(blacks[i], blacks[j])
-        for i, j in itertools.combinations(range(len(blacks)), 2)
-    }
-    state = {"nodes": 0, "best": 0, "counts": [], "found": False}
-
-    def candidates(used_red, used_green, triples):
-        out = []
-        for ri, red in enumerate(pool):
-            if ri in used_red or ri in used_green:
-                continue
-            for gi, green in enumerate(pool):
-                if gi in used_red or gi in used_green or gi == ri:
-                    continue
-                pt = meet(red, green)
-                on_black = [b for b in blacks if incident(pt, b)]
-                if len(on_black) != 1:
-                    continue  # zero: useless pair; two or more: degenerate point
-                if pt in black_pair_points or pt in triples:
-                    continue
-                out.append((ri, gi, pt))
-        return out
-
-    def dfs(used_red, used_green, triples, depth):
-        if state["nodes"] >= budget or state["found"]:
-            return
-        state["best"] = max(state["best"], depth)
-        if depth == 12:
-            state["found"] = True
-            return
-        cands = candidates(used_red, used_green, triples)
-        if len(state["counts"]) <= depth:
-            state["counts"].append(len(cands))
-        for ri, gi, pt in cands:
-            if state["nodes"] >= budget:
-                return
-            state["nodes"] += 1
-            dfs(used_red | {ri}, used_green | {gi}, triples | {pt}, depth + 1)
-
-    dfs(frozenset(), frozenset(), frozenset(), 0)
-    return SearchReport(budget, state["nodes"], state["best"], tuple(state["counts"]), state["found"])
-
-
-def _line_pool(basis: Basis, bound: int, blacks) -> list[LinearForm]:
-    pool = []
-    seen = set()
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            for c in range(-bound, bound + 1):
-                if (a, b, c) == (0, 0, 0):
-                    continue
-                form = LinearForm((a, b, c), basis)
-                key = form.canonical()
-                if key in seen:
-                    continue
-                seen.add(key)
-                if any(form.same_line(bl) for bl in blacks):
-                    continue
-                pool.append(LinearForm(key, basis))
-    return pool

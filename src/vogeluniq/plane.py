@@ -276,16 +276,6 @@ _FAMILY_LINES_UNPRIMED = {
     "exc": (-2, -2, 1),  # c - 2(a + b)
 }
 
-# On the exc line these parameter values are honest algebras.
-EXC_ALGEBRAS = {
-    Fraction(-2, 3): "g2",
-    Fraction(0): "so8",
-    Fraction(1): "f4",
-    Fraction(2): "e6",
-    Fraction(4): "e7",
-    Fraction(8): "e8",
-}
-
 
 @dataclass(frozen=True)
 class AlgebraPoint:

@@ -317,7 +317,9 @@ def _factor_maps(k: int, s, km, cols) -> tuple[list, list]:
 def _degeneracy(maps: tuple[list, list], four: bool) -> str | None:
     """The first factor, numerator factors before denominator factors, that
     is zero or restricts to zero on a system line for every parameter value;
-    a restriction vanishes when both coefficients it keeps are zero maps."""
+    a restriction vanishes when both coefficients it keeps are zero maps.
+    This is the one test of vanishing restrictions in the module: a single
+    product, or a zero pattern, is passed as one-column maps."""
     for side, factors in zip(("num", "den"), maps):
         for i, (n, x, y) in enumerate(factors):
             n_zero, x_zero, y_zero = not any(n), not any(x), not any(y)
@@ -375,19 +377,6 @@ def is_nontrivial(family: SolutionFamily) -> bool:
     return _keeps_a_factor(
         _factor_maps(k, system.perms.s, system.mult.kmul, _columns(k, family.vectors))
     )
-
-
-def _instantiation_restriction_vanishes(system: ConstraintSystem, product: FactorProduct) -> bool:
-    k = system.k
-    for forms in (product.num, product.den):
-        for f in forms:
-            n_c, x_c, y_c = f.coeffs
-            checks = [(x_c, y_c), (n_c, y_c), (n_c, x_c)]
-            if system.lines == "four":
-                checks.append((n_c + 3 * x_c, y_c))
-            if any(a == 0 and b == 0 for a, b in checks):
-                return True
-    return False
 
 
 def solve_quantum(system: ConstraintSystem) -> SolveOutcome:
@@ -537,7 +526,6 @@ def _stage1_classes(k: int, dedup: bool = True) -> list[tuple]:
 def enumerate_families(
     k: int,
     lines: str,
-    quantum: bool = True,
     budget: int | None = None,
     threads: int = 1,
     seed: int | None = None,
@@ -555,13 +543,14 @@ def enumerate_families(
     `budget` caps the number of examined cases and flags the result
     incomplete when exceeded (budgeted runs are serial).
     """
-    if not quantum:
-        raise ValueError(
-            "exhaustive search needs quantum (+-1) multipliers; classical "
-            "assignments are only verified via verify_solution"
-        )
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if lines not in ("three", "four"):
         raise ValueError("lines must be 'three' or 'four'")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     stage1 = _stage1_classes(k, dedup)
     if threads > 1 and budget is None:
         chunks = [stage1[i::threads] for i in range(threads)]
@@ -759,7 +748,9 @@ def matches_builtin_four_line(family: SolutionFamily, rng: random.Random | None 
             F = family.factor_product(params, quantum=True)
         except ValueError:
             continue
-        if _instantiation_restriction_vanishes(family.system, F):
+        maps = tuple([((n,), (x,), (y,)) for n, x, y in (f.coeffs for f in forms)]
+                     for forms in (F.num, F.den))
+        if _degeneracy(maps, family.system.lines == "four") is not None:
             continue
         beta_coeffs = {f.coeffs[1] for f in F.num} | {f.coeffs[1] for f in F.den}
         for anchor in F.num:
@@ -849,7 +840,8 @@ def _survey_pair(s: Perm, p: Perm, samples: int, rng: random.Random):
                 strata.append((len(zn) + len(zx) + len(zy), zn, zx, zy))
     strata.sort(key=lambda item: (item[0], sorted(item[1]), sorted(item[2]), sorted(item[3])))
     for _, zn, zx, zy in strata:
-        if not _stratum_admissible(s, zn, zx, zy):
+        cols = [(int(i not in zeros),) for zeros in (zn, zx, zy) for i in range(k)]
+        if _degeneracy(_factor_maps(k, s, (1, 1, 1), cols), False) is not None:
             continue
         witness = _sample_stratum(s, p, zn, zx, zy, p_cycles, s_cycles, samples, rng)
         if witness is not None:
@@ -862,21 +854,6 @@ def _subsets(cycles):
     for mask in range(1 << len(cycles)):
         out.append([cyc for b, cyc in enumerate(cycles) if mask >> b & 1])
     return out
-
-
-def _stratum_admissible(s: Perm, zn, zx, zy) -> bool:
-    for i in range(len(s)):
-        n_zero = i in zn
-        m_zero = s[i] in zn
-        x_zero = i in zx
-        y_zero = i in zy
-        if x_zero and y_zero:
-            return False  # restriction to a' = 0 vanishes
-        if n_zero and (y_zero or x_zero):
-            return False  # numerator restriction to b' = 0 or c' = 0 vanishes
-        if m_zero and (y_zero or x_zero):
-            return False  # denominator restriction vanishes
-    return True
 
 
 def _sample_stratum(s, p, zn, zx, zy, p_cycles, s_cycles, samples, rng):

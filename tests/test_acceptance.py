@@ -60,7 +60,6 @@ from vogeluniq.configs import (
     extract_permutations,
     find_coloring,
     isomorphic,
-    search_144,
     sketch_from_q,
     validate_coloring,
     validate_table,
@@ -353,16 +352,3 @@ def test_criterion_12_permutation_and_line_set_invariants():
         # and the full six-element group fixes the set
         for perm in ALL_PERM3:
             assert {act(perm, f).canonical() for f in lines} == canon
-
-
-def test_search_144_plumbing_only():
-    with Criterion("aux: bounded 12-line search plumbing", 30.0):
-        empty = search_144(0)
-        assert empty == search_144(0)
-        assert (empty.best_depth, empty.nodes_used, empty.found) == (0, 0, False)
-        assert empty.depth_candidates == ()
-        report = search_144(25)
-        data = report.to_json()
-        assert set(data) == {"budget", "nodes_used", "best_depth", "depth_candidates", "found"}
-        assert report.nodes_used <= 25
-        assert search_144(25) == report

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -127,6 +128,16 @@ def test_search_budget_flag(capsys):
     assert not payload["complete"]
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["search", "--k", "0"], "k"),
+    (["search", "--k", "3", "--budget", "-5"], "budget"),
+    (["--threads", "0", "search", "--k", "3"], "threads"),
+])
+def test_search_rejects_out_of_range_arguments(capsys, argv, name):
+    assert main(argv) == 2
+    assert f"error: {name} must be at least" in capsys.readouterr().err
+
+
 def test_search_family_record_shape():
     from fractions import Fraction
 
@@ -241,15 +252,6 @@ def test_vogel_table_row(capsys):
     assert payload["t"] == ["30", "1"]
 
 
-def test_search_144_plumbing(capsys):
-    code, payload = run_json(capsys, "search-144", "--budget", "0")
-    assert code == 1
-    assert payload == {
-        "budget": 0, "nodes_used": 0, "best_depth": 0,
-        "depth_candidates": [], "found": False,
-    }
-
-
 def test_formula_json_round_trip_through_cli(tmp_path, capsys):
     from vogeluniq.qsearch import builtin_q_prop4
 
@@ -267,3 +269,9 @@ def test_reproduce_pipelines(capsys, target, checks):
     code, out = run(capsys, "reproduce", target)
     assert code == 0
     assert out.count("PASS") == checks + 1  # per-check lines plus the summary
+
+
+def test_seed_does_not_leak_into_the_environment(capsys, monkeypatch):
+    monkeypatch.delenv("VOGEL_SEED", raising=False)
+    assert main(["--seed", "7", "reproduce", "P2-k3"]) == 0
+    assert "VOGEL_SEED" not in os.environ

@@ -14,7 +14,6 @@ from vogeluniq.configs import (
     extract_permutations,
     find_coloring,
     isomorphic,
-    search_144,
     sketch_from_q,
     validate_coloring,
     validate_table,
@@ -293,27 +292,6 @@ def test_chart_avoids_sketch_points():
     # the triple points sit on the coordinate lines, so the default chart
     # must fall back to a line through none of them
     assert all(not incident(pt, chart) for pt in sketch.points)
-
-
-# --- the bounded 12-line search -----------------------------------------------------------
-
-
-def test_search_144_budget_zero_is_empty_and_deterministic():
-    a = search_144(0)
-    b = search_144(0)
-    assert a == b
-    assert a.best_depth == 0 and a.nodes_used == 0 and a.depth_candidates == ()
-
-
-def test_search_144_report_schema_and_progress():
-    report = search_144(40)
-    data = report.to_json()
-    assert set(data) == {"budget", "nodes_used", "best_depth", "depth_candidates", "found"}
-    assert report.nodes_used <= 40
-    assert report.best_depth >= 1  # small-height candidates do exist
-    assert len(report.depth_candidates) >= 1
-    again = search_144(40)
-    assert again == report
 
 
 def test_table_json_round_trip():

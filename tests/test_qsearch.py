@@ -225,9 +225,13 @@ def test_enumeration_is_deterministic():
     assert a == b
 
 
-def test_classical_enumeration_is_refused():
-    with pytest.raises(ValueError):
-        enumerate_families(3, "three", quantum=False)
+def test_enumeration_rejects_out_of_range_arguments():
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        enumerate_families(0, "three")
+    with pytest.raises(ValueError, match="budget must be at least 0"):
+        enumerate_families(2, "three", budget=-1)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        enumerate_families(2, "three", threads=0)
 
 
 # --- built-ins ------------------------------------------------------------------------
