@@ -4,9 +4,9 @@ tools, sketches, and scripted reproduction pipelines.
 Exit codes: 0 for success / positive verdicts, 1 for negative verdicts
 (not constant, no coloring, nothing found), 2 for usage or input errors.
 Points and parameters are exact rational strings; only the quantum
-evaluation variable x is a float.  --seed seeds the random sampling of
-`reproduce`; every other random draw uses a fixed seed, so all output is
-reproducible.
+evaluation variable x is a float.  --seed seeds the random sampling of the
+P4 match in `reproduce`; every other random draw uses a fixed seed, so all
+output is reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from ._util import make_rng, parse_rational, rand_rational, rat_to_json
+from ._util import make_rng, parse_rational, rat_to_json
 from .plane import (
     Basis,
     LinearForm,
@@ -37,6 +37,7 @@ from .formula import (
 from .identity import check_on_lines, check_symmetric
 from .qsearch import (
     PRIMED_LINES,
+    _PRIMES,
     MultiplierAssignment,
     PermTriple,
     build_system,
@@ -78,7 +79,7 @@ def _build_formula(args) -> FactorProduct:
         try:
             with open(args.formula_json, encoding="utf-8") as handle:
                 return FactorProduct.from_json(json.load(handle))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
             raise UsageError(f"cannot read formula JSON: {err}")
     name = args.builtin
     params = [parse_rational(q) for q in args.params.split(",")] if args.params else []
@@ -196,7 +197,6 @@ def cmd_search(args) -> int:
         args.lines,
         budget=args.budget,
         threads=args.threads,
-        seed=args.seed,
         dedup=not args.no_dedup,
     )
     payload = {
@@ -215,20 +215,17 @@ def cmd_search(args) -> int:
 
 def _family_json(ff) -> dict:
     """Family record: pairings, signs, parametric factors, the (semantic)
-    triviality verdict, and a line check of one generic instantiation."""
+    triviality verdict, and a line check of the instantiation at the first
+    primes, null when it cannot be built (a factor is zero there, or the
+    family has more parameters than `_PRIMES` has primes)."""
     family, system = ff.family, ff.system
-    rng = make_rng(0)
-    line_check = None
-    for _ in range(50):
-        params = tuple(
-            rand_rational(rng, 9, nonzero=True) for _ in range(family.free_parameters)
-        )
-        try:
-            sample = family.factor_product(params)
-        except ValueError:
-            continue
+    params = tuple(map(Fraction, _PRIMES[: family.free_parameters]))
+    try:
+        sample = family.factor_product(params)
+    except ValueError:
+        line_check = None
+    else:
         line_check = [r.to_json() for r in check_on_lines(sample, system.line_forms())]
-        break
     return {
         "case_index": ff.case_index,
         "s": list(system.perms.s),
@@ -358,7 +355,7 @@ def cmd_reproduce(args) -> int:
     target = args.target
     results: list[tuple[str, bool]] = []
     if target == "P1-remark":
-        entries = survey_k3_classical(seed=args.seed)
+        entries = survey_k3_classical()
         nontrivial = [e for e in entries if e.nontrivial]
         fpf = {((1, 2, 0), (2, 0, 1)), ((2, 0, 1), (1, 2, 0))}
         _pass(results, "k=3 classical survey covers 36 pairings", len(entries) == 36)
@@ -458,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    parser.add_argument("--seed", type=int, default=None, help="sampling seed for reproduce")
+    parser.add_argument("--seed", type=int, default=None, help="sampling seed for the P4 match of reproduce")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_formula_opts(p, with_point=False):

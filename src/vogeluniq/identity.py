@@ -42,7 +42,9 @@ WITNESS_ROUNDS = 9  # the 14 fixed parameters, then 8 rounds of 32 random ones
 
 
 class InternalConsistencyError(RuntimeError):
-    """Symbolic verdict and numeric sampling disagree."""
+    """Symbolic verdict and numeric sampling disagree, or an exact
+    construction fails the equations it satisfies by design: a bug, never
+    a verdict."""
 
 
 class VanishingFactorError(ValueError):

@@ -20,7 +20,7 @@ search draws no random numbers and its result does not depend on a seed;
 Fraction vectors are built only for the families it returns.  The classical
 multipliers form a continuum; they are verified rather than searched, except
 for the dedicated k = 3 survey which decides nontriviality stratum by
-stratum with generic rational sampling.
+stratum, exactly, at one point with distinct prime coordinates.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from fractions import Fraction
 from ._linalg import int_nullspace, rref_basis
 from ._util import make_rng, rand_rational
 from .formula import FactorProduct, cancel, ratio
+from .identity import InternalConsistencyError
 from .plane import Basis, LinearForm
 
 PRIMED_LINES = {
@@ -569,37 +570,30 @@ def enumerate_families(
 
 def _enumerate_chunk(args):
     """Worker: process three-line classes; returns (found, cases, complete)
-    where found holds (global_case_index, system, family) triples."""
+    where found holds (global_case_index, system, family) triples.  A
+    three-line class is one case; a four-line class has one case per
+    fourth-line choice."""
     k, lines, entries, budget = args
+    four = lines == "four"
+    rel = _relabelings(k)
+    per_class = len(rel.perms) * len(rel.signs) if four else 1
     found = []
     cases = 0
-    if lines == "three":
-        for flat, s, p, c, km, _ in entries:
-            if budget is not None and cases >= budget:
-                return found, cases, False
-            cases += 1
-            mult = MultiplierAssignment(c, km, quantum=True)
-            system = build_system(k, "three", PermTriple(s, p), mult)
-            outcome = solve_quantum(system)
-            if outcome.status == "nontrivial":
-                found.append((flat, system, outcome.family))
-        return found, cases, True
-    rel = _relabelings(k)
-    per_class = len(rel.perms) * len(rel.signs)
     for flat, s, p, c, km, stab in entries:
         base = int_nullspace(_dense_rows(k, _relation_terms(k, s, p, c, km)), 3 * k)
-        if base:
+        if base and four:
             choices = _fourth_line_choices(k, s, p, c, km, base)
-        for local_index, (v, r) in enumerate(_stage2_cases(rel, stab)):
+        stage2 = _stage2_cases(rel, stab) if four else [(None, None)]
+        for local_index, (v, r) in enumerate(stage2):
             if budget is not None and cases >= budget:
                 return found, cases, False
             cases += 1
             if not base:
                 continue
-            rows = [row for i in range(k) for row in choices[v[i], r[i]][i]]
-            if _extends(k, s, km, base, rows):
+            rows = [row for i in range(k) for row in choices[v[i], r[i]][i]] if four else []
+            if _extends(k, s, km, base, rows, four):
                 mult = MultiplierAssignment(c, km, r, quantum=True)
-                system = build_system(k, "four", PermTriple(s, p, v), mult)
+                system = build_system(k, lines, PermTriple(s, p, v), mult)
                 found.append((flat * per_class + local_index, system, solve_quantum(system).family))
     return found, cases, True
 
@@ -639,12 +633,12 @@ def _stage2_cases(rel: _Relabelings, stab) -> list[tuple[Perm, tuple]]:
     return cases
 
 
-def _extends(k, s, km, base, reduced) -> bool:
+def _extends(k, s, km, base, reduced, four: bool) -> bool:
     """Whether the fourth-line relations, given as rows `reduced` over the
-    integer three-line basis `base`, cut its space down to a nonempty,
-    nondegenerate and nontrivial family.  The tests run on the integer
-    basis of the cut-down space lifted from `base`, as neither depends on
-    the basis."""
+    integer three-line basis `base` (none for a three-line system), cut its
+    space down to a nonempty, nondegenerate and nontrivial family.  The
+    tests run on the integer basis of the cut-down space lifted from
+    `base`, as neither depends on the basis."""
     lifted = []
     for vec in int_nullspace(reduced, len(base)):
         out = None
@@ -656,7 +650,7 @@ def _extends(k, s, km, base, reduced) -> bool:
         return False
     cols = list(zip(*lifted))
     maps = _factor_maps(k, s, km, cols)
-    return _degeneracy(maps, True) is None and _keeps_a_factor(maps)
+    return _degeneracy(maps, four) is None and _keeps_a_factor(maps)
 
 
 # --- built-in closed-form factors --------------------------------------------
@@ -801,31 +795,39 @@ class SurveyEntry:
     witness_data: dict = field(default_factory=dict)
 
 
-def survey_k3_classical(samples: int = 4, seed: int | None = None) -> list[SurveyEntry]:
+# Distinct primes for the stratum variables: the torus generators, then the
+# free x value of each p-cycle, then the free y value of each s-cycle.  The
+# `search --json` line check instantiates families at the same primes.
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def survey_k3_classical() -> list[SurveyEntry]:
     """Existence survey of nontrivial classical three-line factors at k = 3.
 
     For each pairing (s, p) the solution set splits into finitely many strata
     by the zero patterns of n, x and y (unions of cycles of the relevant
     permutations, with numerator factors normalized to alpha-coefficient one
     off the zero set).  On each stratum the admissible multipliers form a
-    subtorus times a sign lattice; generic rational samples decide whether
-    the stratum contains a non-cancelling product.  A sampled witness is an
-    exact certificate of nontriviality; absence across all strata and samples
-    certifies triviality up to the genericity of the draws.
+    subtorus times a sign lattice, and every coefficient of every factor is
+    zero or a signed monomial in the torus parameters and the free x and y
+    values.  Each sign pattern is instantiated once, with a distinct prime
+    for each variable: by unique factorization two factors are proportional
+    there exactly when they are proportional for every parameter value, so
+    cancellation at that one point decides the stratum.  A witness is an
+    exact certificate of nontriviality, and its absence proves triviality.
     """
-    rng = make_rng(seed)
     perms = list(itertools.permutations(range(3)))
     entries = []
     for s in perms:
         for p in perms:
-            witness, data = _survey_pair(s, p, samples, rng)
+            witness, data = _survey_pair(s, p)
             entries.append(
                 SurveyEntry(s, p, witness is not None, witness, data)
             )
     return entries
 
 
-def _survey_pair(s: Perm, p: Perm, samples: int, rng: random.Random):
+def _survey_pair(s: Perm, p: Perm):
     k = 3
     p_inv = perm_inverse(p)
     u = tuple(s[p_inv[j]] for j in range(k))
@@ -843,9 +845,9 @@ def _survey_pair(s: Perm, p: Perm, samples: int, rng: random.Random):
         cols = [(int(i not in zeros),) for zeros in (zn, zx, zy) for i in range(k)]
         if _degeneracy(_factor_maps(k, s, (1, 1, 1), cols), False) is not None:
             continue
-        witness = _sample_stratum(s, p, zn, zx, zy, p_cycles, s_cycles, samples, rng)
+        witness = _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles)
         if witness is not None:
-            return witness[0], witness[1]
+            return witness
     return None, {}
 
 
@@ -856,7 +858,9 @@ def _subsets(cycles):
     return out
 
 
-def _sample_stratum(s, p, zn, zx, zy, p_cycles, s_cycles, samples, rng):
+def _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles):
+    """(product, data) for the first sign pattern of the stratum whose
+    product at the prime point keeps a factor after cancellation, or None."""
     k = 3
     # Multiplicative constraints on (c0, c1, c2, k0, k1, k2) as exponent rows.
     rows = [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]]
@@ -878,29 +882,45 @@ def _sample_stratum(s, p, zn, zx, zy, p_cycles, s_cycles, samples, rng):
             for i in cyc:
                 row[3 + i] += 1
             rows.append(row)
-    gens = int_nullspace(rows, 6)
-    sign_patterns = [
-        signs
-        for signs in itertools.product((1, -1), repeat=6)
-        if all(
-            _sign_product(signs, row) == 1
-            for row in rows
-        )
-    ]
-    for signs in sign_patterns:
-        for _ in range(samples):
-            mags = [_generic_rational(rng) for _ in gens]
-            logs = [Fraction(1)] * 6
-            for mag, gen in zip(mags, gens):
-                for j in range(6):
-                    if gen[j]:
-                        logs[j] *= mag ** gen[j]
-            c = tuple(signs[j] * logs[j] for j in range(3))
-            km = tuple(signs[3 + j] * logs[3 + j] for j in range(3))
-            witness = _build_stratum_product(s, p, zn, zx, zy, p_cycles, s_cycles, c, km, rng)
-            if witness is not None:
-                return witness
+    torus = [Fraction(1)] * 6
+    for prime, gen in zip(_PRIMES, int_nullspace(rows, 6)):
+        for j in range(6):
+            torus[j] *= Fraction(prime) ** gen[j]
+    n = tuple(Fraction(0) if i in zn else Fraction(1) for i in range(k))
+    for signs in itertools.product((1, -1), repeat=6):
+        if any(_sign_product(signs, row) != 1 for row in rows):
+            continue
+        c = tuple(signs[j] * torus[j] for j in range(3))
+        km = tuple(signs[3 + j] * torus[3 + j] for j in range(3))
+        x = _cycle_values(p, p_cycles, zx, c, _PRIMES[6:9])
+        y = _cycle_values(s, s_cycles, zy, km, _PRIMES[9:12])
+        system = build_system(k, "three", PermTriple(s, p), MultiplierAssignment(c, km))
+        report = verify_solution(system, n, x, y)
+        if not report.ok:
+            raise InternalConsistencyError(
+                f"stratum assignment of s={s}, p={p} fails {list(report.failures)}"
+            )
+        product = product_from_assignment(system, n, x, y)
+        if cancel(product).k > 0:
+            data = {"zn": sorted(zn), "zx": sorted(zx), "zy": sorted(zy), "c": c, "k": km,
+                    "n": n, "x": x, "y": y}
+            return product, data
     return None
+
+
+def _cycle_values(perm, cycles, zeros, mult, primes) -> tuple[Fraction, ...]:
+    """Values on the cycles of perm outside `zeros`: the cycle's prime at its
+    first index, then value[perm(i)] = value[i] / mult[i] along the cycle."""
+    values = [Fraction(0)] * len(perm)
+    for cyc, prime in zip(cycles, primes):
+        if set(cyc) <= zeros:
+            continue
+        i = cyc[0]
+        values[i] = Fraction(prime)
+        for _ in range(len(cyc) - 1):
+            values[perm[i]] = values[i] / mult[i]
+            i = perm[i]
+    return tuple(values)
 
 
 def _sign_product(signs, row) -> int:
@@ -909,50 +929,6 @@ def _sign_product(signs, row) -> int:
         if e % 2:
             prod *= signs[j]
     return prod
-
-
-def _generic_rational(rng: random.Random) -> Fraction:
-    while True:
-        q = Fraction(rng.randint(2, 9), rng.randint(2, 9))
-        if q != 1:
-            return q if rng.random() < 0.5 else 1 / q
-
-
-def _build_stratum_product(s, p, zn, zx, zy, p_cycles, s_cycles, c, km, rng):
-    k = 3
-    n = [Fraction(0) if i in zn else Fraction(1) for i in range(k)]
-    x = [Fraction(0)] * k
-    y = [Fraction(0)] * k
-    for cyc in p_cycles:
-        if set(cyc) <= zx:
-            continue
-        x[cyc[0]] = rand_rational(rng, 9, nonzero=True)
-        i = cyc[0]
-        for _ in range(len(cyc) - 1):
-            x[p[i]] = x[i] / c[i]
-            i = p[i]
-    for cyc in s_cycles:
-        if set(cyc) <= zy:
-            continue
-        y[cyc[0]] = rand_rational(rng, 9, nonzero=True)
-        i = cyc[0]
-        for _ in range(len(cyc) - 1):
-            y[s[i]] = y[i] / km[i]
-            i = s[i]
-    mult = MultiplierAssignment(tuple(c), tuple(km), quantum=False)
-    system = build_system(k, "three", PermTriple(tuple(s), tuple(p)), mult)
-    report = verify_solution(system, tuple(n), tuple(x), tuple(y))
-    if not report.ok:
-        return None  # incompatible multipliers for this stratum draw
-    try:
-        product = product_from_assignment(system, tuple(n), tuple(x), tuple(y))
-    except ValueError:
-        return None
-    if cancel(product).k == 0:
-        return None
-    data = {"zn": sorted(zn), "zx": sorted(zx), "zy": sorted(zy), "c": c, "k": km,
-            "n": tuple(n), "x": tuple(x), "y": tuple(y)}
-    return product, data
 
 
 def matches_builtin_q33(entry: SurveyEntry) -> bool:

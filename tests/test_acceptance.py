@@ -193,7 +193,7 @@ def test_criterion_5_quantum_nonexistence_up_to_k3():
 
 def test_criterion_6_k3_structure_theorem():
     with Criterion("6: classical k = 3 structure over 36 pairings", 60.0):
-        entries = survey_k3_classical(seed=61)
+        entries = survey_k3_classical()
         assert len(entries) == 36
         nontrivial = [e for e in entries if e.nontrivial]
         expected_pairs = {((1, 2, 0), (2, 0, 1)), ((2, 0, 1), (1, 2, 0))}

@@ -264,6 +264,15 @@ def test_formula_json_round_trip_through_cli(tmp_path, capsys):
     assert FactorProduct.from_json(F.to_json()) == F
 
 
+@pytest.mark.parametrize("body", [[1, 2], {"quantum": True, "num": 5}])
+def test_check_identity_rejects_malformed_formula_json(tmp_path, capsys, body):
+    path = tmp_path / "formula.json"
+    path.write_text(json.dumps(body))
+    code = main(["check-identity", "--formula-json", str(path)])
+    assert code == 2
+    assert "error: cannot read formula JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("target,checks", [("P3", 4), ("P2-k3", 3)])
 def test_reproduce_pipelines(capsys, target, checks):
     code, out = run(capsys, "reproduce", target)

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from vogeluniq.formula import cancel, eval_classical, ratio
-from vogeluniq.identity import check_on_lines
+from vogeluniq.identity import InternalConsistencyError, check_on_lines
 from vogeluniq.plane import Basis, ProjPoint
+from vogeluniq import qsearch
 from vogeluniq.qsearch import (
     FOUR_LINE_PERMS,
     PRIMED_LINES,
@@ -15,6 +16,7 @@ from vogeluniq.qsearch import (
     MultiplierAssignment,
     PermTriple,
     SolutionFamily,
+    VerifyReport,
     build_system,
     builtin_q33,
     builtin_q_prop4,
@@ -372,15 +374,40 @@ def test_stage1_k4_class_count_and_stabilizers():
 
 
 def test_survey_finds_exactly_the_two_fixed_point_free_pairs():
-    entries = survey_k3_classical(seed=11)
+    entries = survey_k3_classical()
     nontrivial = {(e.s, e.p) for e in entries if e.nontrivial}
     assert nontrivial == {((1, 2, 0), (2, 0, 1)), ((2, 0, 1), (1, 2, 0))}
 
 
 def test_survey_witnesses_match_the_closed_form():
-    entries = survey_k3_classical(seed=11)
+    entries = survey_k3_classical()
     for entry in entries:
         if entry.nontrivial:
             assert matches_builtin_q33(entry)
             reports = check_on_lines(entry.witness, PRIMED_LINES["three"])
             assert all(r.identically_one for r in reports)
+
+
+def _survey_summary():
+    nontrivial = [e for e in survey_k3_classical() if e.nontrivial]
+    strata = {
+        (e.s, e.p): tuple(e.witness_data[z] for z in ("zn", "zx", "zy")) for e in nontrivial
+    }
+    return strata, all(matches_builtin_q33(e) for e in nontrivial)
+
+
+def test_survey_verdicts_do_not_depend_on_the_primes(monkeypatch):
+    expected, _ = _survey_summary()
+    assert set(expected) == {((1, 2, 0), (2, 0, 1)), ((2, 0, 1), (1, 2, 0))}
+    for primes in (
+        (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41),
+        (97, 89, 83, 79, 73, 71, 67, 61, 59, 53, 47, 43),
+    ):
+        monkeypatch.setattr(qsearch, "_PRIMES", primes)
+        assert _survey_summary() == (expected, True)
+
+
+def test_survey_raises_when_a_stratum_assignment_fails_its_equations(monkeypatch):
+    monkeypatch.setattr(qsearch, "verify_solution", lambda *args: VerifyReport(False, ("eq",)))
+    with pytest.raises(InternalConsistencyError):
+        survey_k3_classical()
