@@ -4,9 +4,8 @@ tools, sketches, and scripted reproduction pipelines.
 Exit codes: 0 for success / positive verdicts, 1 for negative verdicts
 (not constant, no coloring, nothing found), 2 for usage or input errors.
 Points and parameters are exact rational strings; only the quantum
-evaluation variable x is a float.  --seed seeds the random sampling of the
-P4 match in `reproduce`; every other random draw uses a fixed seed, so all
-output is reproducible.
+evaluation variable x is a float.  --seed is accepted and changes nothing:
+every random draw uses a fixed seed, so all output is reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from ._util import make_rng, parse_rational, rat_to_json
+from ._util import parse_rational, rat_to_json
 from .plane import (
     Basis,
     LinearForm,
@@ -407,7 +406,7 @@ def cmd_reproduce(args) -> int:
             results,
             "the family matches the closed-form four-line factor",
             outcome.family is not None
-            and matches_builtin_four_line(outcome.family, make_rng(args.seed)),
+            and matches_builtin_four_line(outcome.family),
         )
         classical = builtin_q_prop4(2, 3, -1, 7)
         quantum = builtin_q_prop4(2, 3, -1, 7, quantum=True)
@@ -455,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    parser.add_argument("--seed", type=int, default=None, help="sampling seed for the P4 match of reproduce")
+    parser.add_argument("--seed", type=int, default=None, help="accepted for compatibility; no command uses it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_formula_opts(p, with_point=False):

@@ -17,7 +17,10 @@ coefficients are then integers in {0, +-1, +-3}: each case is solved by
 fraction-free integer elimination and decided by exact tests (degeneracy,
 and nontriviality by pairing the factors' linear maps up to sign), so the
 search draws no random numbers and its result does not depend on a seed;
-Fraction vectors are built only for the families it returns.  The classical
+Fraction vectors are built only for the families it returns.  The y
+relations never mix with the (n, x) relations, and a case whose y block has
+only the zero solution is trivial, so most cases are decided by a sign
+check on the orbits of <s, v> with no elimination at all.  The classical
 multipliers form a continuum; they are verified rather than searched, except
 for the dedicated k = 3 survey which decides nontriviality stratum by
 stratum, exactly, at one point with distinct prime coordinates.
@@ -26,14 +29,12 @@ stratum, exactly, at one point with distinct prime coordinates.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._linalg import int_nullspace, rref_basis
-from ._util import make_rng, rand_rational
 from .formula import FactorProduct, cancel, ratio
 from .identity import InternalConsistencyError
 from .plane import Basis, LinearForm
@@ -488,8 +489,9 @@ def _stage1_classes(k: int, dedup: bool = True) -> list[tuple]:
 
     With dedup, each orbit under simultaneous relabeling is swept once and
     gives one class: its minimum in tuple order, with the relabelings that
-    fix it, in lexicographic order.  Without dedup every tuple is a class
-    with an empty stabilizer."""
+    fix it, in lexicographic order.  The tuples are visited in tuple order,
+    so the first unseen tuple of an orbit is its minimum.  Without dedup
+    every tuple is a class with an empty stabilizer."""
     rel = _relabelings(k)
     perms, signs = rel.perms, rel.signs
     if not dedup:
@@ -497,29 +499,22 @@ def _stage1_classes(k: int, dedup: bool = True) -> list[tuple]:
             (flat, s, p, c, km, ())
             for flat, (s, p, c, km) in enumerate(itertools.product(perms, perms, signs, signs))
         ]
-    n_p, n_s, rank = len(perms), len(signs), rel.sign_rank
+    n_p, n_s = len(perms), len(signs)
     tables = list(zip(perms, rel.perm_image, rel.sign_image))
-
-    def flat_index(i_s, i_p, j_c, j_k):
-        return ((i_s * n_p + i_p) * n_s + j_c) * n_s + j_k
-
+    by_rank = sorted(range(n_s), key=rel.sign_rank.__getitem__)
     seen = bytearray(n_p * n_p * n_s * n_s)
     classes = []
-    for flat in range(len(seen)):
+    for i_s, i_p, j_c, j_k in itertools.product(range(n_p), range(n_p), by_rank, by_rank):
+        flat = ((i_s * n_p + i_p) * n_s + j_c) * n_s + j_k
         if seen[flat]:
             continue
-        rest, j_k = divmod(flat, n_s)
-        rest, j_c = divmod(rest, n_s)
-        i_s, i_p = divmod(rest, n_p)
-        orbit = [(pi[i_s], pi[i_p], si[j_c], si[j_k]) for _, pi, si in tables]
-        for image in orbit:
-            seen[flat_index(*image)] = 1
-        rep = min(orbit, key=lambda t: (t[0], t[1], rank[t[2]], rank[t[3]]))
-        i_s, i_p, j_c, j_k = rep
-        stab = tuple(
-            tau for tau, pi, si in tables if (pi[i_s], pi[i_p], si[j_c], si[j_k]) == rep
-        )
-        classes.append((flat_index(*rep), perms[i_s], perms[i_p], signs[j_c], signs[j_k], stab))
+        stab = []
+        for tau, pi, si in tables:
+            image = ((pi[i_s] * n_p + pi[i_p]) * n_s + si[j_c]) * n_s + si[j_k]
+            seen[image] = 1
+            if image == flat:
+                stab.append(tau)
+        classes.append((flat, perms[i_s], perms[i_p], signs[j_c], signs[j_k], tuple(stab)))
     classes.sort(key=lambda cls: cls[0])
     return classes
 
@@ -537,11 +532,15 @@ def enumerate_families(
     With dedup on, permutation tuples are reduced to class representatives
     under simultaneous factor relabeling, and within a surviving three-line
     class the fourth-line choices are deduplicated by the class stabilizer;
-    dedup off iterates every raw tuple.  Every case is decided exactly by
-    integer elimination and the exact tests of `family_degeneracy` and
-    `is_nontrivial`; nothing is sampled, so `seed` is accepted but changes
-    nothing.  Iteration order, and therefore the output, is deterministic.
-    `budget` caps the number of examined cases and flags the result
+    dedup off iterates every raw tuple.  Every case is decided exactly.  A
+    case whose y block has only the zero solution is trivial, and the
+    screen of `_y_orbits` decides that without elimination, for a whole
+    class at once where (s, kmul) alone leaves y empty.  Every other case is
+    solved by integer elimination and decided by the exact tests of
+    `_degeneracy` and `_keeps_a_factor`.  Nothing is sampled, so `seed` is
+    accepted but changes nothing.  Iteration order, and therefore the
+    output, is deterministic.  `budget` caps the number of examined cases,
+    counted in index order whether screened or solved, and flags the result
     incomplete when exceeded (budgeted runs are serial).
     """
     if k < 1:
@@ -577,18 +576,34 @@ def _enumerate_chunk(args):
     four = lines == "four"
     rel = _relabelings(k)
     per_class = len(rel.perms) * len(rel.signs) if four else 1
+    negatives = {r: sum(1 << i for i, sign in enumerate(r) if sign < 0) for r in rel.signs}
     found = []
     cases = 0
+    y_nonzero_of = {}
     for flat, s, p, c, km, stab in entries:
-        base = int_nullspace(_dense_rows(k, _relation_terms(k, s, p, c, km)), 3 * k)
-        if base and four:
-            choices = _fourth_line_choices(k, s, p, c, km, base)
         stage2 = _stage2_cases(rel, stab) if four else [(None, None)]
+        if not _y_orbits(k, s, km):  # no case of the class can extend
+            if budget is not None and cases + len(stage2) > budget:
+                return found, budget, False
+            cases += len(stage2)
+            continue
+        base = int_nullspace(_dense_rows(k, _relation_terms(k, s, p, c, km)), 3 * k)
+        if four:
+            choices = _fourth_line_choices(k, s, p, c, km, base)
+            y_nonzero = y_nonzero_of.get((s, km))  # the y block involves only s, km, v and r
+            if y_nonzero is None:
+                y_nonzero = y_nonzero_of[s, km] = {
+                    (v, r)
+                    for v in rel.perms
+                    for orbit in _y_orbits(k, s, km, v)
+                    for r in rel.signs
+                    if all((negatives[r] & mask).bit_count() & 1 == parity for mask, parity in orbit)
+                }
         for local_index, (v, r) in enumerate(stage2):
             if budget is not None and cases >= budget:
                 return found, cases, False
             cases += 1
-            if not base:
+            if four and (v, r) not in y_nonzero:
                 continue
             rows = [row for i in range(k) for row in choices[v[i], r[i]][i]] if four else []
             if _extends(k, s, km, base, rows, four):
@@ -596,6 +611,56 @@ def _enumerate_chunk(args):
                 system = build_system(k, lines, PermTriple(s, p, v), mult)
                 found.append((flat * per_class + local_index, system, solve_quantum(system).family))
     return found, cases, True
+
+
+def _y_orbits(k, s, km, v=None) -> list[list[tuple[int, int]]]:
+    """The orbits of <s, v> on which the y block can be nonzero, each as
+    its sign conditions on the fourth-line multipliers r.
+
+    The y block is y_i = km_i y_{s(i)}, plus y_i = r_i y_{v(i)} given v.  On
+    an orbit every y value is +-y at the orbit's first index, so the orbit
+    carries a nonzero solution exactly when the signs around each of its
+    cycles multiply to one.  A condition (mask, parity) holds when the
+    number of negative r_i with bit i set in mask has that parity; the y
+    block has a nonzero solution exactly when every condition of some
+    listed orbit holds.  Without v the conditions are empty, and the list
+    is empty exactly when no s-cycle has sign product one.
+
+    An empty y block decides a case without elimination.  If every y map
+    of a family is zero, the relations x_i = c_i x_{p(i)} and
+    km_i n_{s(i)} = c_i n_{p(i)} make den_i = c_i num_{p(i)}, so the factors
+    pair up to sign and `_keeps_a_factor` is False.  Conversely the
+    relations never mix y with (n, x), so a nonzero y solution with
+    n = x = 0 always solves the system: a case the screen keeps has a
+    nonempty solution space."""
+    edges = [(i, s[i], int(km[i] < 0), 0) for i in range(k)]
+    if v is not None:
+        edges += [(i, v[i], 0, 1 << i) for i in range(k)]
+    adjacent = [[] for _ in range(k)]
+    for i, j, parity, mask in edges:
+        adjacent[i].append((j, parity, mask))
+        adjacent[j].append((i, parity, mask))
+    # label[i] = (first index of the orbit, sign of y_i relative to it as
+    # a parity and a mask over r)
+    label = [None] * k
+    for root in range(k):
+        if label[root] is not None:
+            continue
+        label[root] = (root, 0, 0)
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            _, parity_i, mask_i = label[i]
+            for j, parity, mask in adjacent[i]:
+                if label[j] is None:
+                    label[j] = (root, parity_i ^ parity, mask_i ^ mask)
+                    stack.append(j)
+    conditions = {}
+    for i, j, parity, mask in edges:
+        root, parity_i, mask_i = label[i]
+        _, parity_j, mask_j = label[j]
+        conditions.setdefault(root, set()).add((mask_i ^ mask_j ^ mask, parity_i ^ parity_j ^ parity))
+    return [sorted(conds - {(0, 0)}) for conds in conditions.values() if (0, 1) not in conds]
 
 
 def _fourth_line_choices(k, s, p, c, km, base) -> dict:
@@ -732,37 +797,37 @@ def reference_four_line_assignment(
     return system, (n1, n2, n3, n4), (x1, x2, x3, x4), (y1, y2, y3, y4)
 
 
-def matches_builtin_four_line(family: SolutionFamily, rng: random.Random | None = None) -> bool:
-    """Whether some instantiation of the family equals builtin_q_prop4 for
-    some parameters, under quantum (+-) factor matching."""
-    rng = rng or make_rng()
-    for _ in range(20):
-        params = tuple(rand_rational(rng, 20, nonzero=True) for _ in range(family.free_parameters))
-        try:
-            F = family.factor_product(params, quantum=True)
-        except ValueError:
+def matches_builtin_four_line(family: SolutionFamily) -> bool:
+    """Whether the family's instantiation at the first primes equals
+    builtin_q_prop4 for some parameters, under quantum (+-) factor matching.
+    A match there certifies that the family contains the closed form.
+    Raises ValueError, naming the factor, when that instantiation has a
+    zero factor or one vanishing on a system line."""
+    system = family.system
+    n, x, y = family.instantiate(tuple(map(Fraction, _PRIMES[: family.free_parameters])))
+    cols = [(value,) for value in (*n, *x, *y)]
+    reason = _degeneracy(
+        _factor_maps(system.k, system.perms.s, system.mult.kmul, cols), system.lines == "four"
+    )
+    if reason is not None:
+        raise ValueError(f"the instantiation at the first primes is degenerate: {reason}")
+    F = product_from_assignment(system, n, x, y, quantum=True)
+    beta_coeffs = {f.coeffs[1] for f in F.num} | {f.coeffs[1] for f in F.den}
+    for anchor in F.num:
+        n0, x0, yneg = anchor.coeffs
+        y0 = -yneg
+        if y0 == 0:
             continue
-        maps = tuple([((n,), (x,), (y,)) for n, x, y in (f.coeffs for f in forms)]
-                     for forms in (F.num, F.den))
-        if _degeneracy(maps, family.system.lines == "four") is not None:
-            continue
-        beta_coeffs = {f.coeffs[1] for f in F.num} | {f.coeffs[1] for f in F.den}
-        for anchor in F.num:
-            n0, x0, yneg = anchor.coeffs
-            y0 = -yneg
-            if y0 == 0:
+        for xp in beta_coeffs:
+            if xp == x0:
                 continue
-            for xp in beta_coeffs:
-                if xp == x0:
-                    continue
-                try:
-                    candidate = builtin_q_prop4(n0, x0, xp, y0, quantum=True)
-                except ValueError:
-                    continue
-                quotient = cancel(ratio(F, candidate))
-                if quotient.k == 0 and quotient.sign == 1:
-                    return True
-        return False
+            try:
+                candidate = builtin_q_prop4(n0, x0, xp, y0, quantum=True)
+            except ValueError:
+                continue
+            quotient = cancel(ratio(F, candidate))
+            if quotient.k == 0 and quotient.sign == 1:
+                return True
     return False
 
 

@@ -32,6 +32,7 @@ from vogeluniq.qsearch import (
     verify_solution,
     _stage1_classes,
 )
+from vogeluniq._linalg import int_nullspace
 from vogeluniq._util import rand_rational
 
 ONES = (Fraction(1),) * 4
@@ -151,6 +152,14 @@ def test_known_four_line_signature_solves_to_the_closed_form():
     assert outcome.status == "nontrivial"
     assert outcome.family.free_parameters == 4
     assert matches_builtin_four_line(outcome.family)
+
+
+def test_four_line_match_refuses_a_degenerate_prime_point():
+    mult = MultiplierAssignment(ONES, ONES, NEGS, quantum=True)
+    system = build_system(4, "four", FOUR_LINE_PERMS, mult)
+    only_n0 = SolutionFamily(system, ((Fraction(1),) + (Fraction(0),) * 11,))
+    with pytest.raises(ValueError, match="first primes is degenerate"):
+        matches_builtin_four_line(only_n0)
 
 
 def test_four_line_plus_sign_branch_is_trivial():
@@ -358,8 +367,9 @@ def _brute_force_classes(k):
     )
 
 
-def test_stage1_classes_are_the_orbit_minima():
-    assert _stage1_classes(3) == _brute_force_classes(3)
+@pytest.mark.parametrize("k", [3, 4])
+def test_stage1_classes_are_the_orbit_minima(k):
+    assert _stage1_classes(k) == _brute_force_classes(k)
 
 
 def test_stage1_k4_class_count_and_stabilizers():
@@ -368,6 +378,42 @@ def test_stage1_k4_class_count_and_stabilizers():
     assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
     sizes = Counter(len(cls[5]) for cls in classes)
     assert sizes == {1: 1408, 2: 168, 3: 16, 4: 148, 8: 12, 24: 4}
+
+
+def _screen_cases():
+    """Every case for k <= 3 on both line sets without dedup (a three-line
+    case has v = r = None), and the stage-2 cases of the first 20 k = 4
+    classes."""
+    for k in (1, 2, 3):
+        rel = qsearch._relabelings(k)
+        for _, s, p, c, km, _ in _stage1_classes(k, dedup=False):
+            yield k, s, p, c, km, None, None
+            for v, r in itertools.product(rel.perms, rel.signs):
+                yield k, s, p, c, km, v, r
+    rel = qsearch._relabelings(4)
+    for _, s, p, c, km, stab in _stage1_classes(4)[:20]:
+        for v, r in qsearch._stage2_cases(rel, stab):
+            yield 4, s, p, c, km, v, r
+
+
+def test_y_block_screen_is_exact_and_never_drops_a_family():
+    kept = dropped = 0
+    for k, s, p, c, km, v, r in _screen_cases():
+        neg = sum(1 << i for i, sign in enumerate(r or ()) if sign < 0)
+        keeps = any(
+            all((neg & mask).bit_count() & 1 == parity for mask, parity in orbit)
+            for orbit in qsearch._y_orbits(k, s, km, v)
+        )
+        rows = qsearch._dense_rows(k, qsearch._relation_terms(k, s, p, c, km, v, r))
+        space = int_nullspace(rows, 3 * k)
+        assert keeps == any(any(vec[2 * k :]) for vec in space)
+        if keeps:
+            assert space
+            kept += 1
+        else:
+            assert not qsearch._extends(k, s, km, space, [], v is not None)
+            dropped += 1
+    assert kept and dropped
 
 
 # --- the classical k = 3 survey -----------------------------------------------------
