@@ -81,13 +81,6 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return scale(a, 1 / a[-1])  # monic
 
 
-def evaluate(p: Poly, x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def reduce_ratio(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Cancel the gcd and normalize the denominator's leading coefficient to 1."""
     if not den:

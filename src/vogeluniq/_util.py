@@ -1,27 +1,12 @@
-"""Shared helpers: seeded RNG, random rationals, JSON encoding of rationals."""
+"""Shared helpers: exact JSON and command-line encodings of rationals.
+
+Nothing in the package draws random numbers; `--seed` and
+`enumerate_families(seed=)` are still accepted and change nothing.
+"""
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-
-DEFAULT_SEED = 20210
-
-
-def make_rng(seed: int | None = None) -> random.Random:
-    """RNG for witness sampling; seed None takes the built-in default."""
-    return random.Random(DEFAULT_SEED if seed is None else seed)
-
-
-def rand_rational(rng: random.Random, bound: int = 1000, nonzero: bool = False) -> Fraction:
-    """Random rational with |numerator| and denominator at most `bound`."""
-    while True:
-        num = rng.randint(-bound, bound)
-        den = rng.randint(1, bound)
-        q = Fraction(num, den)
-        if nonzero and q == 0:
-            continue
-        return q
 
 
 def rat_to_json(q: Fraction) -> list[str]:

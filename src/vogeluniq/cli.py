@@ -4,8 +4,8 @@ tools, sketches, and scripted reproduction pipelines.
 Exit codes: 0 for success / positive verdicts, 1 for negative verdicts
 (not constant, no coloring, nothing found), 2 for usage or input errors.
 Points and parameters are exact rational strings; only the quantum
-evaluation variable x is a float.  --seed is accepted and changes nothing:
-every random draw uses a fixed seed, so all output is reproducible.
+evaluation variable x is a float.  No command draws random numbers, so all
+output is reproducible; --seed is still accepted and changes nothing.
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ exact criterion for a product of hyperbolic sines to collapse to 1.
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _poly
-from ._util import make_rng, rand_rational, rat_to_json
+from ._util import rat_to_json
 from .formula import (
     FactorProduct,
     SingularPointError,
@@ -37,8 +37,6 @@ from .plane import (
 )
 
 BinaryForm = tuple[Fraction, Fraction]  # u*s + v*t
-
-WITNESS_ROUNDS = 9  # the 14 fixed parameters, then 8 rounds of 32 random ones
 
 
 class InternalConsistencyError(RuntimeError):
@@ -149,43 +147,68 @@ def _expand(forms: list[BinaryForm]) -> _poly.Poly:
     return acc
 
 
-def _witness_on_line(
-    F: FactorProduct, lp: LineParam, quantum: bool, rng: random.Random | None = None
-) -> ProjPoint:
-    """An exact rational point on the line where the value differs from 1.
+def _line_points():
+    """A fixed, lazy, endless sequence of pairwise distinct parameters (s, t):
+    (1, n) for n = -6..6, then (0, 1), (1, 7), (1, -7), (1, 8), (1, -8), ..."""
+    for n in range(-6, 7):
+        yield Fraction(1), Fraction(n)
+    yield Fraction(0), Fraction(1)
+    for n in itertools.count(7):
+        yield Fraction(1), Fraction(n)
+        yield Fraction(1), Fraction(-n)
 
-    Raises InternalConsistencyError when WITNESS_ROUNDS rounds of candidate
-    points find none, although the symbolic check found the product not
-    constant on the line.
+
+def _witness_bound(k: int, quantum: bool) -> int:
+    """How many of `_line_points` hold a witness; see `_witness_on_line`."""
+    return 2 ** (k + 1) + 2 * k + 1 if quantum else 3 * k + 1
+
+
+def _witness_on_line(F: FactorProduct, lp: LineParam, quantum: bool) -> ProjPoint:
+    """An exact rational point on the line where the value differs from 1:
+    the first one among the first `_witness_bound` points of `_line_points`.
+
+    That many points hold a witness whenever the product is not constant
+    on the line and no factor vanishes on it.  Write N and D for the
+    restricted numerator (with its sign and scalar) and denominator.
+
+    Classical: a point is a witness when N, D and N - D are nonzero there
+    (a zero value is skipped, as `eval_classical` does not call it
+    finite).  All three are nonzero binary forms of degree k in (s, t), so
+    each has at most k zeros on the projective line, and any 3k + 1
+    pairwise distinct points contain a witness; without the zeros of N,
+    2k + 1 would do.
+
+    Quantum: along (s, t) = (1, n) every factor is sinh(x (u + v n)), so N
+    and D are sums of 2^k real exponentials in n each, and N - D one of at
+    most 2^(k+1).  Unless it vanishes identically, it has at most
+    2^(k+1) - 1 real zeros (Polya & Szego, Problems and Theorems in
+    Analysis II, Part V), and each of the 2k factors is zero at one n at
+    most.  The first 2^(k+1) + 2k + 1 points hold at least 2^(k+1) + 2k
+    points (1, n), so one of them is a witness.  This is exact only up to
+    the float comparison: a deviation below 1e-6 at all three x values
+    reads as 1, and so does an N - D that vanishes identically at all
+    three, which takes factors constant along the line whose values
+    happen to agree there.
+
+    Raises InternalConsistencyError when the walk ends without a witness:
+    the symbolic verdict was wrong.
     """
-    rng = rng or make_rng()
     param = _align(lp, F.basis)
-    candidates: list[tuple[Fraction, Fraction]] = [
-        (Fraction(1), Fraction(n)) for n in range(-6, 7)
-    ] + [(Fraction(0), Fraction(1))]
-    for _ in range(WITNESS_ROUNDS):
-        for s, t in candidates:
+    for s, t in itertools.islice(_line_points(), _witness_bound(F.k, quantum)):
+        pt = param.point_at(s, t)
+        if quantum:
             try:
-                pt = param.point_at(s, t)
-            except DegenerateInputError:
+                vals = [eval_quantum(F, pt, x) for x in (0.37, 0.83, 1.29)]
+            except SingularPointError:
                 continue
-            if quantum:
-                try:
-                    vals = [eval_quantum(F, pt, x) for x in (0.37, 0.83, 1.29)]
-                except SingularPointError:
-                    continue
-                if any(abs(v - 1) > 1e-6 for v in vals):
-                    return pt
-            else:
-                res = eval_classical(F, pt)
-                if res.is_finite and res.value != 1:
-                    return pt
-        candidates = [
-            (rand_rational(rng, 40), rand_rational(rng, 40, nonzero=True))
-            for _ in range(32)
-        ]
+            if any(abs(v - 1) > 1e-6 for v in vals):
+                return pt
+        else:
+            res = eval_classical(F, pt)
+            if res.is_finite and res.value != 1:
+                return pt
     raise InternalConsistencyError(
-        f"symbolic check says not constant on {lp.line}, but no sampled point "
+        f"symbolic check says not constant on {lp.line}, but no point "
         "has a value other than 1"
     )
 
@@ -303,68 +326,58 @@ def numeric_crosscheck(
     F: FactorProduct,
     line: LinearForm,
     samples: int = 8,
-    rng: random.Random | None = None,
     rel_tol: float = 1e-9,
 ) -> bool:
-    """Confirm the symbolic verdict by sampling random rational points on the
-    line (plus several x values for quantum products).  A disagreement raises
+    """Confirm the symbolic verdict at the first `samples` points of
+    `_line_points` where every factor is nonzero (plus several x values for
+    quantum products).  A factor that does not vanish on the line is zero
+    at one of them at most, so the first samples + 2k points hold that
+    many.  A not_constant verdict also needs a sample that deviates from
+    1; the walk goes on past `samples` until one does, up to
+    `_witness_bound` points, which hold one.  A disagreement raises
     InternalConsistencyError; agreement returns True."""
-    rng = rng or make_rng()
     report = is_one_on_line(F, line)
     lp = LineParam.from_line(convert(line, F.basis))
     if report.verdict == "vanishing_factor":
         return True  # nothing numeric to confirm: some factor is zero on the line
+    not_constant = report.verdict == "not_constant"
+    limit = samples + 2 * F.k
+    if not_constant:
+        limit = max(limit, _witness_bound(F.k, F.quantum))
     xs = (1e-2, 0.11, 0.57, 1.3, 2.7)
     checked = 0
-    attempts = 0
     saw_deviation = False
-    while checked < samples and attempts < 200 * samples:
-        attempts += 1
-        s = rand_rational(rng, 1000)
-        t = rand_rational(rng, 1000)
-        if s == 0 and t == 0:
-            continue
-        try:
-            pt = lp.point_at(s, t)
-        except DegenerateInputError:
-            continue
+    for s, t in itertools.islice(_line_points(), limit):
+        if checked >= samples and (saw_deviation or not not_constant):
+            break
+        pt = lp.point_at(s, t)
         if F.quantum:
             try:
                 values = [eval_quantum(F, pt, x) for x in xs]
             except SingularPointError:
-                continue  # hit a factor zero; resample
+                continue  # hit a factor zero
+            deviates = any(abs(v - 1) > rel_tol for v in values)
         else:
             res = eval_classical(F, pt)
             if not res.is_finite:
                 continue
             values = [float(res.value)]
-            exact = res.value
+            deviates = res.value != 1  # exact
         checked += 1
-        if report.verdict == "identically_one":
-            if F.quantum:
-                if any(abs(v - 1) > rel_tol for v in values):
-                    raise InternalConsistencyError(
-                        f"symbolic identically_one but sampled {values} on {line}"
-                    )
-            elif exact != 1:
-                raise InternalConsistencyError(
-                    f"symbolic identically_one but exact value {exact} at {pt}"
-                )
-        elif report.verdict == "identically_constant":
+        saw_deviation = saw_deviation or deviates
+        if report.verdict == "identically_one" and deviates:
+            raise InternalConsistencyError(
+                f"symbolic identically_one but sampled {values} at {pt}"
+            )
+        if report.verdict == "identically_constant":
             target = float(report.constant)
             if any(abs(v - target) > rel_tol * max(1.0, abs(target)) for v in values):
                 raise InternalConsistencyError(
                     f"symbolic constant {report.constant} but sampled {values}"
                 )
-        else:  # not_constant: some sample must deviate from 1
-            if F.quantum:
-                if any(abs(v - 1) > rel_tol for v in values):
-                    saw_deviation = True
-            elif exact != 1:
-                saw_deviation = True
     if checked < samples:
-        raise InternalConsistencyError(f"could not draw {samples} usable points on {line}")
-    if report.verdict == "not_constant" and not saw_deviation:
+        raise InternalConsistencyError(f"fewer than {samples} usable points on {line}")
+    if not_constant and not saw_deviation:
         raise InternalConsistencyError(
             f"symbolic not_constant on {line} but every sample equals 1"
         )

@@ -579,9 +579,12 @@ def _enumerate_chunk(args):
     negatives = {r: sum(1 << i for i, sign in enumerate(r) if sign < 0) for r in rel.signs}
     found = []
     cases = 0
+    stage2_of = {}  # trivial stabilizers are all one tuple, so they share an entry
     y_nonzero_of = {}
     for flat, s, p, c, km, stab in entries:
-        stage2 = _stage2_cases(rel, stab) if four else [(None, None)]
+        if stab not in stage2_of:
+            stage2_of[stab] = _stage2_cases(rel, stab) if four else [(None, None)]
+        stage2 = stage2_of[stab]
         if not _y_orbits(k, s, km):  # no case of the class can extend
             if budget is not None and cases + len(stage2) > budget:
                 return found, budget, False

@@ -3,6 +3,7 @@ its elapsed time.  Exact checks carry zero tolerance; numeric sinh checks use
 1e-9 relative tolerance; the stated per-criterion runtime bounds are asserted.
 """
 
+import random
 import time
 from fractions import Fraction
 
@@ -64,7 +65,7 @@ from vogeluniq.configs import (
     validate_coloring,
     validate_table,
 )
-from vogeluniq._util import make_rng, rand_rational
+from conftest import rand_rational
 
 
 class Criterion:
@@ -131,7 +132,7 @@ def test_criterion_2_cartan_power_dimension_counts():
 
 def test_criterion_3_three_line_factor():
     with Criterion("3: closed-form three-line factor", 1.0):
-        rng = make_rng(31)
+        rng = random.Random(31)
         three = PRIMED_LINES["three"]
         sp = PRIMED_LINES["four"][3]
         draws = 0
@@ -150,7 +151,7 @@ def test_criterion_3_three_line_factor():
 
 def test_criterion_4_four_line_factor():
     with Criterion("4: closed-form four-line factor", 5.0):
-        rng = make_rng(41)
+        rng = random.Random(41)
         four = PRIMED_LINES["four"]
         draws = []
         while len(draws) < 20:
@@ -246,7 +247,7 @@ def test_criterion_9_sixteen_configuration_extraction():
 
 def test_criterion_10_four_line_parameter_solution():
     with Criterion("10: hand-solved four-line parameter relations", 1.0):
-        rng = make_rng(101)
+        rng = random.Random(101)
         for _ in range(10):
             draws = [rand_rational(rng, 20, nonzero=True) for _ in range(7)]
             system, n, x, y = reference_four_line_assignment(*draws)
@@ -286,7 +287,7 @@ def _perturb_until_mismatched(rng, num, den, lp):
 
 def test_criterion_11_sign_matching_property_suite():
     with Criterion("11: sinh product sign-matching suite", 30.0):
-        rng = make_rng(111)
+        rng = random.Random(111)
         line = PRIMED_LINES["three"][0]
         lp = LineParam.from_line(line)
         matched = perturbed = 0
@@ -335,7 +336,7 @@ def test_criterion_12_permutation_and_line_set_invariants():
         assert len(canon) == 12
         for gen in (SWAP_AB, SWAP_BG):
             assert {act(gen, f).canonical() for f in lines} == canon
-        rng = make_rng(121)
+        rng = random.Random(121)
         for _ in range(25):
             coords = [rand_rational(rng, 40) for _ in range(3)]
             if all(c == 0 for c in coords):

@@ -104,6 +104,28 @@ def test_check_identity_on_the_plane(capsys):
     assert code == 0
 
 
+def test_check_identity_witness_walk_is_lazy(capsys, monkeypatch):
+    # x2k with k = 2, n = 2 keeps 42 factors a side, so a witness walk that
+    # built its whole bounded point list first would never finish
+    import vogeluniq.identity as identity_module
+
+    pulled = []
+    line_points = identity_module._line_points
+
+    def counted():
+        for point in line_points():
+            pulled.append(point)
+            yield point
+
+    monkeypatch.setattr(identity_module, "_line_points", counted)
+    code, payload = run_json(capsys, "check-identity", "--builtin", "x2k",
+                             "--k", "2", "--n", "2", "--lines", "so,exc")
+    assert code == 1
+    assert [r["verdict"] for r in payload["reports"]] == ["not_constant"] * 2
+    assert all("witness" in r for r in payload["reports"])
+    assert 2 <= len(pulled) <= 2 * 14
+
+
 def test_check_identity_custom_line_triples(capsys):
     code, out = run(capsys, "check-identity", "--builtin", "q33",
                     "--params", "2,3,1,1", "--lines", "1:0:0;0:1:0")
@@ -284,3 +306,31 @@ def test_seed_does_not_leak_into_the_environment(capsys, monkeypatch):
     monkeypatch.delenv("VOGEL_SEED", raising=False)
     assert main(["--seed", "7", "reproduce", "P2-k3"]) == 0
     assert "VOGEL_SEED" not in os.environ
+
+
+def test_nothing_draws_random_numbers(capsys, monkeypatch):
+    import random
+
+    from vogeluniq.identity import numeric_crosscheck
+    from vogeluniq.plane import Basis, LinearForm
+    from vogeluniq.qsearch import PRIMED_LINES, builtin_q33, builtin_q_prop4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("random number drawn")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    for name in ("random", "randint", "randrange", "choice", "choices", "shuffle",
+                 "sample", "uniform", "getrandbits", "seed"):
+        monkeypatch.setattr(random, name, refuse)
+    for quantum in ([], ["--quantum"]):
+        code, payload = run_json(capsys, "check-identity", "--builtin", "q33",
+                                 "--params", "2,3,1,1", *quantum, "--lines", "3:-1:0")
+        assert code == 1
+        assert payload["reports"][0]["verdict"] == "not_constant"
+    for quantum in (False, True):
+        q = builtin_q33(2, 3, 1, 1, quantum=quantum)
+        assert numeric_crosscheck(q, LinearForm((3, -1, 0), Basis.PRIMED))
+    p4 = builtin_q_prop4(1, 2, 3, 5, quantum=True)
+    for line in PRIMED_LINES["four"]:
+        assert numeric_crosscheck(p4, line)
+    assert run(capsys, "reproduce", "P4")[0] == 0

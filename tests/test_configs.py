@@ -250,7 +250,7 @@ def test_sketch_labels_name_the_distinguished_lines():
 
 
 def test_random_product_is_not_a_picture(rng):
-    from vogeluniq._util import rand_rational
+    from conftest import rand_rational
 
     while True:
         forms = []

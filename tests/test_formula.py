@@ -21,7 +21,7 @@ from vogeluniq.formula import (
     x2k_adn_formula,
 )
 from vogeluniq.plane import Basis, LinearForm, ProjPoint, vogel_point
-from vogeluniq._util import rand_rational
+from conftest import rand_rational
 
 
 def adjoint_value_oracle(point):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from vogeluniq.plane import (
 )
 from vogeluniq.formula import act_product
 from vogeluniq.qsearch import PRIMED_LINES, builtin_q33, builtin_q_prop4
-from vogeluniq._util import make_rng, rand_rational
+from conftest import rand_rational
 
 
 ALPHA = LinearForm((1, 0, 0), Basis.PRIMED)
@@ -190,10 +191,10 @@ def test_empty_product_is_one_on_any_line():
 def test_numeric_crosscheck_agrees_with_symbolic(rng):
     q = builtin_q33(2, 3, 1, 1)
     for line in (ALPHA, BETA, GAMMA, SP):
-        assert numeric_crosscheck(q, line, samples=6, rng=make_rng(5))
+        assert numeric_crosscheck(q, line, samples=6)
     p4 = builtin_q_prop4(1, 2, 3, 5, quantum=True)
     for line in PRIMED_LINES["four"]:
-        assert numeric_crosscheck(p4, line, samples=4, rng=make_rng(6))
+        assert numeric_crosscheck(p4, line, samples=4)
 
 
 def test_numeric_crosscheck_catches_a_lie(monkeypatch):
@@ -205,7 +206,7 @@ def test_numeric_crosscheck_catches_a_lie(monkeypatch):
 
     monkeypatch.setattr(identity_module, "is_one_on_line", dishonest)
     with pytest.raises(InternalConsistencyError):
-        identity_module.numeric_crosscheck(q, SP, samples=4, rng=make_rng(7))
+        identity_module.numeric_crosscheck(q, SP, samples=4)
 
 
 def test_witness_search_gives_up_with_a_named_error():
@@ -216,7 +217,33 @@ def test_witness_search_gives_up_with_a_named_error():
     for quantum in (False, True):
         q = builtin_q33(2, 3, 1, 1, quantum=quantum)
         with pytest.raises(InternalConsistencyError):
-            identity_module._witness_on_line(q, lp, quantum, rng=make_rng(1))
+            identity_module._witness_on_line(q, lp, quantum)
+
+
+def test_witness_bound_is_needed_and_enough():
+    # On the line c = 0 with p0 = (1, 0, 0) and p1 = (0, 1, 0), the product
+    # restricts to 2s(9s + 2t) / ((6s + t)(5s + t)): at (1, n) for
+    # n = -6, -5 the denominator vanishes, at n = -4, -3 the value is 1.
+    import vogeluniq.identity as identity_module
+
+    lp = LineParam(
+        LinearForm((0, 0, 1)), ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0))
+    )
+    F = FactorProduct(
+        num=(LinearForm((2, 0, 0)), LinearForm((9, 2, 0))),
+        den=(LinearForm((6, 1, 0)), LinearForm((5, 1, 0))),
+    )
+    k = F.k
+    points = list(itertools.islice(identity_module._line_points(), 2 * k + 1))
+    assert points == [(Fraction(1), Fraction(n)) for n in range(-6, -1)]
+    for s, t in points[: 2 * k]:
+        res = eval_classical(F, lp.point_at(s, t))
+        assert res.kind == "pole" or res.value == 1
+    witness = identity_module._witness_on_line(F, lp, quantum=False)
+    assert witness == lp.point_at(*points[2 * k])
+    assert eval_classical(F, witness).value == Fraction(5, 6)
+    # two usable samples, both equal to 1: the crosscheck walks on to the witness
+    assert numeric_crosscheck(F, LinearForm((0, 0, 1)), samples=2)
 
 
 def test_verdicts_are_equivariant_under_coordinate_permutations(rng):
@@ -327,4 +354,4 @@ def test_symbolic_and_numeric_agree_on_fifty_mixed_pairs(rng):
             (FactorProduct(tuple(num), den, quantum=True, basis=Basis.PRIMED), line)
         )
     for F, line in pairs:
-        assert numeric_crosscheck(F, line, samples=4, rng=make_rng(99))
+        assert numeric_crosscheck(F, line, samples=4)

@@ -25,7 +25,7 @@ from vogeluniq.plane import (
     to_unprimed,
     vogel_point,
 )
-from vogeluniq._util import rand_rational
+from conftest import rand_rational
 
 
 def rand_point(rng, basis=Basis.UNPRIMED):

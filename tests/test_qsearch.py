@@ -33,7 +33,7 @@ from vogeluniq.qsearch import (
     _stage1_classes,
 )
 from vogeluniq._linalg import int_nullspace
-from vogeluniq._util import rand_rational
+from conftest import rand_rational
 
 ONES = (Fraction(1),) * 4
 NEGS = (Fraction(-1),) * 4
