@@ -43,8 +43,6 @@ from .identity import (
     check_on_lines,
     check_symmetric,
     is_one_on_line,
-    is_one_on_line_classical,
-    is_one_on_line_quantum,
     numeric_crosscheck,
     restrict,
 )

@@ -1,8 +1,7 @@
 """Dense univariate polynomials over Fraction, as ascending coefficient tuples.
 
-Just enough arithmetic for expanding restricted factor products and for
-reducing ratios of products of linear forms along one-parameter families.
-The zero polynomial is the empty tuple.
+Just enough arithmetic for reducing ratios of products of linear forms along
+one-parameter families.  The zero polynomial is the empty tuple.
 """
 
 from __future__ import annotations
@@ -24,11 +23,6 @@ def trim(coeffs) -> Poly:
 
 def const(q) -> Poly:
     return trim((Fraction(q),))
-
-
-def deg(p: Poly) -> int:
-    """Degree; -1 for the zero polynomial."""
-    return len(p) - 1
 
 
 def add(a: Poly, b: Poly) -> Poly:

@@ -17,9 +17,15 @@ def rat_to_json(q: Fraction) -> list[str]:
 def rat_from_json(pair) -> Fraction:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"expected [num, den] pair, got {pair!r}")
-    return Fraction(int(pair[0]), int(pair[1]))
+    num, den = int(pair[0]), int(pair[1])
+    if den == 0:
+        raise ValueError(f"zero denominator in {pair!r}")
+    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational from CLI text like '-2' or '5/3'."""
-    return Fraction(text.strip().replace("−", "-"))
+    try:
+        return Fraction(text.strip().replace("−", "-"))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

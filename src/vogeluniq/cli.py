@@ -31,6 +31,7 @@ from .formula import (
     classical_limit,
     eval_classical,
     eval_quantum,
+    is_identically_one,
     x2k_adn_formula,
 )
 from .identity import check_on_lines, check_symmetric
@@ -168,8 +169,6 @@ def cmd_eval(args) -> int:
 def cmd_check_identity(args) -> int:
     formula = _build_formula(args)
     if args.plane:
-        from .formula import is_identically_one
-
         verdict = is_identically_one(formula)
         _emit(
             args,

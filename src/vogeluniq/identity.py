@@ -1,11 +1,11 @@
 """Decide whether a factor product is identically constant on a line.
 
 Restricting every factor to a parametrized line s*p0 + t*p1 turns it into a
-binary linear form in (s, t).  The classical check expands both degree-k
-binary products and compares coefficients, which is complete because scalars
-may regroup across factors.  The quantum check uses multiset matching of the
-restricted forms up to per-factor signs with total sign +1, which is the
-exact criterion for a product of hyperbolic sines to collapse to 1.
+binary linear form in (s, t).  One rule decides both kinds of product: the
+product is constant on the line exactly when the restricted denominator
+forms pair up with the numerator forms, proportionally for a classical
+product and up to sign for a quantum one (`is_one_on_line` proves it).  The
+constant is the overall sign and scalar times the pairing's multipliers.
 """
 
 from __future__ import annotations
@@ -14,16 +14,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _poly
 from ._util import rat_to_json
 from .formula import (
     FactorProduct,
     SingularPointError,
     act_product,
-    cancel,
     convert,
     eval_classical,
     eval_quantum,
+    is_identically_one,
     ratio,
 )
 from .plane import (
@@ -140,13 +139,6 @@ def restrict(F: FactorProduct, lp: LineParam) -> tuple[list[BinaryForm], list[Bi
     return num, den
 
 
-def _expand(forms: list[BinaryForm]) -> _poly.Poly:
-    acc = _poly.ONE
-    for u, v in forms:
-        acc = _poly.mul(acc, _poly.trim((u, v)))
-    return acc
-
-
 def _line_points():
     """A fixed, lazy, endless sequence of pairwise distinct parameters (s, t):
     (1, n) for n = -6..6, then (0, 1), (1, 7), (1, -7), (1, 8), (1, -8), ..."""
@@ -160,7 +152,7 @@ def _line_points():
 
 def _witness_bound(k: int, quantum: bool) -> int:
     """How many of `_line_points` hold a witness; see `_witness_on_line`."""
-    return 2 ** (k + 1) + 2 * k + 1 if quantum else 3 * k + 1
+    return 2 ** (k + 1) + 2 * k + 1 if quantum else 2 * k + 1
 
 
 def _witness_on_line(F: FactorProduct, lp: LineParam, quantum: bool) -> ProjPoint:
@@ -171,12 +163,10 @@ def _witness_on_line(F: FactorProduct, lp: LineParam, quantum: bool) -> ProjPoin
     on the line and no factor vanishes on it.  Write N and D for the
     restricted numerator (with its sign and scalar) and denominator.
 
-    Classical: a point is a witness when N, D and N - D are nonzero there
-    (a zero value is skipped, as `eval_classical` does not call it
-    finite).  All three are nonzero binary forms of degree k in (s, t), so
-    each has at most k zeros on the projective line, and any 3k + 1
-    pairwise distinct points contain a witness; without the zeros of N,
-    2k + 1 would do.
+    Classical: a point is a witness when D and N - D are nonzero there.
+    Both are nonzero binary forms of degree k in (s, t), so each has at
+    most k zeros on the projective line, and any 2k + 1 pairwise distinct
+    points contain a witness.
 
     Quantum: along (s, t) = (1, n) every factor is sinh(x (u + v n)), so N
     and D are sums of 2^k real exponentials in n each, and N - D one of at
@@ -194,7 +184,8 @@ def _witness_on_line(F: FactorProduct, lp: LineParam, quantum: bool) -> ProjPoin
     the symbolic verdict was wrong.
     """
     param = _align(lp, F.basis)
-    for s, t in itertools.islice(_line_points(), _witness_bound(F.k, quantum)):
+    # zip with range, not islice: the quantum bound can exceed sys.maxsize
+    for _, (s, t) in zip(range(_witness_bound(F.k, quantum)), _line_points()):
         pt = param.point_at(s, t)
         if quantum:
             try:
@@ -205,7 +196,7 @@ def _witness_on_line(F: FactorProduct, lp: LineParam, quantum: bool) -> ProjPoin
                 return pt
         else:
             res = eval_classical(F, pt)
-            if res.is_finite and res.value != 1:
+            if res.kind == "zero" or (res.is_finite and res.value != 1):
                 return pt
     raise InternalConsistencyError(
         f"symbolic check says not constant on {lp.line}, but no point "
@@ -216,8 +207,9 @@ def _witness_on_line(F: FactorProduct, lp: LineParam, quantum: bool) -> ProjPoin
 def _match_multiset(
     num: list[BinaryForm], den: list[BinaryForm], up_to_sign: bool
 ) -> tuple[tuple[int, ...], Fraction] | None:
-    """Pair each denominator form with a proportional (or sign-equal) numerator
-    form; returns (pairing, total multiplier) or None."""
+    """Pair each denominator form with the first unused numerator form that
+    is a multiple of it (a multiple by +-1 when `up_to_sign`); returns
+    (pairing, product of the multipliers) or None."""
     used = [False] * len(num)
     pairing = []
     total = Fraction(1)
@@ -226,18 +218,10 @@ def _match_multiset(
         for i, nf in enumerate(num):
             if used[i]:
                 continue
-            if up_to_sign:
-                if nf == d:
-                    found, mult = i, Fraction(1)
-                    break
-                if nf == (-d[0], -d[1]):
-                    found, mult = i, Fraction(-1)
-                    break
-            else:
-                q = _binary_ratio(nf, d)
-                if q is not None:
-                    found, mult = i, q
-                    break
+            q = _binary_ratio(nf, d)
+            if q is not None and (not up_to_sign or abs(q) == 1):
+                found, mult = i, q
+                break
         if found is None:
             return None
         used[found] = True
@@ -255,67 +239,34 @@ def _binary_ratio(a: BinaryForm, b: BinaryForm) -> Fraction | None:
     return a[0] / b[0] if b[0] != 0 else a[1] / b[1]
 
 
-def is_one_on_line_classical(F: FactorProduct, line: LinearForm) -> IdentityReport:
-    """Exact decision for a classical product: expand the restricted numerator
-    and denominator as degree-k binary forms and compare coefficient vectors."""
-    if F.quantum:
-        raise ValueError("use is_one_on_line_quantum for quantum products")
-    lp = LineParam.from_line(convert(line, F.basis))
-    try:
-        num, den = restrict(F, lp)
-    except VanishingFactorError as err:
-        return IdentityReport(line, "vanishing_factor", vanishing=tuple(err.indices))
-    scale = Fraction(F.sign) * F.scalar
-    num_poly = _poly.scale(_expand(num), scale)
-    den_poly = _expand(den)
-    if num_poly == den_poly:
-        match = _match_multiset(num, den, up_to_sign=False)
-        pairing = match[0] if match else None
-        return IdentityReport(line, "identically_one", matching=pairing)
-    const = _poly_ratio_constant(num_poly, den_poly)
-    if const is not None:
-        return IdentityReport(line, "identically_constant", constant=const)
-    witness = _witness_on_line(F, lp, quantum=False)
-    return IdentityReport(line, "not_constant", witness=witness)
-
-
-def is_one_on_line_quantum(F: FactorProduct, line: LinearForm) -> IdentityReport:
-    """Multiset criterion for quantum products: restricted numerator and
-    denominator forms must coincide up to per-factor signs whose product,
-    together with the overall sign, is +1."""
-    if not F.quantum:
-        raise ValueError("use is_one_on_line_classical for classical products")
-    lp = LineParam.from_line(convert(line, F.basis))
-    try:
-        num, den = restrict(F, lp)
-    except VanishingFactorError as err:
-        return IdentityReport(line, "vanishing_factor", vanishing=tuple(err.indices))
-    match = _match_multiset(num, den, up_to_sign=True)
-    if match is not None:
-        pairing, eps = match
-        total = F.sign * eps
-        if total == 1:
-            return IdentityReport(line, "identically_one", matching=pairing)
-        return IdentityReport(line, "identically_constant", constant=Fraction(total))
-    witness = _witness_on_line(F, lp, quantum=True)
-    return IdentityReport(line, "not_constant", witness=witness)
-
-
-def _poly_ratio_constant(num: _poly.Poly, den: _poly.Poly) -> Fraction | None:
-    if not den:
-        return None
-    if not num:
-        return None  # identically zero counts as non-constant-one, handled upstream
-    q, r = _poly.divmod_exact(num, den)
-    if r == _poly.ZERO and _poly.deg(q) == 0:
-        return q[0]
-    return None
-
-
 def is_one_on_line(F: FactorProduct, line: LinearForm) -> IdentityReport:
-    if F.quantum:
-        return is_one_on_line_quantum(F, line)
-    return is_one_on_line_classical(F, line)
+    """Exact decision whether F is identically one (or another constant) on
+    the line, by pairing the restricted factors.
+
+    Restricted factors are nonzero binary linear forms, which are
+    irreducible in Q[s, t], a unique factorization domain.  So a classical
+    numerator and denominator differ by a constant exactly when their forms
+    pair up proportionally.  A quantum factor sinh(x L) vanishes on the
+    lines L = i pi m / x for every integer m, so c L has the same zeros as L
+    only for c = +-1, and the sides of a quantum product differ by a
+    constant exactly when their forms pair up to sign.  Greedy pairing
+    finds a pairing whenever one exists, because both relations are
+    equivalence relations.  The constant is sign * scalar times the
+    pairing's multipliers."""
+    lp = LineParam.from_line(convert(line, F.basis))
+    try:
+        num, den = restrict(F, lp)
+    except VanishingFactorError as err:
+        return IdentityReport(line, "vanishing_factor", vanishing=tuple(err.indices))
+    match = _match_multiset(num, den, up_to_sign=F.quantum)
+    if match is None:
+        witness = _witness_on_line(F, lp, quantum=F.quantum)
+        return IdentityReport(line, "not_constant", witness=witness)
+    pairing, total = match
+    constant = F.sign * F.scalar * total
+    if constant == 1:
+        return IdentityReport(line, "identically_one", matching=pairing)
+    return IdentityReport(line, "identically_constant", constant=constant)
 
 
 def check_on_lines(F: FactorProduct, lines) -> list[IdentityReport]:
@@ -329,13 +280,14 @@ def numeric_crosscheck(
     rel_tol: float = 1e-9,
 ) -> bool:
     """Confirm the symbolic verdict at the first `samples` points of
-    `_line_points` where every factor is nonzero (plus several x values for
-    quantum products).  A factor that does not vanish on the line is zero
-    at one of them at most, so the first samples + 2k points hold that
-    many.  A not_constant verdict also needs a sample that deviates from
-    1; the walk goes on past `samples` until one does, up to
-    `_witness_bound` points, which hold one.  A disagreement raises
-    InternalConsistencyError; agreement returns True."""
+    `_line_points` where the product has a value (plus several x values for
+    quantum products): no factor is zero there, except numerator factors
+    of a classical product, which give the value 0.  A factor that does
+    not vanish on the line is zero at one of them at most, so the first
+    samples + 2k points hold that many.  A not_constant verdict also needs
+    a sample that deviates from 1; the walk goes on past `samples` until
+    one does, up to `_witness_bound` points, which hold one.  A
+    disagreement raises InternalConsistencyError; agreement returns True."""
     report = is_one_on_line(F, line)
     lp = LineParam.from_line(convert(line, F.basis))
     if report.verdict == "vanishing_factor":
@@ -347,7 +299,7 @@ def numeric_crosscheck(
     xs = (1e-2, 0.11, 0.57, 1.3, 2.7)
     checked = 0
     saw_deviation = False
-    for s, t in itertools.islice(_line_points(), limit):
+    for _, (s, t) in zip(range(limit), _line_points()):
         if checked >= samples and (saw_deviation or not not_constant):
             break
         pt = lp.point_at(s, t)
@@ -359,10 +311,11 @@ def numeric_crosscheck(
             deviates = any(abs(v - 1) > rel_tol for v in values)
         else:
             res = eval_classical(F, pt)
-            if not res.is_finite:
-                continue
-            values = [float(res.value)]
-            deviates = res.value != 1  # exact
+            if res.kind not in ("finite", "zero"):
+                continue  # hit a denominator zero
+            value = res.value if res.is_finite else Fraction(0)
+            values = [float(value)]
+            deviates = value != 1  # exact
         checked += 1
         saw_deviation = saw_deviation or deviates
         if report.verdict == "identically_one" and deviates:
@@ -387,12 +340,8 @@ def numeric_crosscheck(
 def check_symmetric(F: FactorProduct) -> bool:
     """Whether the product is invariant under the full coordinate-permutation
     group, tested on its two generating transpositions.  Invariance means the
-    permuted product equals the original as a function: their ratio cancels
-    to the empty product with total sign (and classical scalar) one."""
-    for gen in (SWAP_AB, SWAP_BG):
-        quotient = cancel(ratio(act_product(gen, F), F))
-        if quotient.k != 0 or quotient.sign != 1:
-            return False
-        if not quotient.quantum and quotient.scalar != 1:
-            return False
-    return True
+    permuted product equals the original as a function: their ratio is
+    identically one on the plane."""
+    return all(
+        is_identically_one(ratio(act_product(gen, F), F)) for gen in (SWAP_AB, SWAP_BG)
+    )

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._linalg import int_nullspace, rref_basis
-from .formula import FactorProduct, cancel, ratio
+from .formula import FactorProduct, cancel, is_identically_one, ratio
 from .identity import InternalConsistencyError
 from .plane import Basis, LinearForm
 
@@ -828,8 +828,7 @@ def matches_builtin_four_line(family: SolutionFamily) -> bool:
                 candidate = builtin_q_prop4(n0, x0, xp, y0, quantum=True)
             except ValueError:
                 continue
-            quotient = cancel(ratio(F, candidate))
-            if quotient.k == 0 and quotient.sign == 1:
+            if is_identically_one(ratio(F, candidate)):
                 return True
     return False
 
@@ -1014,5 +1013,4 @@ def matches_builtin_q33(entry: SurveyEntry) -> bool:
         candidate = builtin_q33(c[1], c[0], x[1], y[1])
     else:
         return False
-    quotient = cancel(ratio(entry.witness, candidate))
-    return quotient.k == 0 and quotient.sign == 1 and quotient.scalar == 1
+    return is_identically_one(ratio(entry.witness, candidate))

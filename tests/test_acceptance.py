@@ -26,8 +26,7 @@ from vogeluniq.identity import (
     LineParam,
     check_on_lines,
     check_symmetric,
-    is_one_on_line_classical,
-    is_one_on_line_quantum,
+    is_one_on_line,
 )
 from vogeluniq.plane import (
     ALL_PERM3,
@@ -143,7 +142,7 @@ def test_criterion_3_three_line_factor():
             draws += 1
             q = builtin_q33(c1, c2, x, y)
             assert all(r.identically_one for r in check_on_lines(q, three))
-            assert is_one_on_line_classical(q, sp).verdict == "not_constant"
+            assert is_one_on_line(q, sp).verdict == "not_constant"
         q = builtin_q33(2, 3, 1, 1)
         witness = eval_classical(q, ProjPoint((1, 1, 1), Basis.PRIMED))
         assert witness.value == Fraction(27, 26)  # not constant on the plane
@@ -309,7 +308,7 @@ def test_criterion_11_sign_matching_property_suite():
                 signs[0] = -signs[0]
             den = tuple(num[i].scaled(s) for i, s in zip(order, signs))
             F = FactorProduct(tuple(num), den, quantum=True, basis=Basis.PRIMED)
-            assert is_one_on_line_quantum(F, line).identically_one
+            assert is_one_on_line(F, line).identically_one
             matched += 1
             point = None
             while point is None:
@@ -324,7 +323,7 @@ def test_criterion_11_sign_matching_property_suite():
             assert all(abs(v - 1) < 1e-9 for v in values)
             if perturbed < 200:
                 G = _perturb_until_mismatched(rng, num, den, lp)
-                assert is_one_on_line_quantum(G, line).verdict == "not_constant"
+                assert is_one_on_line(G, line).verdict == "not_constant"
                 perturbed += 1
         assert perturbed == 200
 

@@ -126,6 +126,15 @@ def test_check_identity_witness_walk_is_lazy(capsys, monkeypatch):
     assert 2 <= len(pulled) <= 2 * 14
 
 
+def test_check_identity_witness_bound_beyond_maxsize(capsys):
+    # x2k with k = 5, n = 0 keeps 68 factors a side: the quantum witness
+    # bound 2^69 + 137 exceeds sys.maxsize, which is no input error
+    code, payload = run_json(capsys, "check-identity", "--builtin", "x2k",
+                             "--k", "5", "--n", "0", "--lines", "so")
+    assert code == 1
+    assert payload["reports"][0]["verdict"] == "not_constant"
+
+
 def test_check_identity_custom_line_triples(capsys):
     code, out = run(capsys, "check-identity", "--builtin", "q33",
                     "--params", "2,3,1,1", "--lines", "1:0:0;0:1:0")
@@ -293,6 +302,26 @@ def test_check_identity_rejects_malformed_formula_json(tmp_path, capsys, body):
     code = main(["check-identity", "--formula-json", str(path)])
     assert code == 2
     assert "error: cannot read formula JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--builtin", "adjoint", "--point", "1/0,1,1"],
+        ["eval", "--builtin", "q33", "--params", "1/0,2,1,1", "--point", "1,2,3"],
+        ["check-identity", "--builtin", "q33", "--params", "2,3,1,1", "--lines", "1:1/0:0"],
+        ["vogel-table", "--family", "sl", "--param", "1/0"],
+        ["check-identity", "--formula-json", "FORMULA"],
+    ],
+)
+def test_zero_denominators_are_usage_errors(tmp_path, capsys, argv):
+    body = FactorProduct((), ()).to_json()
+    body["scalar"] = ["1", "0"]
+    path = tmp_path / "formula.json"
+    path.write_text(json.dumps(body))
+    code = main([str(path) if arg == "FORMULA" else arg for arg in argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("target,checks", [("P3", 4), ("P2-k3", 3)])

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,6 @@ from vogeluniq.identity import (
     check_on_lines,
     check_symmetric,
     is_one_on_line,
-    is_one_on_line_classical,
-    is_one_on_line_quantum,
     numeric_crosscheck,
     restrict,
 )
@@ -65,7 +64,7 @@ def test_restriction_is_parametrization_covariant(rng):
         ProjPoint((0, 1, 2), Basis.PRIMED),
         ProjPoint((0, 3, -1), Basis.PRIMED),
     )
-    verdict1 = is_one_on_line_classical(q, ALPHA)
+    verdict1 = is_one_on_line(q, ALPHA)
     # same line under a different chart: the verdict must not change
     num2, den2 = restrict(q, lp2)
     poly_equal = sorted(num2) == sorted(den2)
@@ -85,7 +84,7 @@ def test_lineparam_validation():
 def test_q33_identically_one_on_three_basic_lines():
     q = builtin_q33(2, 3, 1, 1)
     for line in (ALPHA, BETA, GAMMA):
-        report = is_one_on_line_classical(q, line)
+        report = is_one_on_line(q, line)
         assert report.identically_one
         assert report.matching is not None
 
@@ -98,7 +97,7 @@ def test_q33_generic_value_off_the_lines():
 
 def test_q33_not_constant_on_fourth_line_with_witness():
     q = builtin_q33(2, 3, 1, 1)
-    report = is_one_on_line_classical(q, SP)
+    report = is_one_on_line(q, SP)
     assert report.verdict == "not_constant"
     witness = report.witness
     assert witness is not None and incident(witness, SP)
@@ -109,7 +108,7 @@ def test_adjoint_classical_view_not_constant_on_sl_line():
     from vogeluniq.formula import classical_limit
 
     adj = classical_limit(adjoint_formula())
-    report = is_one_on_line_classical(adj, family_line("sl"))
+    report = is_one_on_line(adj, family_line("sl"))
     assert report.verdict == "not_constant"
     assert eval_classical(adj, report.witness).value != 1
 
@@ -120,14 +119,14 @@ def test_identically_constant_detection():
         (LinearForm((0, 3, 0), Basis.PRIMED),),
         basis=Basis.PRIMED,
     )
-    report = is_one_on_line_classical(F, ALPHA)
+    report = is_one_on_line(F, ALPHA)
     assert report.verdict == "identically_constant"
     assert report.constant == Fraction(1, 3)
 
 
 def test_vanishing_factor_verdict_propagates():
     F = FactorProduct((ALPHA,), (BETA,), basis=Basis.PRIMED)
-    report = is_one_on_line_classical(F, ALPHA)
+    report = is_one_on_line(F, ALPHA)
     assert report.verdict == "vanishing_factor"
     assert report.vanishing == (("num", 0),)
 
@@ -138,7 +137,7 @@ def test_vanishing_factor_verdict_propagates():
 def test_quantum_sign_matched_pair_is_one():
     form = LinearForm((1, 2, 3), Basis.PRIMED)
     F = FactorProduct((form,), (form.scaled(-1),), quantum=True, sign=-1, basis=Basis.PRIMED)
-    report = is_one_on_line_quantum(F, ALPHA)
+    report = is_one_on_line(F, ALPHA)
     assert report.identically_one
 
 
@@ -149,27 +148,27 @@ def test_quantum_scaled_pair_is_not_one():
         quantum=True,
         basis=Basis.PRIMED,
     )
-    report = is_one_on_line_quantum(F, ALPHA)
+    report = is_one_on_line(F, ALPHA)
     assert report.verdict == "not_constant"
 
 
 def test_quantum_four_line_factor_is_one_on_all_four():
     F = builtin_q_prop4(1, 2, 3, 5, quantum=True)
     for line in PRIMED_LINES["four"]:
-        assert is_one_on_line_quantum(F, line).identically_one
+        assert is_one_on_line(F, line).identically_one
 
 
 def test_quantum_q33_fails_on_the_exc_line():
     F = builtin_q33(2, 3, 1, 1, quantum=True)
-    assert is_one_on_line_quantum(F, ALPHA).identically_one
-    assert is_one_on_line_quantum(F, BETA).identically_one
-    assert is_one_on_line_quantum(F, GAMMA).verdict == "not_constant"
+    assert is_one_on_line(F, ALPHA).identically_one
+    assert is_one_on_line(F, BETA).identically_one
+    assert is_one_on_line(F, GAMMA).verdict == "not_constant"
 
 
 def test_quantum_total_sign_minus_one_reports_constant():
     form = LinearForm((1, 2, 3), Basis.PRIMED)
     F = FactorProduct((form,), (form,), quantum=True, sign=-1, basis=Basis.PRIMED)
-    report = is_one_on_line_quantum(F, ALPHA)
+    report = is_one_on_line(F, ALPHA)
     assert report.verdict == "identically_constant" and report.constant == -1
 
 
@@ -246,13 +245,28 @@ def test_witness_bound_is_needed_and_enough():
     assert numeric_crosscheck(F, LinearForm((0, 0, 1)), samples=2)
 
 
+def test_zero_value_is_a_classical_witness():
+    # On c = 0 the product restricts to (6s + t) / (s + t), which is 0 at
+    # (1, -6): the first point of the walk is already a witness.
+    import vogeluniq.identity as identity_module
+
+    lp = LineParam(
+        LinearForm((0, 0, 1)), ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0))
+    )
+    F = FactorProduct(num=(LinearForm((6, 1, 0)),), den=(LinearForm((1, 1, 0)),))
+    witness = identity_module._witness_on_line(F, lp, quantum=False)
+    assert witness == lp.point_at(Fraction(1), Fraction(-6))
+    assert eval_classical(F, witness).kind == "zero"
+    assert numeric_crosscheck(F, LinearForm((0, 0, 1)), samples=1)
+
+
 def test_verdicts_are_equivariant_under_coordinate_permutations(rng):
     q = builtin_q33(2, 3, 1, 1)
     for perm in ALL_PERM3:
         moved = act_product(perm, q)
         for line in (ALPHA, BETA, GAMMA, SP):
-            before = is_one_on_line_classical(q, line).verdict
-            after = is_one_on_line_classical(moved, act(perm, line)).verdict
+            before = is_one_on_line(q, line).verdict
+            after = is_one_on_line(moved, act(perm, line)).verdict
             assert before == after
 
 
@@ -285,7 +299,7 @@ def test_random_sign_matched_products_and_perturbations(rng):
             signs[0] = -signs[0]
         den = tuple(num[i].scaled(s) for i, s in zip(order, signs))
         F = FactorProduct(tuple(num), den, quantum=True, basis=Basis.PRIMED)
-        assert is_one_on_line_quantum(F, line).identically_one
+        assert is_one_on_line(F, line).identically_one
         # perturb one denominator coefficient
         coords = list(den[0].coeffs)
         coords[1] += 1
@@ -293,7 +307,7 @@ def test_random_sign_matched_products_and_perturbations(rng):
             coords[1] += 1
         perturbed = (LinearForm(coords, Basis.PRIMED),) + den[1:]
         G = FactorProduct(tuple(num), perturbed, quantum=True, basis=Basis.PRIMED)
-        report = is_one_on_line_quantum(G, line)
+        report = is_one_on_line(G, line)
         if report.identically_one:
             # the perturbation may accidentally recreate a matched multiset
             continue
@@ -323,7 +337,7 @@ def test_closed_form_factors_are_not_symmetric():
 
 
 def test_report_json_shape():
-    report = is_one_on_line_classical(builtin_q33(2, 3, 1, 1), SP)
+    report = is_one_on_line(builtin_q33(2, 3, 1, 1), SP)
     data = report.to_json()
     assert data["verdict"] == "not_constant"
     assert "witness" in data and "line" in data
@@ -355,3 +369,119 @@ def test_symbolic_and_numeric_agree_on_fifty_mixed_pairs(rng):
         )
     for F, line in pairs:
         assert numeric_crosscheck(F, line, samples=4)
+
+
+# --- independent oracle for the line decision ---------------------------------------
+
+
+def _restricted_oracle(sympy, F, line):
+    """Each factor restricted to the line as a pair (coefficient of s,
+    coefficient of t), by sympy substitution rather than `restrict`."""
+    s, t = sympy.symbols("s t")
+    lp = LineParam.from_line(line)
+    point = [
+        s * sympy.Rational(a) + t * sympy.Rational(b) for a, b in zip(lp.p0.coords, lp.p1.coords)
+    ]
+
+    def on_line(form):
+        expr = sympy.expand(sum(sympy.Rational(c) * x for c, x in zip(form.coeffs, point)))
+        return expr.coeff(s), expr.coeff(t)
+
+    return s, t, [on_line(f) for f in F.num], [on_line(f) for f in F.den]
+
+
+def _quantum_constant(num, den, sign):
+    """The constant value of a quantum product on the line, or None.  The
+    sinh ratio is constant exactly when the restricted forms agree as
+    multisets up to per-factor signs; the constant is the overall sign
+    times the signs taken out to normalize each form."""
+    flips = 1
+    normal = {"num": Counter(), "den": Counter()}
+    for side, forms in (("num", num), ("den", den)):
+        for u, v in forms:
+            flip = -1 if (u or v) < 0 else 1
+            flips *= flip
+            normal[side][(u * flip, v * flip)] += 1
+    return sign * flips if normal["num"] == normal["den"] else None
+
+
+def _small_form(rng):
+    while True:
+        coeffs = [rng.randint(-3, 3) for _ in range(3)]
+        if any(coeffs):
+            return LinearForm(coeffs, Basis.PRIMED)
+
+
+def _oracle_products(rng):
+    def product(num, den, **kwargs):
+        return FactorProduct(
+            tuple(LinearForm(r, Basis.PRIMED) for r in num),
+            tuple(LinearForm(r, Basis.PRIMED) for r in den),
+            basis=Basis.PRIMED,
+            **kwargs,
+        )
+
+    products = [
+        # (2b)(3c) / (b (6c)): constant only by regrouping scalars across pairs
+        product([(0, 2, 0), (0, 0, 3)], [(0, 1, 0), (0, 0, 6)]),
+        product([(0, 2, 0), (0, 0, 3)], [(0, 1, 0), (0, 0, 6)], scalar=Fraction(1, 2)),
+        product([(5, 2, 1), (7, 0, 3)], [(1, 2, 1), (2, 0, 3)], scalar=Fraction(2, 3)),
+        product([(0, 2, 0), (1, 0, 3)], [(0, 1, 0), (1, 0, 3)], sign=-1, scalar=Fraction(3)),
+        product([(6, 1, 0)], [(1, 1, 0)]),
+        product([(1, 2, 3), (4, 5, 6)], [(-1, -2, -3), (4, 5, 6)], quantum=True),
+        product([(1, 2, 3), (4, 5, 6)], [(-1, -2, -3), (4, 5, 6)], quantum=True, sign=-1),
+        product([(0, 1, 1)], [(0, 2, 2)], quantum=True),
+        builtin_q33(2, 3, 1, 1),
+        builtin_q33(2, 3, 1, 1, quantum=True),
+        builtin_q_prop4(1, 2, 3, 5, quantum=True),
+    ]
+    for quantum in (False, True) * 30:
+        k = rng.randint(1, 3)
+        num = [_small_form(rng) for _ in range(k)]
+        if rng.random() < 0.5:  # paired: proportional, or up to sign when quantum
+            order = rng.sample(range(k), k)
+            mults = (-1, 1) if quantum else (-3, -1, 1, 2, 3)
+            den = [num[i].scaled(rng.choice(mults)) for i in order]
+        else:
+            den = [_small_form(rng) for _ in range(k)]
+        scalar = Fraction(1) if quantum else Fraction(rng.randint(1, 3), rng.randint(1, 3))
+        products.append(
+            FactorProduct(
+                tuple(num), tuple(den), quantum=quantum, sign=rng.choice((1, -1)),
+                scalar=scalar, basis=Basis.PRIMED,
+            )
+        )
+    return products
+
+
+def test_line_decision_against_an_independent_oracle(rng):
+    sympy = pytest.importorskip("sympy")
+    lines = [ALPHA, BETA, GAMMA, SP, LinearForm((1, 1, 1), Basis.PRIMED)]
+    verdicts = set()
+    for F in _oracle_products(rng):
+        for line in lines:
+            report = is_one_on_line(F, line)
+            verdicts.add(report.verdict)
+            s, t, num, den = _restricted_oracle(sympy, F, line)
+            if (0, 0) in num + den:
+                assert report.verdict == "vanishing_factor"
+                continue
+            if F.quantum:
+                expected = _quantum_constant(num, den, F.sign)
+            else:
+                value = sympy.cancel(
+                    F.sign * sympy.Rational(F.scalar)
+                    * sympy.Mul(*(u * s + v * t for u, v in num))
+                    / sympy.Mul(*(u * s + v * t for u, v in den))
+                )
+                expected = None if value.free_symbols else Fraction(int(value.p), int(value.q))
+            if expected is None:
+                assert report.verdict == "not_constant", (F, line)
+            elif expected == 1:
+                assert report.verdict == "identically_one", (F, line)
+            else:
+                assert report.verdict == "identically_constant", (F, line)
+                assert report.constant == expected
+    assert verdicts == {
+        "identically_one", "identically_constant", "not_constant", "vanishing_factor"
+    }
