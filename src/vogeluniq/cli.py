@@ -266,11 +266,16 @@ def cmd_configs_enumerate(args) -> int:
     return EXIT_OK if classes else EXIT_NEGATIVE
 
 
-def cmd_configs_color(args) -> int:
-    table = ConfigurationTable.from_json(_load_json(args.table_json))
+def _load_table(path: str) -> ConfigurationTable:
+    table = ConfigurationTable.from_json(_load_json(path))
     violations = validate_table(table)
     if violations:
         raise UsageError("invalid table: " + "; ".join(violations))
+    return table
+
+
+def cmd_configs_color(args) -> int:
+    table = _load_table(args.table_json)
     coloring = find_coloring(table)
     if coloring is None:
         _emit(args, {"colorable": False}, "no coloring")
@@ -284,7 +289,7 @@ def cmd_configs_color(args) -> int:
 
 
 def cmd_extract_perms(args) -> int:
-    table = ConfigurationTable.from_json(_load_json(args.table_json))
+    table = _load_table(args.table_json)
     coloring = Coloring.from_json(_load_json(args.coloring_json))
     perms = extract_permutations(table, coloring)
     names = ["s", "p", "v"][: len(perms)]

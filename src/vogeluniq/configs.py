@@ -337,16 +337,12 @@ def enumerate_n3(n: int) -> list[ConfigurationTable]:
     backtracking with canonical-form deduplication.  Bounded to n <= 10."""
     if n < 1 or n > 10:
         raise ValueError("enumeration is supported for 1 <= n <= 10")
-    raw: list[ConfigurationTable] = []
-    if n >= 7:
-        # Any (n_3) can be relabeled so the three lines through point 0 are
-        # these; the lex-sorted line list then starts with them.
-        prefix = [(0, 1, 2), (0, 3, 4), (0, 5, 6)]
-        raw = _complete_n3(n, prefix)
-    else:
-        # Three pairwise-intersecting lines through one point already need
-        # seven points, so small n have no tables; the plain search confirms.
-        raw = _complete_n3(n, [])
+    # For n >= 7 any (n_3) can be relabeled so the three lines through point
+    # 0 are these; the lex-sorted line list then starts with them.  They
+    # already need seven points, so smaller n have no tables; the plain
+    # search confirms.
+    prefix = [(0, 1, 2), (0, 3, 4), (0, 5, 6)] if n >= 7 else []
+    raw = _complete_n3(n, prefix)
     classes: list[ConfigurationTable] = []
     seen: set[tuple] = set()
     for table in raw:
@@ -441,13 +437,21 @@ def validate_coloring(table: ConfigurationTable, coloring: Coloring) -> list[str
     for color, cls in zip("brg", classes):
         for idx in cls:
             color_of[idx] = color
+    lines_through = _lines_through(table)
     for pt in table.points:
-        colors = sorted(
-            color_of[idx] for idx, col in enumerate(table.columns) if pt in col
-        )
+        colors = sorted(color_of[idx] for idx in lines_through[pt])
         if colors != ["b", "g", "r"]:
             violations.append(f"point {pt} does not meet one line of each color")
     return violations
+
+
+def _lines_through(table: ConfigurationTable) -> dict[int, list[int]]:
+    """The column indices through each point label, in column order."""
+    through: dict[int, list[int]] = {}
+    for idx, col in enumerate(table.columns):
+        for pt in set(col):
+            through.setdefault(pt, []).append(idx)
+    return through
 
 
 def find_coloring(table: ConfigurationTable) -> Coloring | None:
@@ -479,8 +483,7 @@ def _color_canonical(table: ConfigurationTable) -> list[int] | None:
     distinct colors; first solution in lex order on (line index, color)."""
     l = table.l
     conflicts: list[set[int]] = [set() for _ in range(l)]
-    for pt in table.points:
-        through = [idx for idx, col in enumerate(table.columns) if pt in col]
+    for through in _lines_through(table).values():
         for a, b in itertools.combinations(through, 2):
             conflicts[a].add(b)
             conflicts[b].add(a)
@@ -519,15 +522,18 @@ def extract_permutations(table: ConfigurationTable, coloring: Coloring):
     violations = validate_coloring(table, coloring)
     if violations:
         raise MalformedColoringError("; ".join(violations))
+    if not coloring.black:
+        raise MalformedColoringError("coloring has no black line")
     red_pos = {idx: i for i, idx in enumerate(coloring.red)}
     green_pos = {idx: i for i, idx in enumerate(coloring.green)}
     red_set, green_set = set(coloring.red), set(coloring.green)
     k = len(coloring.red)
+    lines_through = _lines_through(table)
     pairings = []
     for black in coloring.black:
         pairing = {}
         for pt in table.columns[black]:
-            through = [idx for idx, col in enumerate(table.columns) if pt in col]
+            through = lines_through[pt]
             reds = [idx for idx in through if idx in red_set]
             greens = [idx for idx in through if idx in green_set]
             if len(reds) != 1 or len(greens) != 1:

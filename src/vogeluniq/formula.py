@@ -24,6 +24,7 @@ from .plane import (
     Perm3,
     act,
     convert,
+    vogel_point,
 )
 
 
@@ -236,44 +237,71 @@ def classical_limit(F: FactorProduct) -> FactorProduct:
     return replace(F, quantum=False)
 
 
-def cancel(F: FactorProduct) -> FactorProduct:
-    """Remove cancelling numerator/denominator pairs.
+def factor_class(coeffs: tuple, up_to_sign: bool) -> tuple:
+    """The key of a factor's class under `pair_factors`: its coefficients
+    divided by the first nonzero one, or only negated when that one is
+    negative if `up_to_sign` is set."""
+    lead = 0
+    for lead in coeffs:
+        if lead:
+            break
+    if up_to_sign:
+        return coeffs if lead >= 0 else tuple(-c for c in coeffs)
+    return tuple(c / lead if c else c for c in coeffs)
 
-    Classical products cancel proportional forms, folding the ratio into the
-    scalar and sign.  Quantum products may only drop pairs equal up to an
-    overall sign, flipping the sign for each negated pair (sinh is odd, and
-    sinh(q*u) is not q*sinh(u) for any other scalar).
+
+def pair_factors(
+    num: list[tuple], den: list[tuple], up_to_sign: bool
+) -> tuple[list[int | None], Fraction]:
+    """Pair each denominator factor, in order, with the first unused
+    numerator factor of its `factor_class`; factors are rational coefficient
+    tuples.  Returns the pairing (the numerator index per denominator factor,
+    None where none is left) and the product of the pair multipliers q,
+    where numerator = q * denominator (q = +-1 when `up_to_sign`).
+
+    This is the one rule for "cancels to a constant".  Nonzero linear forms
+    are irreducible in a unique factorization domain, so two products of
+    them differ by a constant exactly when their factors pair up
+    proportionally; that decides classical products.  A quantum factor
+    sinh(x L) vanishes on the lines L = i pi m / x for every integer m, so
+    c L has the same zeros as L only for c = +-1, and the sides of a quantum
+    product differ by a constant exactly when their factors pair up to
+    sign.  Both relations are equivalences, so greedy pairing leaves a
+    factor unpaired only when its class has more members on its side.
     """
-    num = list(F.num)
-    den = list(F.den)
-    sign = F.sign
-    scalar = F.scalar
-    i = 0
-    while i < len(num):
-        matched = False
-        for j, d in enumerate(den):
-            if F.quantum:
-                if num[i] == d:
-                    matched = True
-                elif num[i] == -d:
-                    matched = True
-                    sign = -sign
-                if matched:
-                    del num[i], den[j]
-                    break
-            else:
-                q = num[i].proportionality(d)
-                if q is not None:
-                    if q < 0:
-                        sign, q = -sign, -q
-                    scalar *= q
-                    del num[i], den[j]
-                    matched = True
-                    break
-        if not matched:
-            i += 1
+    unused: dict[tuple, list[int]] = {}
+    for i, coeffs in enumerate(num):
+        unused.setdefault(factor_class(coeffs, up_to_sign), []).append(i)
+    pairing: list[int | None] = []
+    total = Fraction(1)
+    for coeffs in den:
+        free = unused.get(factor_class(coeffs, up_to_sign))
+        if not free:
+            pairing.append(None)
+            continue
+        i = free.pop(0)
+        pairing.append(i)
+        total *= next(a / b for a, b in zip(num[i], coeffs) if b)
+    return pairing, total
+
+
+def cancel(F: FactorProduct) -> FactorProduct:
+    """Remove the numerator/denominator pairs of `pair_factors`, proportional
+    for classical products and equal up to sign for quantum ones, keeping
+    the other factors in order and folding the multipliers into the sign
+    and scalar."""
+    pairing, total = pair_factors(
+        [f.coeffs for f in F.num], [f.coeffs for f in F.den], up_to_sign=F.quantum
+    )
+    paired = set(pairing)
+    value = F.sign * F.scalar * total
     return FactorProduct(
-        tuple(num), tuple(den), quantum=F.quantum, sign=sign, scalar=scalar, basis=F.basis
+        tuple(f for i, f in enumerate(F.num) if i not in paired),
+        tuple(f for f, i in zip(F.den, pairing) if i is None),
+        quantum=F.quantum,
+        sign=1 if value > 0 else -1,
+        scalar=abs(value),
+        basis=F.basis,
     )
 
 
@@ -382,14 +410,7 @@ def _form_poly(form: LinearForm, coords) -> _poly.Poly:
 
 
 def family_coords(family: str) -> tuple[_poly.Poly, _poly.Poly, _poly.Poly]:
-    """Unprimed coordinates of a family as polynomials in its parameter."""
-    f0 = Fraction(0)
-    if family == "sl":
-        return (_poly.const(-2), _poly.const(2), (f0, Fraction(1)))
-    if family == "so":
-        return (_poly.const(-2), _poly.const(4), (Fraction(-4), Fraction(1)))
-    if family == "sp":
-        return (_poly.const(-2), _poly.const(1), (Fraction(2), Fraction(1)))
-    if family == "exc":
-        return (_poly.const(-2), (Fraction(4), Fraction(1)), (Fraction(4), Fraction(2)))
-    raise ValueError(f"unknown family {family!r}")
+    """Unprimed coordinates of a family as polynomials in its parameter:
+    each `vogel_point` coordinate is affine in the parameter."""
+    at0, at1 = (vogel_point(family, q).point.coords for q in (0, 1))
+    return tuple(_poly.trim((c0, c1 - c0)) for c0, c1 in zip(at0, at1))

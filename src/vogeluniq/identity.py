@@ -4,8 +4,9 @@ Restricting every factor to a parametrized line s*p0 + t*p1 turns it into a
 binary linear form in (s, t).  One rule decides both kinds of product: the
 product is constant on the line exactly when the restricted denominator
 forms pair up with the numerator forms, proportionally for a classical
-product and up to sign for a quantum one (`is_one_on_line` proves it).  The
-constant is the overall sign and scalar times the pairing's multipliers.
+product and up to sign for a quantum one (`formula.pair_factors` proves
+it).  The constant is the overall sign and scalar times the pairing's
+multipliers.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .formula import (
     eval_classical,
     eval_quantum,
     is_identically_one,
+    pair_factors,
     ratio,
 )
 from .plane import (
@@ -204,68 +206,24 @@ def _witness_on_line(F: FactorProduct, lp: LineParam, quantum: bool) -> ProjPoin
     )
 
 
-def _match_multiset(
-    num: list[BinaryForm], den: list[BinaryForm], up_to_sign: bool
-) -> tuple[tuple[int, ...], Fraction] | None:
-    """Pair each denominator form with the first unused numerator form that
-    is a multiple of it (a multiple by +-1 when `up_to_sign`); returns
-    (pairing, product of the multipliers) or None."""
-    used = [False] * len(num)
-    pairing = []
-    total = Fraction(1)
-    for d in den:
-        found = None
-        for i, nf in enumerate(num):
-            if used[i]:
-                continue
-            q = _binary_ratio(nf, d)
-            if q is not None and (not up_to_sign or abs(q) == 1):
-                found, mult = i, q
-                break
-        if found is None:
-            return None
-        used[found] = True
-        pairing.append(found)
-        total *= mult
-    return tuple(pairing), total
-
-
-def _binary_ratio(a: BinaryForm, b: BinaryForm) -> Fraction | None:
-    """q with a = q * b, or None."""
-    if b[0] == 0 and b[1] == 0:
-        return None
-    if a[0] * b[1] != a[1] * b[0]:
-        return None
-    return a[0] / b[0] if b[0] != 0 else a[1] / b[1]
-
-
 def is_one_on_line(F: FactorProduct, line: LinearForm) -> IdentityReport:
     """Exact decision whether F is identically one (or another constant) on
-    the line, by pairing the restricted factors.
-
-    Restricted factors are nonzero binary linear forms, which are
-    irreducible in Q[s, t], a unique factorization domain.  So a classical
-    numerator and denominator differ by a constant exactly when their forms
-    pair up proportionally.  A quantum factor sinh(x L) vanishes on the
-    lines L = i pi m / x for every integer m, so c L has the same zeros as L
-    only for c = +-1, and the sides of a quantum product differ by a
-    constant exactly when their forms pair up to sign.  Greedy pairing
-    finds a pairing whenever one exists, because both relations are
-    equivalence relations.  The constant is sign * scalar times the
-    pairing's multipliers."""
+    the line: the restricted factors are nonzero binary linear forms, and F
+    is constant there exactly when `pair_factors` pairs them all up,
+    proportionally for a classical product and up to sign for a quantum
+    one.  The constant is sign * scalar times the pairing's multipliers."""
     lp = LineParam.from_line(convert(line, F.basis))
     try:
         num, den = restrict(F, lp)
     except VanishingFactorError as err:
         return IdentityReport(line, "vanishing_factor", vanishing=tuple(err.indices))
-    match = _match_multiset(num, den, up_to_sign=F.quantum)
-    if match is None:
+    pairing, total = pair_factors(num, den, up_to_sign=F.quantum)
+    if None in pairing:
         witness = _witness_on_line(F, lp, quantum=F.quantum)
         return IdentityReport(line, "not_constant", witness=witness)
-    pairing, total = match
     constant = F.sign * F.scalar * total
     if constant == 1:
-        return IdentityReport(line, "identically_one", matching=pairing)
+        return IdentityReport(line, "identically_one", matching=tuple(pairing))
     return IdentityReport(line, "identically_constant", constant=constant)
 
 

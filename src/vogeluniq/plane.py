@@ -146,17 +146,6 @@ class LinearForm:
     def same_line(self, other: "LinearForm") -> bool:
         return self.basis is other.basis and self.canonical() == other.canonical()
 
-    def proportionality(self, other: "LinearForm") -> Fraction | None:
-        """The scalar q with self = q * other, or None if not proportional."""
-        if self.basis is not other.basis:
-            return None
-        if self.canonical() != other.canonical():
-            return None
-        for a, b in zip(self.coeffs, other.coeffs):
-            if b != 0:
-                return a / b
-        return None
-
     def scaled(self, factor: Rat) -> "LinearForm":
         f = Fraction(factor)
         if f == 0:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._linalg import int_nullspace, rref_basis
-from .formula import FactorProduct, cancel, is_identically_one, ratio
+from .formula import FactorProduct, cancel, factor_class, is_identically_one, ratio
 from .identity import InternalConsistencyError
 from .plane import Basis, LinearForm
 
@@ -335,17 +335,14 @@ def _degeneracy(maps: tuple[list, list], four: bool) -> str | None:
     return None
 
 
-def _up_to_sign(flat: tuple) -> tuple:
-    lead = next((a for a in flat if a), 0)
-    return flat if lead > 0 else tuple(-a for a in flat)
-
-
 def _keeps_a_factor(maps: tuple[list, list]) -> bool:
     """Whether the factor maps fail to pair up one-to-one, numerator with
-    denominator, equal up to sign.  Equality up to sign is an equivalence,
-    so they pair up exactly when each class is as common on both sides."""
+    denominator, equal up to sign: by `formula.pair_factors`, they pair up
+    exactly when each class is as common on both sides."""
     num, den = maps
-    key = lambda factors: Counter(_up_to_sign(n + x + y) for n, x, y in factors)
+    key = lambda factors: Counter(
+        factor_class(n + x + y, up_to_sign=True) for n, x, y in factors
+    )
     return key(num) != key(den)
 
 
@@ -545,6 +542,8 @@ def enumerate_families(
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if k > 5:  # stage 1 marks (k!)^2 * 4^(k-1) tuples: 531 MB at k = 6
+        raise ValueError(f"k must be at most 5, got {k}")
     if lines not in ("three", "four"):
         raise ValueError("lines must be 'three' or 'four'")
     if budget is not None and budget < 0:

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from vogeluniq import qsearch
 from vogeluniq.cli import main
 from vogeluniq.configs import ConfigurationTable
 from vogeluniq.formula import FactorProduct
@@ -169,6 +170,17 @@ def test_search_rejects_out_of_range_arguments(capsys, argv, name):
     assert f"error: {name} must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["6", "7"])
+def test_search_rejects_k_above_five_before_stage_one(capsys, monkeypatch, k):
+    # stage 1 would allocate (k!)^2 * 4^(k-1) bytes; it must never start
+    def stage1(*args):
+        raise AssertionError("stage 1 started")
+
+    monkeypatch.setattr(qsearch, "_stage1_classes", stage1)
+    assert main(["search", "--k", k, "--lines", "four"]) == 2
+    assert "error: k must be at most 5" in capsys.readouterr().err
+
+
 def test_search_family_record_shape():
     from fractions import Fraction
 
@@ -245,6 +257,16 @@ def test_extract_perms_rejects_malformed_coloring(tmp_path, capsys):
     code = main(["extract-perms", "--table-json", str(table), "--coloring-json", str(coloring)])
     assert code == 2
     assert '"red"' in capsys.readouterr().err
+
+
+def test_extract_perms_rejects_an_empty_table(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"columns": []}))
+    coloring = tmp_path / "coloring.json"
+    coloring.write_text(json.dumps({"black": [], "red": [], "green": []}))
+    code = main(["extract-perms", "--table-json", str(table), "--coloring-json", str(coloring)])
+    assert code == 2
+    assert "error: invalid table: table has no columns" in capsys.readouterr().err
 
 
 def test_uncolorable_table_gives_negative_exit(tmp_path, capsys):

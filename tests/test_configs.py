@@ -210,6 +210,11 @@ def test_extraction_rejects_malformed_colorings():
         extract_permutations(NINE, bad)
 
 
+def test_extraction_rejects_a_coloring_without_black_lines():
+    with pytest.raises(MalformedColoringError, match="no black line"):
+        extract_permutations(ConfigurationTable([]), Coloring((), (), ()))
+
+
 # --- sketches ---------------------------------------------------------------------------
 
 

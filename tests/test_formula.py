@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from vogeluniq.formula import (
     eval_quantum,
     family_coords,
     multiply,
+    pair_factors,
     ratio,
     x2k_adn_formula,
 )
@@ -279,6 +281,98 @@ def test_quantum_cancel_keeps_scaled_pair():
         (LinearForm((1, 1, 0)),), (LinearForm((2, 2, 0)),), quantum=True
     )
     assert cancel(F) == F
+
+
+L1, L2, L3 = LinearForm((1, 1, 0)), LinearForm((0, 1, 2)), LinearForm((1, 0, 0))
+
+
+def test_classical_cancel_pairs_in_order_and_folds_multipliers():
+    # -L1 pairs with 2 L1 (q = -2), 3 L1 with L1 (q = 1/3); L2 and L3 survive
+    F = FactorProduct(
+        (L1.scaled(2), L1, L2), (-L1, L3, L1.scaled(3)), sign=-1, scalar=Fraction(3, 2)
+    )
+    assert cancel(F) == FactorProduct((L2,), (L3,))
+    # the first numerator of a class is paired first, so 2 L1 survives, not L1
+    F = FactorProduct((L1, L1.scaled(2), L2), (L1.scaled(3), L3, L2.scaled(-1)))
+    assert cancel(F) == FactorProduct(
+        (L1.scaled(2),), (L3,), sign=-1, scalar=Fraction(1, 3)
+    )
+
+
+def test_quantum_cancel_pairs_up_to_sign_in_order():
+    F = FactorProduct((L1, -L1, L2, L1.scaled(2)), (-L1, L1, L3, L2), quantum=True, sign=-1)
+    assert cancel(F) == FactorProduct((L1.scaled(2),), (L3,), quantum=True, sign=-1)
+    F = FactorProduct((L1.scaled(2), -L1, L1), (L1, L3, -L1), quantum=True)
+    assert cancel(F) == FactorProduct((L1.scaled(2),), (L3,), quantum=True)
+
+
+def test_pair_factors_reports_the_pairing_and_multiplier():
+    num = [L1.scaled(2).coeffs, L1.coeffs, L2.coeffs]
+    den = [(-L1).coeffs, L3.coeffs, L1.scaled(3).coeffs]
+    pairing, total = pair_factors(num, den, up_to_sign=False)
+    assert pairing == [0, None, 1] and total == Fraction(-2, 3)
+    pairing, total = pair_factors(num, den, up_to_sign=True)
+    assert pairing == [1, None, None] and total == -1
+
+
+def _repeated_class_product(rng, quantum):
+    classes = []
+    while len(classes) < 3:
+        coeffs = [rng.randint(-2, 2) for _ in range(3)]
+        if any(coeffs):
+            classes.append(LinearForm(coeffs))
+    mults = (1, -1) if quantum else (1, -1, 2, Fraction(-1, 2), 3)
+    k = rng.randint(1, 5)
+    forms = lambda: tuple(
+        rng.choice(classes).scaled(rng.choice(mults)) for _ in range(k)
+    )
+    scalar = Fraction(1) if quantum else Fraction(rng.randint(1, 3), rng.randint(1, 3))
+    return FactorProduct(
+        forms(), forms(), quantum=quantum, sign=rng.choice((1, -1)), scalar=scalar
+    )
+
+
+def test_classical_cancel_against_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    abc = sympy.symbols("a b c")
+
+    def value(F):
+        expr = lambda form: sum(sympy.Rational(q) * x for q, x in zip(form.coeffs, abc))
+        return (
+            F.sign * sympy.Rational(F.scalar)
+            * sympy.Mul(*map(expr, F.num)) / sympy.Mul(*map(expr, F.den))
+        )
+
+    for _ in range(60):
+        F = _repeated_class_product(rng, quantum=False)
+        reduced = cancel(F)
+        assert sympy.cancel(value(F) - value(reduced)) == 0
+        # nothing cancels further: the reduced numerator has full degree
+        top, _ = sympy.fraction(sympy.cancel(value(F)))
+        assert sympy.Poly(top, *abc).total_degree() == reduced.k
+
+
+def test_quantum_cancel_against_sign_normalized_counts(rng):
+    def normalized(forms):
+        flips, counts = 1, Counter()
+        for form in forms:
+            flip = -1 if next(q for q in form.coeffs if q) < 0 else 1
+            flips *= flip
+            counts[form.coeffs if flip == 1 else (-form).coeffs] += 1
+        return flips, counts
+
+    for _ in range(60):
+        F = _repeated_class_product(rng, quantum=True)
+        reduced = cancel(F)
+        num_flips, num = normalized(F.num)
+        den_flips, den = normalized(F.den)
+        left_num_flips, left_num = normalized(reduced.num)
+        left_den_flips, left_den = normalized(reduced.den)
+        assert left_num == num - den and left_den == den - num
+        assert (
+            reduced.sign * left_num_flips * left_den_flips
+            == F.sign * num_flips * den_flips
+        )
 
 
 def test_cancel_is_idempotent_and_preserves_values(rng):

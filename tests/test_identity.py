@@ -431,6 +431,14 @@ def _oracle_products(rng):
         product([(1, 2, 3), (4, 5, 6)], [(-1, -2, -3), (4, 5, 6)], quantum=True),
         product([(1, 2, 3), (4, 5, 6)], [(-1, -2, -3), (4, 5, 6)], quantum=True, sign=-1),
         product([(0, 1, 1)], [(0, 2, 2)], quantum=True),
+        # repeated classes: 2b, b and -b pair in order
+        product([(0, 2, 0), (0, 1, 0), (1, 2, 3)], [(0, 1, 0), (0, -1, 0), (2, 4, 6)]),
+        product([(0, 2, 0), (0, 1, 0), (1, 2, 3)], [(0, 1, 0), (0, 3, 0), (1, 0, 0)]),
+        product(
+            [(1, 2, 3), (-1, -2, -3), (0, 1, 1)], [(1, 2, 3), (1, 2, 3), (0, -1, -1)],
+            quantum=True,
+        ),
+        product([(1, 2, 3), (2, 4, 6)], [(-1, -2, -3), (1, 2, 3)], quantum=True),
         builtin_q33(2, 3, 1, 1),
         builtin_q33(2, 3, 1, 1, quantum=True),
         builtin_q_prop4(1, 2, 3, 5, quantum=True),
