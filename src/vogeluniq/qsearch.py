@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._linalg import int_nullspace, rref_basis
-from .formula import FactorProduct, cancel, factor_class, is_identically_one, ratio
+from .formula import FactorProduct, factor_class, is_identically_one, pair_factors, ratio
 from .identity import InternalConsistencyError
 from .plane import Basis, LinearForm
 
@@ -138,16 +138,13 @@ class ConstraintSystem:
     def equations(self) -> list[tuple[str, dict[int, Fraction]]]:
         """Labelled sparse rows {unknown: coefficient}, for verify_solution."""
         k, perms, mult = self.k, self.perms, self.mult
-        labels = [t.format(i=i) for i in range(k) for t in _THREE_LINE_LABELS]
-        if self.lines == "four":
-            labels += [t.format(i=i) for i in range(k) for t in _FOURTH_LINE_LABELS]
         terms = _relation_terms(k, perms.s, perms.p, mult.c, mult.kmul, perms.v, mult.r)
         eqs: list[tuple[str, dict[int, Fraction]]] = []
-        for label, row_terms in zip(labels, terms):
+        for e, row_terms in enumerate(terms):
             row: dict[int, Fraction] = {}
             for idx, coef in row_terms:
                 row[idx] = row.get(idx, Fraction(0)) + coef
-            eqs.append((label, {i: q for i, q in row.items() if q != 0}))
+            eqs.append((_label(k, e), {i: q for i, q in row.items() if q != 0}))
         return eqs
 
 
@@ -160,6 +157,13 @@ _FOURTH_LINE_LABELS = (
     "y[{i}] = r[{i}]*y[v({i})]",
     "c[{i}]*n[p({i})] + 3x[{i}] = r[{i}]*(n[v({i})] + 3x[v({i})])",
 )
+
+
+def _label(k: int, e: int) -> str:
+    """The label of equation e, in the order of `_relation_terms`."""
+    if e < 3 * k:
+        return _THREE_LINE_LABELS[e % 3].format(i=e // 3)
+    return _FOURTH_LINE_LABELS[(e - 3 * k) % 2].format(i=(e - 3 * k) // 2)
 
 
 def _relation_terms(k: int, s, p, c, km, v=None, r=None, base: bool = True) -> list[tuple]:
@@ -224,17 +228,19 @@ def verify_solution(
     y: tuple[Fraction, ...],
 ) -> VerifyReport:
     """Substitute a concrete assignment into every equation; exact per-equation
-    pass/fail with the failing equations named."""
-    k = system.k
+    pass/fail with the failing equations named.  Only a failing equation's
+    label is formatted."""
+    k, perms, mult = system.k, system.perms, system.mult
     vec = tuple(Fraction(q) for q in (*n, *x, *y))
     if len(vec) != 3 * k:
         raise ValueError("assignment length differs from 3k")
-    failures = []
-    for label, row in system.equations():
-        total = sum(coef * vec[idx] for idx, coef in row.items())
-        if total != 0:
-            failures.append(label)
-    return VerifyReport(not failures, tuple(failures))
+    terms = _relation_terms(k, perms.s, perms.p, mult.c, mult.kmul, perms.v, mult.r)
+    failures = tuple(
+        _label(k, e)
+        for e, row_terms in enumerate(terms)
+        if sum(coef * vec[idx] for idx, coef in row_terms) != 0
+    )
+    return VerifyReport(not failures, failures)
 
 
 @dataclass(frozen=True)
@@ -881,15 +887,29 @@ def survey_k3_classical() -> list[SurveyEntry]:
     there exactly when they are proportional for every parameter value, so
     cancellation at that one point decides the stratum.  A witness is an
     exact certificate of nontriviality, and its absence proves triviality.
+
+    Relabeling the factors by tau maps a solution (n, x, y) of (s, p, c, k)
+    to the solution (n, x, y) o tau^-1 of (tau s tau^-1, tau p tau^-1,
+    c o tau^-1, k o tau^-1) and only reorders the product's factors, so
+    nontriviality is constant on each orbit of `_conj_perm`: 11 orbits, by
+    Burnside (36 + 3 * 2^2 + 2 * 3^2) / 6.  Pairings are walked in lex
+    order, so an orbit's minimum comes first and is surveyed; a later member
+    of a trivial orbit is trivial without a survey, and a member of a
+    nontrivial one is surveyed for its own witness.  The one nontrivial
+    orbit holds the two fixed-point-free pairings with s != p: 12 surveys.
     """
     perms = list(itertools.permutations(range(3)))
     entries = []
+    orbit_nontrivial = {}
     for s in perms:
         for p in perms:
-            witness, data = _survey_pair(s, p)
-            entries.append(
-                SurveyEntry(s, p, witness is not None, witness, data)
-            )
+            least = min((_conj_perm(tau, s), _conj_perm(tau, p)) for tau in perms)
+            if least == (s, p) or orbit_nontrivial[least]:
+                witness, data = _survey_pair(s, p)
+                orbit_nontrivial.setdefault(least, witness is not None)
+            else:
+                witness, data = None, {}
+            entries.append(SurveyEntry(s, p, witness is not None, witness, data))
     return entries
 
 
@@ -898,16 +918,16 @@ def _survey_pair(s: Perm, p: Perm):
     p_inv = perm_inverse(p)
     u = tuple(s[p_inv[j]] for j in range(k))
     u_cycles, p_cycles, s_cycles = _cycles(u), _cycles(p), _cycles(s)
-    strata = []
-    for zn_pick in _subsets(u_cycles):
-        for zx_pick in _subsets(p_cycles):
-            for zy_pick in _subsets(s_cycles):
-                zn = frozenset(i for cyc in zn_pick for i in cyc)
-                zx = frozenset(i for cyc in zx_pick for i in cyc)
-                zy = frozenset(i for cyc in zy_pick for i in cyc)
-                strata.append((len(zn) + len(zx) + len(zy), zn, zx, zy))
-    strata.sort(key=lambda item: (item[0], sorted(item[1]), sorted(item[2]), sorted(item[3])))
-    for _, zn, zx, zy in strata:
+    unions = lambda cycles: [
+        frozenset(i for cyc in pick for i in cyc)
+        for size in range(len(cycles) + 1)
+        for pick in itertools.combinations(cycles, size)
+    ]
+    strata = sorted(
+        itertools.product(unions(u_cycles), unions(p_cycles), unions(s_cycles)),
+        key=lambda zeros: (sum(map(len, zeros)), *map(sorted, zeros)),
+    )
+    for zn, zx, zy in strata:
         cols = [(int(i not in zeros),) for zeros in (zn, zx, zy) for i in range(k)]
         if _degeneracy(_factor_maps(k, s, (1, 1, 1), cols), False) is not None:
             continue
@@ -917,44 +937,26 @@ def _survey_pair(s: Perm, p: Perm):
     return None, {}
 
 
-def _subsets(cycles):
-    out = []
-    for mask in range(1 << len(cycles)):
-        out.append([cyc for b, cyc in enumerate(cycles) if mask >> b & 1])
-    return out
-
-
 def _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles):
     """(product, data) for the first sign pattern of the stratum whose
-    product at the prime point keeps a factor after cancellation, or None."""
+    product at the prime point keeps a factor after `formula.pair_factors`,
+    or None.  A sign pattern is admissible when every multiplicative
+    constraint has an even number of negative signs at its odd exponents."""
     k = 3
     # Multiplicative constraints on (c0, c1, c2, k0, k1, k2) as exponent rows.
     rows = [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]]
-    for i in range(k):
-        if s[i] not in zn:
-            row = [0] * 6
-            row[i] = 1
-            row[3 + i] = -1
-            rows.append(row)
-    for cyc in p_cycles:
-        if not set(cyc) <= zx:
-            row = [0] * 6
-            for i in cyc:
-                row[i] += 1
-            rows.append(row)
-    for cyc in s_cycles:
-        if not set(cyc) <= zy:
-            row = [0] * 6
-            for i in cyc:
-                row[3 + i] += 1
-            rows.append(row)
+    rows += [[int(j == i) - int(j == 3 + i) for j in range(6)] for i in range(k) if s[i] not in zn]
+    rows += [[int(j in cyc) for j in range(3)] + [0] * 3 for cyc in p_cycles if not set(cyc) <= zx]
+    rows += [[0] * 3 + [int(j in cyc) for j in range(3)] for cyc in s_cycles if not set(cyc) <= zy]
     torus = [Fraction(1)] * 6
     for prime, gen in zip(_PRIMES, int_nullspace(rows, 6)):
         for j in range(6):
             torus[j] *= Fraction(prime) ** gen[j]
     n = tuple(Fraction(0) if i in zn else Fraction(1) for i in range(k))
+    odd = [sum(1 << j for j, e in enumerate(row) if e % 2) for row in rows]
     for signs in itertools.product((1, -1), repeat=6):
-        if any(_sign_product(signs, row) != 1 for row in rows):
+        negatives = sum(1 << j for j, sign in enumerate(signs) if sign < 0)
+        if any((negatives & mask).bit_count() & 1 for mask in odd):
             continue
         c = tuple(signs[j] * torus[j] for j in range(3))
         km = tuple(signs[3 + j] * torus[3 + j] for j in range(3))
@@ -966,11 +968,12 @@ def _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles):
             raise InternalConsistencyError(
                 f"stratum assignment of s={s}, p={p} fails {list(report.failures)}"
             )
-        product = product_from_assignment(system, n, x, y)
-        if cancel(product).k > 0:
+        num = [(n[i], x[i], y[i]) for i in range(k)]
+        den = [(km[i] * n[s[i]], x[i], y[i]) for i in range(k)]
+        if None in pair_factors(num, den, up_to_sign=False)[0]:
             data = {"zn": sorted(zn), "zx": sorted(zx), "zy": sorted(zy), "c": c, "k": km,
                     "n": n, "x": x, "y": y}
-            return product, data
+            return product_from_assignment(system, n, x, y), data
     return None
 
 
@@ -987,14 +990,6 @@ def _cycle_values(perm, cycles, zeros, mult, primes) -> tuple[Fraction, ...]:
             values[perm[i]] = values[i] / mult[i]
             i = perm[i]
     return tuple(values)
-
-
-def _sign_product(signs, row) -> int:
-    prod = 1
-    for j, e in enumerate(row):
-        if e % 2:
-            prod *= signs[j]
-    return prod
 
 
 def matches_builtin_q33(entry: SurveyEntry) -> bool:

@@ -117,6 +117,37 @@ def test_verify_solution_names_failing_equation():
     assert any("x[" in label for label in report.failures)
 
 
+def test_verify_solution_names_the_failing_equations_in_order():
+    # One broken unknown per case: each failing equation is named once, in
+    # equation order (three-line relations by factor, then fourth-line ones).
+    system = k3_system((2, 3))
+    ones = (Fraction(1),) * 3
+    report = verify_solution(system, ones, (Fraction(1), Fraction(3), Fraction(1)), ones)
+    assert report == VerifyReport(False, (
+        "x[0] = c[0]*x[p(0)]",
+        "y[0] = k[0]*y[s(0)]",
+        "y[1] = k[1]*y[s(1)]",
+        "x[2] = c[2]*x[p(2)]",
+        "y[2] = k[2]*y[s(2)]",
+    ))
+    system, n, x, y = reference_four_line_assignment(2, 3, 5, 7, 1, 2, 3)
+    assert verify_solution(system, n, x, y) == VerifyReport(True)
+    bad_n = n[:2] + (n[2] + 1, n[3])
+    assert verify_solution(system, bad_n, x, y).failures == (
+        "k[1]*n[s(1)] = c[1]*n[p(1)]",
+        "k[3]*n[s(3)] = c[3]*n[p(3)]",
+        "c[0]*n[p(0)] + 3x[0] = r[0]*(n[v(0)] + 3x[v(0)])",
+        "c[1]*n[p(1)] + 3x[1] = r[1]*(n[v(1)] + 3x[v(1)])",
+    )
+    bad_y = (y[0] + 1,) + y[1:]
+    assert verify_solution(system, n, x, bad_y).failures == (
+        "y[0] = k[0]*y[s(0)]",
+        "y[1] = k[1]*y[s(1)]",
+        "y[0] = r[0]*y[v(0)]",
+        "y[2] = r[2]*y[v(2)]",
+    )
+
+
 def test_reference_four_line_minus_branch(rng):
     for _ in range(10):
         draws = [rand_rational(rng, 9, nonzero=True) for _ in range(7)]
@@ -432,6 +463,48 @@ def test_survey_witnesses_match_the_closed_form():
             assert matches_builtin_q33(entry)
             reports = check_on_lines(entry.witness, PRIMED_LINES["three"])
             assert all(r.identically_one for r in reports)
+
+
+def test_survey_decides_one_pairing_per_relabeling_orbit(monkeypatch):
+    direct = {}
+    for s, p in itertools.product(itertools.permutations(range(3)), repeat=2):
+        direct[s, p] = qsearch._survey_pair(s, p)
+    calls = []
+    survey_pair = qsearch._survey_pair
+
+    def counting(s, p):
+        calls.append((s, p))
+        return survey_pair(s, p)
+
+    monkeypatch.setattr(qsearch, "_survey_pair", counting)
+    entries = survey_k3_classical()
+    assert [(e.s, e.p) for e in entries] == list(direct)
+    for entry in entries:
+        witness, data = direct[entry.s, entry.p]
+        assert (entry.nontrivial, entry.witness, entry.witness_data) == (
+            witness is not None, witness, data
+        )
+    assert len(calls) == 12  # the minima of the 11 orbits, and the second nontrivial pairing
+    assert len(set(calls)) == 12
+
+
+def test_survey_witnesses_are_pinned():
+    F = Fraction
+    pinned = {
+        ((1, 2, 0), (2, 0, 1)): ((17, 34, 102), (29, 174, 87)),
+        ((2, 0, 1), (1, 2, 0)): ((17, 102, 51), (29, 58, 174)),
+    }
+    for entry in survey_k3_classical():
+        if not entry.nontrivial:
+            continue
+        x, y = pinned.pop((entry.s, entry.p))
+        mult = (F(1, 6), F(2), F(3))
+        assert entry.witness_data == {
+            "zn": [], "zx": [], "zy": [], "c": mult, "k": mult, "n": (F(1),) * 3,
+            "x": tuple(map(F, x)), "y": tuple(map(F, y)),
+        }
+        assert all(type(q) is F for key in "cknxy" for q in entry.witness_data[key])
+    assert not pinned
 
 
 def _survey_summary():
