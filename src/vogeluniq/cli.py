@@ -349,65 +349,59 @@ def cmd_vogel_table(args) -> int:
     return EXIT_OK
 
 
-def _pass(results: list[tuple[str, bool]], name: str, ok: bool) -> None:
-    results.append((name, ok))
-    print(f"{'PASS' if ok else 'FAIL'}  {name}")
-
-
 def cmd_reproduce(args) -> int:
     target = args.target
-    results: list[tuple[str, bool]] = []
+    checks: list[tuple[str, bool]] = []
+
+    def check(name: str, ok: bool) -> None:
+        checks.append((name, ok))
+
     if target == "P1-remark":
         entries = survey_k3_classical()
         nontrivial = [e for e in entries if e.nontrivial]
         fpf = {((1, 2, 0), (2, 0, 1)), ((2, 0, 1), (1, 2, 0))}
-        _pass(results, "k=3 classical survey covers 36 pairings", len(entries) == 36)
-        _pass(results, "exactly two pairings admit nontrivial factors", len(nontrivial) == 2)
-        _pass(
-            results,
+        check("k=3 classical survey covers 36 pairings", len(entries) == 36)
+        check("exactly two pairings admit nontrivial factors", len(nontrivial) == 2)
+        check(
             "they are the two distinct fixed-point-free pairings",
             {(e.s, e.p) for e in nontrivial} == fpf,
         )
-        _pass(
-            results,
+        check(
             "both witnesses match the closed-form three-line factor",
             all(matches_builtin_q33(e) for e in nontrivial),
         )
     elif target == "P2-k3":
         for k in (1, 2, 3):
             res = enumerate_families(k, "three", dedup=False)
-            _pass(
-                results,
+            check(
                 f"quantum three-line search at k={k} is exhaustive and empty",
                 res.complete and not res.families,
             )
     elif target == "P3":
         classes = enumerate_n3(9)
-        _pass(results, "exactly three (9_3) classes", len(classes) == 3)
+        check("exactly three (9_3) classes", len(classes) == 3)
         colorable = [t for t in classes if find_coloring(t) is not None]
-        _pass(results, "exactly one class is colorable", len(colorable) == 1)
+        check("exactly one class is colorable", len(colorable) == 1)
         sketch = sketch_from_q(builtin_q33(2, 3, 1, 1), PRIMED_LINES["three"])
-        _pass(results, "three-line sketch has 9 triple points", len(sketch.points) == 9)
-        _pass(
-            results,
+        check("three-line sketch has 9 triple points", len(sketch.points) == 9)
+        check(
             "sketch table is isomorphic to the colorable class",
             bool(colorable) and isomorphic(sketch.table, colorable[0]),
         )
     elif target == "P4":
         sketch = sketch_from_q(builtin_q_prop4(1, 2, 3, 5), PRIMED_LINES["four"])
-        _pass(results, "four-line sketch has 16 triple points", len(sketch.points) == 16)
-        _pass(results, "sketch table is a valid (16_3 12_4)", not validate_table(sketch.table))
+        check("four-line sketch has 16 triple points", len(sketch.points) == 16)
+        check("sketch table is a valid (16_3 12_4)", not validate_table(sketch.table))
         perms = extract_permutations(sketch.table, sketch.coloring)
         expected = ((1, 0, 3, 2), (3, 2, 1, 0), (2, 3, 0, 1))
-        _pass(results, "extracted pairings are s=(12)(34) p=(14)(23) v=(13)(24)", perms == expected)
+        check("extracted pairings are s=(12)(34) p=(14)(23) v=(13)(24)", perms == expected)
         mult = MultiplierAssignment(
             (Fraction(1),) * 4, (Fraction(1),) * 4, (Fraction(-1),) * 4, quantum=True
         )
         system = build_system(4, "four", PermTriple(*expected), mult)
         outcome = solve_quantum(system)
-        _pass(results, "the extracted system has a nontrivial quantum family", outcome.status == "nontrivial")
-        _pass(
-            results,
+        check("the extracted system has a nontrivial quantum family", outcome.status == "nontrivial")
+        check(
             "the family matches the closed-form four-line factor",
             outcome.family is not None
             and matches_builtin_four_line(outcome.family),
@@ -415,33 +409,36 @@ def cmd_reproduce(args) -> int:
         classical = builtin_q_prop4(2, 3, -1, 7)
         quantum = builtin_q_prop4(2, 3, -1, 7, quantum=True)
         four = PRIMED_LINES["four"]
-        _pass(
-            results,
+        check(
             "closed-form factor is 1 on all four lines (classical)",
             all(r.identically_one for r in check_on_lines(classical, four)),
         )
-        _pass(
-            results,
+        check(
             "closed-form factor is 1 on all four lines (quantum)",
             all(r.identically_one for r in check_on_lines(quantum, four)),
         )
-        _pass(results, "closed-form factor is not permutation symmetric", not check_symmetric(classical))
+        check("closed-form factor is not permutation symmetric", not check_symmetric(classical))
         sys_minus, n, x, y = reference_four_line_assignment(2, 3, 5, 7, 1, 2, 3)
-        _pass(results, "hand-solved minus branch satisfies every equation", verify_solution(sys_minus, n, x, y).ok)
-        _pass(
-            results,
+        check("hand-solved minus branch satisfies every equation", verify_solution(sys_minus, n, x, y).ok)
+        check(
             "minus branch is nontrivial",
             cancel(product_from_assignment(sys_minus, n, x, y)).k > 0,
         )
         sys_plus, n2, x2, y2 = reference_four_line_assignment(2, 3, 5, 7, 1, 2, 3, minus_branch=False)
-        _pass(results, "plus branch satisfies every equation", verify_solution(sys_plus, n2, x2, y2).ok)
-        _pass(
-            results,
+        check("plus branch satisfies every equation", verify_solution(sys_plus, n2, x2, y2).ok)
+        check(
             "plus branch collapses to the trivial factor",
             cancel(product_from_assignment(sys_plus, n2, x2, y2)).k == 0,
         )
-    ok = all(flag for _, flag in results)
-    print(f"{'PASS' if ok else 'FAIL'}  {target}: {sum(f for _, f in results)}/{len(results)} checks")
+    ok = all(flag for _, flag in checks)
+    rows = [f"{'PASS' if flag else 'FAIL'}  {name}" for name, flag in checks]
+    rows.append(f"{'PASS' if ok else 'FAIL'}  {target}: {sum(f for _, f in checks)}/{len(checks)} checks")
+    payload = {
+        "target": target,
+        "ok": ok,
+        "checks": [{"name": name, "ok": flag} for name, flag in checks],
+    }
+    _emit(args, payload, "\n".join(rows))
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 

@@ -25,6 +25,7 @@ from .plane import (
     DegenerateInputError,
     LinearForm,
     ProjPoint,
+    _cross,
     family_line,
     incident,
     meet,
@@ -721,16 +722,16 @@ def _affine_frame(chart: LinearForm):
 
 
 def _solve3(a, b, c, target):
-    """Coordinates of `target` in the basis (a, b, c) of coefficient triples."""
-    from ._linalg import rref
+    """Coordinates of `target` in the basis (a, b, c) of coefficient triples,
+    by Cramer's rule."""
 
-    rows = [
-        [a[i], b[i], c[i], target[i]] for i in range(3)
-    ]
-    mat, pivots = rref([[Fraction(v) for v in row] for row in rows])
-    if pivots != [0, 1, 2]:
+    def det(u, v, w):
+        return sum(x * y for x, y in zip(u, _cross(v, w)))
+
+    d = Fraction(det(a, b, c))
+    if d == 0:
         raise DegenerateInputError("frame is singular")
-    return tuple(mat[i][3] for i in range(3))
+    return (det(target, b, c) / d, det(a, target, c) / d, det(a, b, target) / d)
 
 
 def emit_svg(sketch: IncidenceSketch, path=None, size: int = 720) -> str:

@@ -5,7 +5,9 @@ its value at a point is sign * scalar * prod(num) / prod(den); the quantum
 value replaces every linear factor L by sinh(x * L(point)) and is therefore
 sensitive to the affine representative of the point.  Coefficients divided by
 four are stored inside the forms, so a single representation covers both the
-adjoint formula and the Cartan-power family.
+adjoint formula and the Cartan-power family.  `pair_factors` is the one rule
+for cancelling factors: on the plane (`cancel`), on a line of the plane, and
+along the family lines of Vogel's table (`classical_on_family`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import _poly
 from ._util import rat_from_json, rat_to_json
 from .plane import (
     Basis,
@@ -160,10 +161,13 @@ def eval_quantum(F: FactorProduct, point: ProjPoint, x: float) -> float:
 
     Not projectively scale invariant: the caller's affine representative of
     the point is used as is.  Factors are consumed as num/den pairs so the
-    intermediate magnitudes stay tame.
+    intermediate magnitudes stay tame; a non-finite x, or a value beyond
+    the float range, raises ValueError.
     """
     if not F.quantum:
         raise ValueError("eval_quantum needs a quantum formula")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be a finite number, got {x}")
     if x == 0:
         raise ValueError("x must be nonzero (the x -> 0 limit is eval_classical)")
     point = convert(point, F.basis)
@@ -177,8 +181,13 @@ def eval_quantum(F: FactorProduct, point: ProjPoint, x: float) -> float:
                     f"{side} factor {i} ({forms[i]}) vanishes at {point}"
                 )
     result = float(F.sign)
-    for nv, dv in zip(num_vals, den_vals):
-        result *= _sinh_ratio(x * float(nv), x * float(dv))
+    try:
+        for nv, dv in zip(num_vals, den_vals):
+            result *= _sinh_ratio(x * float(nv), x * float(dv))
+    except OverflowError:
+        result = math.inf
+    if not math.isfinite(result):
+        raise ValueError(f"the value at x = {x} is out of floating-point range")
     return result
 
 
@@ -381,36 +390,44 @@ def x2k_adn_formula(k: int, n: int) -> FactorProduct:
     return FactorProduct(tuple(num), tuple(den), quantum=True, sign=1)
 
 
-def classical_on_family(
-    F: FactorProduct, coords: tuple[_poly.Poly, _poly.Poly, _poly.Poly]
-) -> tuple[_poly.Poly, _poly.Poly]:
-    """Exact value of the product along a one-parameter family of points.
+def classical_on_family(F: FactorProduct, family: str) -> tuple[tuple, tuple]:
+    """Exact value of the product along a family line of `vogel_point`
+    ("sl", "so", "sp" or "exc"), as a reduced ratio of polynomials in the
+    family parameter q: two ascending tuples of Fraction coefficients, the
+    denominator monic and the sign and scalar folded into the numerator.
+    A numerator factor vanishing on the line gives ((), (1,)); a denominator
+    factor vanishing on it raises ZeroDivisionError, also when both do.
 
-    `coords` gives the three coordinates as univariate polynomials in the
-    family parameter (in the product's basis).  Returns the reduced
-    numerator/denominator pair, with the overall sign and scalar folded in;
-    a family lying inside a factor's zero line raises ZeroDivisionError.
+    Every factor restricts to the binary form u + v*q, u its value at the
+    family's parameter-0 point and v its change from there to parameter 1.
+    Such a form is a unit or linear, so irreducible in Q[q]; `pair_factors`
+    cancels the proportional pairs, and the factors it leaves unpaired share
+    no linear factor across the sides, so their quotient is the reduced ratio.
     """
-    num_poly = _poly.const(F.sign * F.scalar)
-    den_poly = _poly.ONE
-    for form in F.num:
-        lin = _form_poly(form, coords)
-        num_poly = _poly.mul(num_poly, lin)
-    for form in F.den:
-        lin = _form_poly(form, coords)
-        den_poly = _poly.mul(den_poly, lin)
-    return _poly.reduce_ratio(num_poly, den_poly)
+    at0, at1 = (convert(vogel_point(family, q).point, F.basis) for q in (0, 1))
+    num, den = (
+        [(f(at0), f(at1) - f(at0)) for f in forms] for forms in (F.num, F.den)
+    )
+    if (0, 0) in den:
+        raise ZeroDivisionError(f"the {family} line lies inside a denominator factor")
+    if (0, 0) in num:
+        return (), (Fraction(1),)
+    pairing, total = pair_factors(num, den, up_to_sign=False)
+    paired = set(pairing)
+    top = _expand(
+        F.sign * F.scalar * total, [form for i, form in enumerate(num) if i not in paired]
+    )
+    bottom = _expand(Fraction(1), [form for form, i in zip(den, pairing) if i is None])
+    lead = bottom[-1]
+    return tuple(c / lead for c in top), tuple(c / lead for c in bottom)
 
 
-def _form_poly(form: LinearForm, coords) -> _poly.Poly:
-    acc = _poly.ZERO
-    for c, coord in zip(form.coeffs, coords):
-        acc = _poly.add(acc, _poly.scale(coord, c))
-    return acc
-
-
-def family_coords(family: str) -> tuple[_poly.Poly, _poly.Poly, _poly.Poly]:
-    """Unprimed coordinates of a family as polynomials in its parameter:
-    each `vogel_point` coordinate is affine in the parameter."""
-    at0, at1 = (vogel_point(family, q).point.coords for q in (0, 1))
-    return tuple(_poly.trim((c0, c1 - c0)) for c0, c1 in zip(at0, at1))
+def _expand(constant: Fraction, forms: list[tuple]) -> list[Fraction]:
+    """Ascending coefficients of constant * prod(u + v*q) over the forms."""
+    poly = [constant]
+    for u, v in forms:
+        if v:
+            poly = [u * a + v * b for a, b in zip(poly + [0], [0] + poly)]
+        else:
+            poly = [u * c for c in poly]
+    return poly

@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-from vogeluniq import _poly
 from vogeluniq.formula import (
     FactorProduct,
     adjoint_formula,
@@ -18,7 +17,6 @@ from vogeluniq.formula import (
     classical_on_family,
     eval_classical,
     eval_quantum,
-    family_coords,
     ratio,
     x2k_adn_formula,
 )
@@ -112,8 +110,8 @@ def test_criterion_1_adjoint_dimensions():
             "sp": (Fraction(0), Fraction(1), Fraction(2)),           # N(2N+1)
         }
         for family, poly in expected_polys.items():
-            num, den = classical_on_family(adj, family_coords(family))
-            assert den == _poly.ONE and num == poly
+            num, den = classical_on_family(adj, family)
+            assert den == (Fraction(1),) and num == poly
 
 
 def test_criterion_2_cartan_power_dimension_counts():

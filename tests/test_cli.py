@@ -59,6 +59,22 @@ def test_eval_quantum_near_zero(capsys):
     assert abs(float(out) - 24) < 1e-6
 
 
+@pytest.mark.parametrize("x,message", [
+    ("nan", "x must be a finite number"),
+    ("inf", "x must be a finite number"),
+    ("-inf", "x must be a finite number"),
+    ("200", "the value at x = 200.0 is out of floating-point range"),  # product is inf
+    ("800", "the value at x = 800.0 is out of floating-point range"),  # math.exp overflows
+])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_eval_quantum_rejects_an_x_without_a_finite_value(capsys, x, message, json_flag):
+    code = main([*json_flag, "eval", "--builtin", "adjoint", "--algebra", "sl",
+                 "--param", "5", "--quantum", f"--x={x}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
 def test_eval_pole_is_a_negative_verdict(capsys):
     code, out = run(capsys, "eval", "--builtin", "adjoint", "--point", "0,1,1")
     assert code == 1
@@ -351,6 +367,16 @@ def test_reproduce_pipelines(capsys, target, checks):
     code, out = run(capsys, "reproduce", target)
     assert code == 0
     assert out.count("PASS") == checks + 1  # per-check lines plus the summary
+
+
+def test_reproduce_json_reports_every_check(capsys):
+    code, payload = run_json(capsys, "reproduce", "P2-k3")
+    assert code == 0
+    assert payload["target"] == "P2-k3" and payload["ok"] is True
+    assert [check["ok"] for check in payload["checks"]] == [True] * 3
+    assert payload["checks"][0]["name"] == (
+        "quantum three-line search at k=1 is exhaustive and empty"
+    )
 
 
 def test_seed_does_not_leak_into_the_environment(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -252,6 +253,17 @@ def test_four_line_sketch_is_a_sixteen_twelve_table():
 def test_sketch_labels_name_the_distinguished_lines():
     sketch = sketch_from_q(builtin_q_prop4(1, 2, 3, 5), PRIMED_LINES["four"])
     assert sketch.line_labels[:4] == ("sl", "so", "exc", "sp")
+
+
+@pytest.mark.parametrize("product,lines,digest", [
+    (builtin_q33(2, 3, 1, 1), "three",
+     "6ca534daef9d4792907164f7a71ff9f86f2d65c3ccb0b8d5ba77074bbd6a4013"),
+    (builtin_q_prop4(1, 2, 3, 5), "four",
+     "6f06542e3be12af44ef318e6498bca19979bef04d657c691a9bdbd5ece2112bc"),
+])
+def test_sketch_svg_is_pinned(product, lines, digest):
+    svg = emit_svg(sketch_from_q(product, PRIMED_LINES[lines]))
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 def test_random_product_is_not_a_picture(rng):

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from vogeluniq import _poly
 from vogeluniq.formula import (
     FactorProduct,
     SingularPointError,
@@ -16,13 +15,12 @@ from vogeluniq.formula import (
     empty_product,
     eval_classical,
     eval_quantum,
-    family_coords,
     multiply,
     pair_factors,
     ratio,
     x2k_adn_formula,
 )
-from vogeluniq.plane import Basis, LinearForm, ProjPoint, vogel_point
+from vogeluniq.plane import FAMILIES, Basis, LinearForm, ProjPoint, vogel_point
 from conftest import rand_rational
 
 
@@ -196,12 +194,12 @@ def test_x2k_rejects_negative_arguments():
 
 def test_adjoint_polynomials_on_family_lines():
     adj = adjoint_formula()
-    num, den = classical_on_family(adj, family_coords("sl"))
-    assert den == _poly.ONE and num == (Fraction(-1), Fraction(0), Fraction(1))  # N^2 - 1
-    num, den = classical_on_family(adj, family_coords("so"))
-    assert den == _poly.ONE and num == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
-    num, den = classical_on_family(adj, family_coords("sp"))
-    assert den == _poly.ONE and num == (Fraction(0), Fraction(1), Fraction(2))
+    num, den = classical_on_family(adj, "sl")
+    assert den == (Fraction(1),) and num == (Fraction(-1), Fraction(0), Fraction(1))  # N^2 - 1
+    num, den = classical_on_family(adj, "so")
+    assert den == (Fraction(1),) and num == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
+    num, den = classical_on_family(adj, "sp")
+    assert den == (Fraction(1),) and num == (Fraction(0), Fraction(1), Fraction(2))
 
 
 def test_adjoint_family_polynomials_against_sympy():
@@ -218,11 +216,84 @@ def test_adjoint_family_polynomials_against_sympy():
             -((2 * a + 2 * b + c) * (2 * a + b + 2 * c) * (a + 2 * b + 2 * c)) / (a * b * c)
         )
         assert sympy.simplify(expr - expected[family]) == 0
-        num, den = classical_on_family(adjoint_formula(), family_coords(family))
+        num, den = classical_on_family(adjoint_formula(), family)
         mine = sum(co * N**i for i, co in enumerate(num)) / sum(
             co * N**i for i, co in enumerate(den)
         )
         assert sympy.simplify(mine - expected[family]) == 0
+
+
+def _family_oracle(sympy, F, family):
+    """sympy's reduction of F along a family line, in the format of
+    `classical_on_family`; None where a denominator factor vanishes there."""
+    N = sympy.Symbol("N")
+    point = {
+        "sl": (-2, 2, N),
+        "so": (-2, 4, N - 4),
+        "sp": (-2, 1, N + 2),
+        "exc": (-2, N + 4, 2 * N + 4),
+    }[family]
+    value = lambda form: sympy.expand(
+        sum(sympy.Rational(q) * x for q, x in zip(form.coeffs, point))
+    )
+    num, den = [value(f) for f in F.num], [value(f) for f in F.den]
+    if 0 in den:
+        return None
+    if 0 in num:
+        return (), (Fraction(1),)
+    top, bottom = sympy.fraction(
+        sympy.cancel(F.sign * sympy.Rational(F.scalar) * sympy.Mul(*num) / sympy.Mul(*den))
+    )
+    top, bottom = sympy.Poly(top, N), sympy.Poly(bottom, N)
+    lead = bottom.LC()
+    ascending = lambda poly: tuple(Fraction(str(q / lead)) for q in reversed(poly.all_coeffs()))
+    return ascending(top), ascending(bottom)
+
+
+def _on_family(F, family):
+    try:
+        return classical_on_family(F, family)
+    except ZeroDivisionError:
+        return None
+
+
+def test_family_reduction_against_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    products = [adjoint_formula()]
+    for k in range(3):
+        for n in range(3):
+            limit = classical_limit(x2k_adn_formula(k, n))
+            products += [limit, cancel(limit)]
+    products += [_repeated_class_product(rng, quantum=False) for _ in range(60)]
+    outcomes = Counter()
+    for F in products:
+        for family in FAMILIES:
+            expected = _family_oracle(sympy, F, family)
+            assert _on_family(F, family) == expected, (F, family)
+            outcomes["pole" if expected is None else "zero" if not expected[0] else "value"] += 1
+    # both vanishing cases occur, and most cases reduce to a value
+    assert outcomes["pole"] and outcomes["zero"] and outcomes["value"] > 200
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_reduction_does_not_depend_on_the_basis(family, rng):
+    products = [adjoint_formula(), cancel(classical_limit(x2k_adn_formula(1, 1)))]
+    products += [_repeated_class_product(rng, quantum=False) for _ in range(20)]
+    for F in products:
+        assert _on_family(convert_product(F, Basis.PRIMED), family) == _on_family(F, family)
+
+
+def test_family_reduction_of_factors_vanishing_on_the_line():
+    sl, other = LinearForm((1, 1, 0)), LinearForm((0, 0, 1))
+    for basis in Basis:
+        on_line = lambda num, den: classical_on_family(
+            convert_product(FactorProduct(num, den), basis), "sl"
+        )
+        assert on_line((sl, other), (other, other)) == ((), (Fraction(1),))
+        with pytest.raises(ZeroDivisionError):
+            on_line((other,), (sl,))
+        with pytest.raises(ZeroDivisionError):
+            on_line((sl,), (sl,))
 
 
 # --- product algebra ----------------------------------------------------------------
