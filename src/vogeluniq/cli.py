@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 from ._util import parse_rational, rat_to_json
@@ -350,11 +351,21 @@ def cmd_vogel_table(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    """Run a target's checks.  A check's seconds run from the previous check
+    (or the start) to it, so they include the work its verdict rests on;
+    they go to the JSON payload, or to stderr as each check completes, so
+    the text on stdout does not depend on timing."""
     target = args.target
-    checks: list[tuple[str, bool]] = []
+    checks: list[dict] = []
+    last = time.perf_counter()
 
     def check(name: str, ok: bool) -> None:
-        checks.append((name, ok))
+        nonlocal last
+        now = time.perf_counter()
+        checks.append({"name": name, "ok": ok, "seconds": now - last})
+        if not args.json:
+            print(f"{now - last:8.3f} s  {name}", file=sys.stderr)
+        last = now
 
     if target == "P1-remark":
         entries = survey_k3_classical()
@@ -430,15 +441,10 @@ def cmd_reproduce(args) -> int:
             "plus branch collapses to the trivial factor",
             cancel(product_from_assignment(sys_plus, n2, x2, y2)).k == 0,
         )
-    ok = all(flag for _, flag in checks)
-    rows = [f"{'PASS' if flag else 'FAIL'}  {name}" for name, flag in checks]
-    rows.append(f"{'PASS' if ok else 'FAIL'}  {target}: {sum(f for _, f in checks)}/{len(checks)} checks")
-    payload = {
-        "target": target,
-        "ok": ok,
-        "checks": [{"name": name, "ok": flag} for name, flag in checks],
-    }
-    _emit(args, payload, "\n".join(rows))
+    ok = all(c["ok"] for c in checks)
+    rows = [f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']}" for c in checks]
+    rows.append(f"{'PASS' if ok else 'FAIL'}  {target}: {sum(c['ok'] for c in checks)}/{len(checks)} checks")
+    _emit(args, {"target": target, "ok": ok, "checks": checks}, "\n".join(rows))
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 

@@ -13,22 +13,26 @@ with multiplier products equal to one; requiring 1 on the fourth line
 
 In the quantum case every multiplier is +-1, which turns the search into a
 finite enumeration over permutation tuples and sign vectors.  All its
-coefficients are then integers in {0, +-1, +-3}: each case is solved by
-fraction-free integer elimination and decided by exact tests (degeneracy,
-and nontriviality by pairing the factors' linear maps up to sign), so the
-search draws no random numbers and its result does not depend on a seed;
-Fraction vectors are built only for the families it returns.  The y
-relations never mix with the (n, x) relations, and a case whose y block has
-only the zero solution is trivial, so most cases are decided by a sign
-check on the orbits of <s, v> with no elimination at all.  The classical
-multipliers form a continuum; they are verified rather than searched, except
-for the dedicated k = 3 survey which decides nontriviality stratum by
-stratum, exactly, at one point with distinct prime coordinates.
+coefficients are then integers in {0, +-1, +-3}.  Each three-line relation
+has two +-1 terms, a signed edge between two unknowns, so the three-line
+space is read off the components of three signed graphs (n, x and y) with
+no elimination; the fourth-line relations, applied to that integer basis,
+are solved by fraction-free integer elimination.  Each case is decided by
+exact tests (degeneracy, and nontriviality by pairing the factors' linear
+maps up to sign), so the search draws no random numbers and its result does
+not depend on a seed; Fraction vectors are built only for the families it
+returns.  The y relations never mix with the (n, x) relations, and a case
+whose y block has only the zero solution is trivial, so most cases are
+decided by a sign check on the orbits of <s, v> with no basis at all.
+The classical multipliers form a continuum; they are verified rather than
+searched, except for the dedicated k = 3 survey which decides nontriviality
+stratum by stratum, exactly, at one point with distinct prime coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -538,13 +542,19 @@ def enumerate_families(
     dedup off iterates every raw tuple.  Every case is decided exactly.  A
     case whose y block has only the zero solution is trivial, and the
     screen of `_y_orbits` decides that without elimination, for a whole
-    class at once where (s, kmul) alone leaves y empty.  Every other case is
-    solved by integer elimination and decided by the exact tests of
-    `_degeneracy` and `_keeps_a_factor`.  Nothing is sampled, so `seed` is
-    accepted but changes nothing.  Iteration order, and therefore the
-    output, is deterministic.  `budget` caps the number of examined cases,
-    counted in index order whether screened or solved, and flags the result
-    incomplete when exceeded (budgeted runs are serial).
+    class at once where (s, kmul) alone leaves y empty.  Every other class
+    gets its three-line integer basis from signed-graph components
+    (`_three_line_base`); a three-line case is decided on that basis, and a
+    four-line case on the space its fourth-line rows cut out of it by
+    integer elimination, by the exact tests of `_degeneracy` and
+    `_keeps_a_factor`.  A found family is built by `solve_quantum`.
+    Nothing is sampled, so `seed` is accepted but changes nothing.
+    Iteration order, and therefore the output, is deterministic.  `budget`
+    caps the number of examined cases, counted in index order whether
+    screened or solved, and flags the result incomplete when exceeded
+    (budgeted runs are serial).  Unbudgeted runs with threads > 1 deal the
+    classes into `threads` chunks and run them on a process pool of at most
+    `os.cpu_count()` workers.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -560,7 +570,8 @@ def enumerate_families(
     if threads > 1 and budget is None:
         chunks = [stage1[i::threads] for i in range(threads)]
         args = [(k, lines, chunk, None) for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=len(args)) as pool:
+        # The pool starts all its workers at once: no more than the cores.
+        with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_enumerate_chunk, args))
         found = [item for part in parts for item in part[0]]
         cases = sum(part[1] for part in parts)
@@ -595,7 +606,7 @@ def _enumerate_chunk(args):
                 return found, budget, False
             cases += len(stage2)
             continue
-        base = int_nullspace(_dense_rows(k, _relation_terms(k, s, p, c, km)), 3 * k)
+        base = _three_line_base(k, s, p, c, km)
         if four:
             choices = _fourth_line_choices(k, s, p, c, km, base)
             y_nonzero = y_nonzero_of.get((s, km))  # the y block involves only s, km, v and r
@@ -621,6 +632,48 @@ def _enumerate_chunk(args):
     return found, cases, True
 
 
+def _signed_components(n, edges) -> tuple[list, dict]:
+    """The components of a signed graph on the vertices 0..n-1, whose edge
+    (i, j, parity, mask) says value_j = value_i times (-1)^parity times the
+    product of the r_l with bit l set in mask.
+
+    Returns (label, conditions).  label[i] = (root, parity, mask) gives the
+    sign of value_i relative to its component's least vertex, the root, as
+    the XOR of the edges on a spanning-tree path.  conditions maps each
+    root, in increasing order, to the set of (mask, parity) conditions its
+    edges impose: an edge is consistent with the labels exactly when its
+    condition holds, that is when the number of negative r_l with bit l set
+    in mask has that parity, and a tree edge's condition is (0, 0).  A
+    component carries a nonzero solution exactly when all its conditions
+    hold; with no masks that is when (0, 1), a cycle of odd sign, is not
+    among them (Harary's balance).  A self-loop of sign -1 gives (0, 1), so
+    it forces its component to zero, and one of sign +1 gives (0, 0)."""
+    adjacent = [[] for _ in range(n)]
+    for i, j, parity, mask in edges:
+        adjacent[i].append((j, parity, mask))
+        adjacent[j].append((i, parity, mask))
+    label = [None] * n
+    conditions = {}
+    for root in range(n):
+        if label[root] is not None:
+            continue
+        label[root] = (root, 0, 0)
+        conditions[root] = set()
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            _, parity_i, mask_i = label[i]
+            for j, parity, mask in adjacent[i]:
+                if label[j] is None:
+                    label[j] = (root, parity_i ^ parity, mask_i ^ mask)
+                    stack.append(j)
+    for i, j, parity, mask in edges:
+        root, parity_i, mask_i = label[i]
+        _, parity_j, mask_j = label[j]
+        conditions[root].add((mask_i ^ mask_j ^ mask, parity_i ^ parity_j ^ parity))
+    return label, conditions
+
+
 def _y_orbits(k, s, km, v=None) -> list[list[tuple[int, int]]]:
     """The orbits of <s, v> on which the y block can be nonzero, each as
     its sign conditions on the fourth-line multipliers r.
@@ -644,31 +697,48 @@ def _y_orbits(k, s, km, v=None) -> list[list[tuple[int, int]]]:
     edges = [(i, s[i], int(km[i] < 0), 0) for i in range(k)]
     if v is not None:
         edges += [(i, v[i], 0, 1 << i) for i in range(k)]
-    adjacent = [[] for _ in range(k)]
-    for i, j, parity, mask in edges:
-        adjacent[i].append((j, parity, mask))
-        adjacent[j].append((i, parity, mask))
-    # label[i] = (first index of the orbit, sign of y_i relative to it as
-    # a parity and a mask over r)
-    label = [None] * k
-    for root in range(k):
-        if label[root] is not None:
-            continue
-        label[root] = (root, 0, 0)
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            _, parity_i, mask_i = label[i]
-            for j, parity, mask in adjacent[i]:
-                if label[j] is None:
-                    label[j] = (root, parity_i ^ parity, mask_i ^ mask)
-                    stack.append(j)
-    conditions = {}
-    for i, j, parity, mask in edges:
-        root, parity_i, mask_i = label[i]
-        _, parity_j, mask_j = label[j]
-        conditions.setdefault(root, set()).add((mask_i ^ mask_j ^ mask, parity_i ^ parity_j ^ parity))
+    _, conditions = _signed_components(k, edges)
     return [sorted(conds - {(0, 0)}) for conds in conditions.values() if (0, 1) not in conds]
+
+
+def _three_line_base(k, s, p, c, km) -> list[list[int]]:
+    """The integer basis of the three-line solution space of +-1
+    multipliers, read off signed-graph components: exactly the list
+    `int_nullspace` returns for the rows of `_relation_terms`.
+
+    Each relation has two terms, ca v_a + cb v_b = 0 with ca, cb = +-1,
+    which is the signed edge v_b = -(ca cb) v_a; the x, y and n relations
+    make three graphs on disjoint unknowns.  On a component every value is +-1 times
+    the root's, so the component spans one dimension of solutions when it
+    is balanced and forces zero when it is not (`_signed_components`), and
+    the space is spanned by the balanced components' +-1 vectors, whose
+    supports are disjoint.  The basis here gives each such vector +1 at its
+    component's largest unknown and sorts the vectors by that index.
+
+    That is `int_nullspace`'s basis.  Elimination takes the leftmost
+    pivots: a column is free exactly when some solution has its last
+    nonzero entry there.  A solution is a combination of component vectors
+    with disjoint supports, so its last nonzero entry is the largest
+    unknown of one of them: the free columns are the largest unknowns of
+    the balanced components.  The basis vector of a free column is the
+    solution with 1 there and 0 at the other free columns, which is that
+    component's vector scaled to +1 there; it is primitive, and its free
+    entry is positive, as `int_nullspace` makes it.  Vectors come in the
+    order of their free columns."""
+    edges = [
+        (a, b, int(ca * cb > 0), 0) for (a, ca), (b, cb) in _relation_terms(k, s, p, c, km)
+    ]
+    label, conditions = _signed_components(3 * k, edges)
+    vectors = {}  # root -> (vector, parity at the largest unknown)
+    for u in reversed(range(3 * k)):
+        root, parity, _ = label[u]
+        if (0, 1) in conditions[root]:
+            continue
+        if root not in vectors:
+            vectors[root] = ([0] * (3 * k), parity)
+        vec, top = vectors[root]
+        vec[u] = -1 if parity ^ top else 1
+    return [vec for vec, _ in reversed(vectors.values())]
 
 
 def _fourth_line_choices(k, s, p, c, km, base) -> dict:
@@ -711,14 +781,17 @@ def _extends(k, s, km, base, reduced, four: bool) -> bool:
     integer three-line basis `base` (none for a three-line system), cut its
     space down to a nonempty, nondegenerate and nontrivial family.  The
     tests run on the integer basis of the cut-down space lifted from
-    `base`, as neither depends on the basis."""
-    lifted = []
-    for vec in int_nullspace(reduced, len(base)):
-        out = None
-        for t, b in zip(vec, base):
-            if t:
-                out = [t * a for a in b] if out is None else [o + t * a for o, a in zip(out, b)]
-        lifted.append(out)
+    `base`, as neither depends on the basis; with no rows that space is
+    `base` itself."""
+    lifted = base
+    if reduced:
+        lifted = []
+        for vec in int_nullspace(reduced, len(base)):
+            out = None
+            for t, b in zip(vec, base):
+                if t:
+                    out = [t * a for a in b] if out is None else [o + t * a for o, a in zip(out, b)]
+            lifted.append(out)
     if not lifted:
         return False
     cols = list(zip(*lifted))

@@ -370,13 +370,26 @@ def test_reproduce_pipelines(capsys, target, checks):
 
 
 def test_reproduce_json_reports_every_check(capsys):
-    code, payload = run_json(capsys, "reproduce", "P2-k3")
-    assert code == 0
+    assert main(["--json", "reproduce", "P2-k3"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert captured.err == ""
     assert payload["target"] == "P2-k3" and payload["ok"] is True
     assert [check["ok"] for check in payload["checks"]] == [True] * 3
     assert payload["checks"][0]["name"] == (
         "quantum three-line search at k=1 is exhaustive and empty"
     )
+    assert all(check["seconds"] >= 0 for check in payload["checks"])
+    # The text run keeps stdout free of timing and reports it on stderr.
+    assert main(["reproduce", "P2-k3"]) == 0
+    captured = capsys.readouterr()
+    names = [check["name"] for check in payload["checks"]]
+    assert captured.out.splitlines() == [f"PASS  {name}" for name in names] + [
+        "PASS  P2-k3: 3/3 checks"
+    ]
+    timings = [line.split(" s  ", 1) for line in captured.err.splitlines()]
+    assert [name for _, name in timings] == names
+    assert all(float(seconds) >= 0 for seconds, _ in timings)
 
 
 def test_seed_does_not_leak_into_the_environment(capsys, monkeypatch):

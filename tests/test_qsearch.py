@@ -1,4 +1,5 @@
 import itertools
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -348,6 +349,32 @@ def test_threaded_enumeration_matches_serial(k, lines):
     assert serial.complete and threaded.complete
 
 
+@pytest.mark.parametrize("threads,cpus,workers", [(5000, 3, 3), (5000, None, 1), (2, 3, 2)])
+def test_pool_starts_no_more_workers_than_cores(monkeypatch, threads, cpus, workers):
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(qsearch, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    result = enumerate_families(3, "three", threads=threads)
+    assert sizes == [workers]
+    assert result == enumerate_families(3, "three", threads=1)
+
+
 # The nontrivial k = 4 three-line families, one case per stage-1 class, as
 # found by an independent exact search (bench/oracle.py).
 K4_THREE_LINE_CASES = [
@@ -409,6 +436,34 @@ def test_stage1_k4_class_count_and_stabilizers():
     assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
     sizes = Counter(len(cls[5]) for cls in classes)
     assert sizes == {1: 1408, 2: 168, 3: 16, 4: 148, 8: 12, 24: 4}
+
+
+def _base_cases():
+    """Every raw three-line tuple for k <= 3 and every k = 4 stage-1 class."""
+    for k in (1, 2, 3):
+        for _, s, p, c, km, _ in _stage1_classes(k, dedup=False):
+            yield k, s, p, c, km
+    for _, s, p, c, km, _ in _stage1_classes(4):
+        yield 4, s, p, c, km
+
+
+def test_three_line_base_is_the_elimination_basis():
+    """The signed-graph base equals `int_nullspace` on the three-line rows,
+    vector for vector; a base normalized at each component's smallest
+    unknown instead would fail the comparison."""
+    cases = nonempty_y = renormalized_differs = 0
+    for k, s, p, c, km in _base_cases():
+        base = qsearch._three_line_base(k, s, p, c, km)
+        rows = qsearch._dense_rows(k, qsearch._relation_terms(k, s, p, c, km))
+        assert base == int_nullspace(rows, 3 * k), (k, s, p, c, km)
+        y_nonzero = any(any(vec[2 * k :]) for vec in base)
+        assert bool(qsearch._y_orbits(k, s, km)) == y_nonzero
+        renormalized = [[a * next(b for b in vec if b) for a in vec] for vec in base]
+        renormalized_differs += renormalized != base
+        nonempty_y += y_nonzero
+        cases += 1
+    assert cases == 593 + 1756
+    assert nonempty_y and renormalized_differs
 
 
 def _screen_cases():
