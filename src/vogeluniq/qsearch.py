@@ -13,20 +13,21 @@ with multiplier products equal to one; requiring 1 on the fourth line
 
 In the quantum case every multiplier is +-1, which turns the search into a
 finite enumeration over permutation tuples and sign vectors.  All its
-coefficients are then integers in {0, +-1, +-3}.  Each three-line relation
-has two +-1 terms, a signed edge between two unknowns, so the three-line
-space is read off the components of three signed graphs (n, x and y) with
-no elimination; the fourth-line relations, applied to that integer basis,
-are solved by fraction-free integer elimination.  Each case is decided by
-exact tests (degeneracy, and nontriviality by pairing the factors' linear
-maps up to sign), so the search draws no random numbers and its result does
-not depend on a seed; Fraction vectors are built only for the families it
-returns.  The y relations never mix with the (n, x) relations, and a case
-whose y block has only the zero solution is trivial, so most cases are
-decided by a sign check on the orbits of <s, v> with no basis at all.
-The classical multipliers form a continuum; they are verified rather than
-searched, except for the dedicated k = 3 survey which decides nontriviality
-stratum by stratum, exactly, at one point with distinct prime coordinates.
+coefficients are then integers in {0, +-1, +-3}.  Each three-line relation,
+and y_i = r_i y_{v(i)}, has two +-1 terms, a signed edge between two
+unknowns, so those spaces are read off the components of signed graphs
+(n, x and y) with no elimination.  The y relations never mix with the
+(n, x) relations: a case whose y block is zero is trivial, which a sign
+check on the orbits of <s, v> decides for most cases, and only the k mixed
+fourth-line rows, over the balanced n and x components, are solved by
+fraction-free integer elimination.  Each case is decided by exact tests
+(degeneracy, and nontriviality by pairing the factors' linear maps up to
+sign), so the search draws no random numbers and its result does not
+depend on a seed; Fraction vectors are built only for the families it
+returns.  The classical multipliers form a continuum; they are verified
+rather than searched, except for the dedicated k = 3 survey which decides
+nontriviality stratum by stratum, exactly, at one point with distinct prime
+coordinates.
 """
 
 from __future__ import annotations
@@ -170,19 +171,18 @@ def _label(k: int, e: int) -> str:
     return _FOURTH_LINE_LABELS[(e - 3 * k) % 2].format(i=(e - 3 * k) // 2)
 
 
-def _relation_terms(k: int, s, p, c, km, v=None, r=None, base: bool = True) -> list[tuple]:
+def _relation_terms(k: int, s, p, c, km, v=None, r=None) -> list[tuple]:
     """The relations of a system as (unknown, coefficient) terms, one tuple
     per equation, with the coefficients of a repeated unknown to be summed:
-    for each i the three-line relations (left out with base=False), then,
-    given v and r, the fourth-line relations for each i.  This is the order
-    of the label templates above.  Coefficients are integers for integer
-    (+-1) multipliers."""
+    for each i the three-line relations, then, given v and r, the
+    fourth-line relations for each i.  This is the order of the label
+    templates above.  Coefficients are integers for integer (+-1)
+    multipliers."""
     rows = []
-    if base:
-        for i in range(k):
-            rows.append(((k + i, 1), (k + p[i], -c[i])))
-            rows.append(((2 * k + i, 1), (2 * k + s[i], -km[i])))
-            rows.append(((s[i], km[i]), (p[i], -c[i])))
+    for i in range(k):
+        rows.append(((k + i, 1), (k + p[i], -c[i])))
+        rows.append(((2 * k + i, 1), (2 * k + s[i], -km[i])))
+        rows.append(((s[i], km[i]), (p[i], -c[i])))
     if v is not None:
         for i in range(k):
             rows.append(((2 * k + i, 1), (2 * k + v[i], -r[i])))
@@ -307,7 +307,7 @@ class SolveOutcome:
 def _columns(k: int, vectors) -> list[tuple]:
     """Each unknown's values across the basis vectors: its linear map of the
     family parameters."""
-    return [tuple(vec[u] for vec in vectors) for u in range(3 * k)]
+    return list(zip(*vectors)) if vectors else [()] * (3 * k)
 
 
 def _factor_maps(k: int, s, km, cols) -> tuple[list, list]:
@@ -455,25 +455,19 @@ def _conj_perm(tau: Perm, sigma: Perm) -> Perm:
     return tuple(tau[sigma[inv[j]]] for j in range(len(tau)))
 
 
-def _conj_vec(tau: Perm, vec: tuple) -> tuple:
-    inv = perm_inverse(tau)
-    return tuple(vec[inv[j]] for j in range(len(tau)))
-
-
 @dataclass(frozen=True)
 class _Relabelings:
     """Index tables of the simultaneous relabelings tau of the k factors.
     Relabeling factor i as tau(i) maps a pairing sigma to tau sigma tau^-1
     and a sign vector to the one holding vec[i] at tau(i).  `perms` is in
     lexicographic order, so perm indices compare like the tuples; `signs` is
-    in sign_vectors order, and `sign_rank` ranks it in tuple order."""
+    in sign_vectors order, and `by_rank` lists its indices in tuple order."""
 
     perms: list[Perm]
     signs: list[tuple[int, ...]]
-    perm_index: dict[Perm, int]
     perm_image: list[list[int]]  # [t][i]: index of the image of perms[i] under perms[t]
     sign_image: list[list[int]]  # [t][j]: index of the image of signs[j] under perms[t]
-    sign_rank: list[int]
+    by_rank: list[int]
 
 
 def _relabelings(k: int) -> _Relabelings:
@@ -482,47 +476,53 @@ def _relabelings(k: int) -> _Relabelings:
     perm_index = {perm: i for i, perm in enumerate(perms)}
     sign_index = {vec: j for j, vec in enumerate(signs)}
     perm_image = [[perm_index[_conj_perm(tau, sigma)] for sigma in perms] for tau in perms]
-    sign_image = [[sign_index[_conj_vec(tau, vec)] for vec in signs] for tau in perms]
-    sign_rank = [0] * len(signs)
-    for rank, j in enumerate(sorted(range(len(signs)), key=signs.__getitem__)):
-        sign_rank[j] = rank
-    return _Relabelings(perms, signs, perm_index, perm_image, sign_image, sign_rank)
+    sign_image = [
+        [sign_index[tuple(vec[i] for i in perm_inverse(tau))] for vec in signs] for tau in perms
+    ]
+    by_rank = sorted(range(len(signs)), key=signs.__getitem__)
+    return _Relabelings(perms, signs, perm_image, sign_image, by_rank)
 
 
-def _stage1_classes(k: int, dedup: bool = True) -> list[tuple]:
+def _orbit_minima(items, images) -> list[tuple[int, list[int]]]:
+    """Each orbit's first member in `items`, with the positions where
+    `images(item)`, its images under the group's elements, fix it."""
+    seen = set()
+    minima = []
+    for item in items:
+        if item not in seen:
+            row = images(item)
+            seen.update(row)
+            minima.append((item, [g for g, image in enumerate(row) if image == item]))
+    return minima
+
+
+def _stage1_classes(k: int, dedup: bool = True, rel: _Relabelings | None = None) -> list[tuple]:
     """Three-line classes as (flat index, s, p, c, kmul, stabilizer), in flat
     order, where the flat index numbers the tuples (s, p, c, kmul) of
-    permutations x permutations x sign vectors x sign vectors.
+    permutations x permutations x sign vectors x sign vectors.  `rel` is
+    `_relabelings(k)`, built here when not given.
 
-    With dedup, each orbit under simultaneous relabeling is swept once and
-    gives one class: its minimum in tuple order, with the relabelings that
-    fix it, in lexicographic order.  The tuples are visited in tuple order,
-    so the first unseen tuple of an orbit is its minimum.  Without dedup
-    every tuple is a class with an empty stabilizer."""
-    rel = _relabelings(k)
+    With dedup, each orbit under simultaneous relabeling gives one class:
+    its minimum in tuple order, with the relabelings that fix it, in
+    lexicographic order.  Its pairings (s, p) are the least of their
+    conjugation orbit, and its signs (c, kmul) the least of their orbit
+    under the stabilizer of (s, p), so each sweep takes only that group.
+    Without dedup the group is empty: every tuple is a class."""
+    rel = rel or _relabelings(k)
     perms, signs = rel.perms, rel.signs
-    if not dedup:
-        return [
-            (flat, s, p, c, km, ())
-            for flat, (s, p, c, km) in enumerate(itertools.product(perms, perms, signs, signs))
-        ]
     n_p, n_s = len(perms), len(signs)
-    tables = list(zip(perms, rel.perm_image, rel.sign_image))
-    by_rank = sorted(range(n_s), key=rel.sign_rank.__getitem__)
-    seen = bytearray(n_p * n_p * n_s * n_s)
+    sign_pairs = [j_c * n_s + j_k for j_c in rel.by_rank for j_k in rel.by_rank]
+    perm_images = rel.perm_image if dedup else []
+    pair_images = lambda pair: [pi[pair // n_p] * n_p + pi[pair % n_p] for pi in perm_images]
     classes = []
-    for i_s, i_p, j_c, j_k in itertools.product(range(n_p), range(n_p), by_rank, by_rank):
-        flat = ((i_s * n_p + i_p) * n_s + j_c) * n_s + j_k
-        if seen[flat]:
-            continue
-        stab = []
-        for tau, pi, si in tables:
-            image = ((pi[i_s] * n_p + pi[i_p]) * n_s + si[j_c]) * n_s + si[j_k]
-            seen[image] = 1
-            if image == flat:
-                stab.append(tau)
-        classes.append((flat, perms[i_s], perms[i_p], signs[j_c], signs[j_k], tuple(stab)))
-    classes.sort(key=lambda cls: cls[0])
+    for pair, group in _orbit_minima(range(n_p * n_p), pair_images):
+        tables = [rel.sign_image[t] for t in group]
+        sign_images = lambda sp: [si[sp // n_s] * n_s + si[sp % n_s] for si in tables]
+        classes += sorted(
+            (pair * n_s * n_s + sp, perms[pair // n_p], perms[pair % n_p], signs[sp // n_s],
+             signs[sp % n_s], tuple(perms[group[h]] for h in stab))
+            for sp, stab in _orbit_minima(sign_pairs, sign_images)
+        )
     return classes
 
 
@@ -537,28 +537,21 @@ def enumerate_families(
     """Exhaustive quantum search over permutation tuples and sign vectors.
 
     With dedup on, permutation tuples are reduced to class representatives
-    under simultaneous factor relabeling, and within a surviving three-line
-    class the fourth-line choices are deduplicated by the class stabilizer;
-    dedup off iterates every raw tuple.  Every case is decided exactly.  A
-    case whose y block has only the zero solution is trivial, and the
-    screen of `_y_orbits` decides that without elimination, for a whole
-    class at once where (s, kmul) alone leaves y empty.  Every other class
-    gets its three-line integer basis from signed-graph components
-    (`_three_line_base`); a three-line case is decided on that basis, and a
-    four-line case on the space its fourth-line rows cut out of it by
-    integer elimination, by the exact tests of `_degeneracy` and
-    `_keeps_a_factor`.  A found family is built by `solve_quantum`.
-    Nothing is sampled, so `seed` is accepted but changes nothing.
-    Iteration order, and therefore the output, is deterministic.  `budget`
-    caps the number of examined cases, counted in index order whether
-    screened or solved, and flags the result incomplete when exceeded
-    (budgeted runs are serial).  Unbudgeted runs with threads > 1 deal the
-    classes into `threads` chunks and run them on a process pool of at most
-    `os.cpu_count()` workers.
+    under simultaneous factor relabeling (`_stage1_classes`), and within a
+    surviving three-line class the fourth-line choices are deduplicated by
+    the class stabilizer; dedup off iterates every raw tuple.  Every case
+    is decided exactly, as `_enumerate_chunk` describes, and a found family
+    is built by `solve_quantum`.  Nothing is sampled, so `seed` is accepted
+    but changes nothing.  Iteration order, and therefore the output, is
+    deterministic.  `budget` caps the number of examined cases, counted in
+    index order whether screened or solved, and flags the result incomplete
+    when exceeded (budgeted runs are serial).  Unbudgeted runs with
+    threads > 1 deal the classes into `threads` chunks and run them on a
+    process pool of at most `os.cpu_count()` workers.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if k > 5:  # stage 1 marks (k!)^2 * 4^(k-1) tuples: 531 MB at k = 6
+    if k > 5:  # k = 6 has 755,284 classes with up to 23,040 stage-2 cases each
         raise ValueError(f"k must be at most 5, got {k}")
     if lines not in ("three", "four"):
         raise ValueError("lines must be 'three' or 'four'")
@@ -566,10 +559,11 @@ def enumerate_families(
         raise ValueError(f"budget must be at least 0, got {budget}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    stage1 = _stage1_classes(k, dedup)
+    rel = _relabelings(k)
+    stage1 = _stage1_classes(k, dedup, rel)
     if threads > 1 and budget is None:
         chunks = [stage1[i::threads] for i in range(threads)]
-        args = [(k, lines, chunk, None) for chunk in chunks if chunk]
+        args = [(k, lines, chunk, None, rel) for chunk in chunks if chunk]
         # The pool starts all its workers at once: no more than the cores.
         with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_enumerate_chunk, args))
@@ -577,55 +571,48 @@ def enumerate_families(
         cases = sum(part[1] for part in parts)
         complete = all(part[2] for part in parts)
     else:
-        found, cases, complete = _enumerate_chunk((k, lines, stage1, budget))
+        found, cases, complete = _enumerate_chunk((k, lines, stage1, budget, rel))
     found.sort(key=lambda item: item[0])
     families = tuple(FoundFamily(idx, system, family) for idx, system, family in found)
     return EnumerationResult(families, complete, cases)
 
 
 def _enumerate_chunk(args):
-    """Worker: process three-line classes; returns (found, cases, complete)
-    where found holds (global_case_index, system, family) triples.  A
-    three-line class is one case; a four-line class has one case per
-    fourth-line choice."""
-    k, lines, entries, budget = args
+    """Worker: process three-line classes with the relabeling tables `rel`;
+    returns (found, cases, complete) where found holds (global_case_index,
+    system, family) triples.  A three-line class is one case, decided on
+    its three-line base; a four-line class has one case per fourth-line
+    choice (v, r), decided on `_four_line_columns`.  A case whose y block
+    is zero is trivial (`_y_orbits`), for a whole class at once where
+    (s, kmul) alone leaves y zero."""
+    k, lines, entries, budget, rel = args
     four = lines == "four"
-    rel = _relabelings(k)
     per_class = len(rel.perms) * len(rel.signs) if four else 1
-    negatives = {r: sum(1 << i for i, sign in enumerate(r) if sign < 0) for r in rel.signs}
     found = []
     cases = 0
     stage2_of = {}  # trivial stabilizers are all one tuple, so they share an entry
-    y_nonzero_of = {}
+    y_columns_of = {}  # the y block involves only s, km, v and r
     for flat, s, p, c, km, stab in entries:
         if stab not in stage2_of:
             stage2_of[stab] = _stage2_cases(rel, stab) if four else [(None, None)]
         stage2 = stage2_of[stab]
-        if not _y_orbits(k, s, km):  # no case of the class can extend
+        if not _y_orbits(k, s, km)[1]:  # no case of the class can extend
             if budget is not None and cases + len(stage2) > budget:
                 return found, budget, False
             cases += len(stage2)
             continue
         base = _three_line_base(k, s, p, c, km)
         if four:
-            choices = _fourth_line_choices(k, s, p, c, km, base)
-            y_nonzero = y_nonzero_of.get((s, km))  # the y block involves only s, km, v and r
-            if y_nonzero is None:
-                y_nonzero = y_nonzero_of[s, km] = {
-                    (v, r)
-                    for v in rel.perms
-                    for orbit in _y_orbits(k, s, km, v)
-                    for r in rel.signs
-                    if all((negatives[r] & mask).bit_count() & 1 == parity for mask, parity in orbit)
-                }
+            if (s, km) not in y_columns_of:
+                y_columns_of[s, km] = _y_columns(k, s, km, rel)
+            y_columns = y_columns_of[s, km]
+            nx = _nx_part(k, p, c, base)
         for local_index, (v, r) in enumerate(stage2):
             if budget is not None and cases >= budget:
                 return found, cases, False
             cases += 1
-            if four and (v, r) not in y_nonzero:
-                continue
-            rows = [row for i in range(k) for row in choices[v[i], r[i]][i]] if four else []
-            if _extends(k, s, km, base, rows, four):
+            cols = _four_line_columns(k, nx, y_columns, v, r) if four else _columns(k, base)
+            if cols and _survives(k, s, km, cols, four):
                 mult = MultiplierAssignment(c, km, r, quantum=True)
                 system = build_system(k, lines, PermTriple(s, p, v), mult)
                 found.append((flat * per_class + local_index, system, solve_quantum(system).family))
@@ -674,9 +661,10 @@ def _signed_components(n, edges) -> tuple[list, dict]:
     return label, conditions
 
 
-def _y_orbits(k, s, km, v=None) -> list[list[tuple[int, int]]]:
-    """The orbits of <s, v> on which the y block can be nonzero, each as
-    its sign conditions on the fourth-line multipliers r.
+def _y_orbits(k, s, km, v=None) -> tuple[list, dict]:
+    """(label, orbits): the `_signed_components` labels of the y unknowns,
+    and the orbits of <s, v> on which the y block can be nonzero, each root
+    mapped to its sorted sign conditions on the fourth-line multipliers r.
 
     The y block is y_i = km_i y_{s(i)}, plus y_i = r_i y_{v(i)} given v.  On
     an orbit every y value is +-y at the orbit's first index, so the orbit
@@ -684,8 +672,8 @@ def _y_orbits(k, s, km, v=None) -> list[list[tuple[int, int]]]:
     cycles multiply to one.  A condition (mask, parity) holds when the
     number of negative r_i with bit i set in mask has that parity; the y
     block has a nonzero solution exactly when every condition of some
-    listed orbit holds.  Without v the conditions are empty, and the list
-    is empty exactly when no s-cycle has sign product one.
+    listed orbit holds.  Without v the conditions are empty, and there are
+    no orbits exactly when no s-cycle has sign product one.
 
     An empty y block decides a case without elimination.  If every y map
     of a family is zero, the relations x_i = c_i x_{p(i)} and
@@ -697,8 +685,60 @@ def _y_orbits(k, s, km, v=None) -> list[list[tuple[int, int]]]:
     edges = [(i, s[i], int(km[i] < 0), 0) for i in range(k)]
     if v is not None:
         edges += [(i, v[i], 0, 1 << i) for i in range(k)]
-    _, conditions = _signed_components(k, edges)
-    return [sorted(conds - {(0, 0)}) for conds in conditions.values() if (0, 1) not in conds]
+    label, conditions = _signed_components(k, edges)
+    return label, {
+        root: sorted(conds - {(0, 0)}) for root, conds in conditions.items() if (0, 1) not in conds
+    }
+
+
+def _y_columns(k, s, km, rel: _Relabelings) -> dict:
+    """The y columns of each fourth-line choice (v, r) with a nonzero y block,
+    from one `_y_orbits` call per v: y_i is +-1 (its sign relative to its
+    orbit's root) times its orbit's parameter, or 0 if the orbit is zero."""
+    out = {}
+    for v in rel.perms:
+        label, orbits = _y_orbits(k, s, km, v)
+        for r in rel.signs:
+            odd = lambda mask: sum(r[i] < 0 for i in range(k) if mask >> i & 1) & 1
+            roots = [root for root, conds in orbits.items() if all(odd(m) == q for m, q in conds)]
+            if roots:
+                out[v, r] = [
+                    tuple((-1) ** (parity ^ odd(mask)) * (root == other) for other in roots)
+                    for root, parity, mask in label
+                ]
+    return out
+
+
+def _nx_part(k, p, c, base) -> tuple[int, list, dict]:
+    """(m, units, rows) over the m vectors of `base` with no y part, one per
+    balanced n or x component: units[u] is the (vector, entry) carrying
+    unknown u < 2k, or None if u is zero, and rows[i, j, sign] is factor
+    i's mixed row c_i n_{p(i)} + 3 x_i - r_i (n_{v(i)} + 3 x_{v(i)}) for
+    v(i) = j and r_i = sign."""
+    cols = _columns(k, [vec for vec in base if not any(vec[2 * k :])])[: 2 * k]
+    units = [next(((j, a) for j, a in enumerate(col) if a), None) for col in cols]
+    rows = {
+        (i, j, sign): [c[i] * a + 3 * b - sign * (d + 3 * e)
+                       for a, b, d, e in zip(cols[p[i]], cols[k + i], cols[j], cols[k + j])]
+        for i, j, sign in itertools.product(range(k), range(k), (1, -1))
+    }
+    return len(cols[0]), units, rows
+
+
+def _four_line_columns(k, nx, y_columns, v, r) -> list[tuple] | None:
+    """`_columns` of a four-line case's solution space, the direct sum of
+    its (n, x) part, the nullspace of its k mixed rows over `_nx_part`, and
+    its y part from `_y_columns`.  None when either part is zero: a zero y
+    part makes the case trivial, and with n = x = 0 every factor vanishes
+    on c' = 0."""
+    m, units, rows = nx
+    y = y_columns.get((v, r))
+    null = y and int_nullspace([rows[i, v[i], r[i]] for i in range(k)], m)
+    if not null:
+        return None
+    zero, pad = (0,) * len(null), (0,) * len(y[0])
+    cols = [zero if unit is None else tuple(unit[1] * t[unit[0]] for t in null) for unit in units]
+    return [col + pad for col in cols] + [zero + col for col in y]
 
 
 def _three_line_base(k, s, p, c, km) -> list[list[int]]:
@@ -741,60 +781,20 @@ def _three_line_base(k, s, p, c, km) -> list[list[int]]:
     return [vec for vec, _ in reversed(vectors.values())]
 
 
-def _fourth_line_choices(k, s, p, c, km, base) -> dict:
-    """The fourth-line relations of each factor i, applied to the integer
-    three-line basis `base`: choices[j, sign][i] holds factor i's two rows
-    for v(i) = j and r_i = sign, as coefficients over the basis vectors."""
-    cols = _columns(k, base)
-    choices = {}
-    for j in range(k):
-        for sign in (1, -1):
-            terms = _relation_terms(k, s, p, c, km, (j,) * k, (sign,) * k, base=False)
-            rows = []
-            for (idx, coef), *rest in terms:
-                row = [coef * a for a in cols[idx]]
-                for idx, coef in rest:
-                    row = [b + coef * a for b, a in zip(row, cols[idx])]
-                rows.append(row)
-            choices[j, sign] = [rows[2 * i : 2 * i + 2] for i in range(k)]
-    return choices
-
-
 def _stage2_cases(rel: _Relabelings, stab) -> list[tuple[Perm, tuple]]:
-    """Fourth-line choices (v, r) in lex order, minus stabilizer duplicates:
-    a choice is dropped when a relabeling in the stabilizer maps it below
-    itself in tuple order."""
-    taus = [rel.perm_index[tau] for tau in stab] if len(stab) > 1 else []
-    rank = rel.sign_rank
-    cases = []
-    for i_v, v in enumerate(rel.perms):
-        for j_r, r in enumerate(rel.signs):
-            me = (i_v, rank[j_r])
-            if any((rel.perm_image[t][i_v], rank[rel.sign_image[t][j_r]]) < me for t in taus):
-                continue
-            cases.append((v, r))
-    return cases
+    """Fourth-line choices (v, r) in flat order, one per orbit of the
+    stabilizer `stab`: its minimum in tuple order."""
+    n_s = len(rel.signs)
+    tables = [(rel.perm_image[t], rel.sign_image[t]) for t in map(rel.perms.index, stab)]
+    choices = [i_v * n_s + j_r for i_v in range(len(rel.perms)) for j_r in rel.by_rank]
+    images = lambda vr: [pi[vr // n_s] * n_s + si[vr % n_s] for pi, si in tables]
+    minima = sorted(vr for vr, _ in _orbit_minima(choices, images))
+    return [(rel.perms[vr // n_s], rel.signs[vr % n_s]) for vr in minima]
 
 
-def _extends(k, s, km, base, reduced, four: bool) -> bool:
-    """Whether the fourth-line relations, given as rows `reduced` over the
-    integer three-line basis `base` (none for a three-line system), cut its
-    space down to a nonempty, nondegenerate and nontrivial family.  The
-    tests run on the integer basis of the cut-down space lifted from
-    `base`, as neither depends on the basis; with no rows that space is
-    `base` itself."""
-    lifted = base
-    if reduced:
-        lifted = []
-        for vec in int_nullspace(reduced, len(base)):
-            out = None
-            for t, b in zip(vec, base):
-                if t:
-                    out = [t * a for a in b] if out is None else [o + t * a for o, a in zip(out, b)]
-            lifted.append(out)
-    if not lifted:
-        return False
-    cols = list(zip(*lifted))
+def _survives(k, s, km, cols, four: bool) -> bool:
+    """Whether the family of `_columns` `cols` passes `_degeneracy` and
+    `_keeps_a_factor`, neither of which depends on the family's basis."""
     maps = _factor_maps(k, s, km, cols)
     return _degeneracy(maps, four) is None and _keeps_a_factor(maps)
 

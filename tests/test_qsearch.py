@@ -438,6 +438,34 @@ def test_stage1_k4_class_count_and_stabilizers():
     assert sizes == {1: 1408, 2: 168, 3: 16, 4: 148, 8: 12, 24: 4}
 
 
+@pytest.mark.parametrize("k,count", [(3, 107), (4, 1756), (5, 31757)])
+def test_stage1_class_count_is_burnside_count(k, count):
+    """Burnside's count of relabeling orbits, (1/k!) sum over tau of
+    |C(tau)|^2 f(tau)^2 with C(tau) the centralizer of tau and f(tau) the
+    number of product-one sign vectors tau fixes, equals the number of
+    classes; and the orbit sizes k!/|stabilizer| cover every tuple.  This
+    reaches k = 5, where the brute-force orbit test cannot go."""
+    perms = list(itertools.permutations(range(k)))
+    burnside = 0
+    for tau in perms:
+        centralizer = sum(
+            all(tau[sigma[i]] == sigma[tau[i]] for i in range(k)) for sigma in perms
+        )
+        lengths, seen = [], set()
+        for start in range(k):
+            i, length = start, 0
+            while i not in seen:
+                seen.add(i)
+                i, length = tau[i], length + 1
+            if length:
+                lengths.append(length)
+        fixed_signs = 2 ** (len(lengths) - any(n % 2 for n in lengths))
+        burnside += centralizer ** 2 * fixed_signs ** 2
+    classes = _stage1_classes(k)
+    assert burnside % len(perms) == 0 and burnside // len(perms) == len(classes) == count
+    assert sum(len(perms) // len(cls[5]) for cls in classes) == len(perms) ** 2 * 4 ** (k - 1)
+
+
 def _base_cases():
     """Every raw three-line tuple for k <= 3 and every k = 4 stage-1 class."""
     for k in (1, 2, 3):
@@ -457,7 +485,7 @@ def test_three_line_base_is_the_elimination_basis():
         rows = qsearch._dense_rows(k, qsearch._relation_terms(k, s, p, c, km))
         assert base == int_nullspace(rows, 3 * k), (k, s, p, c, km)
         y_nonzero = any(any(vec[2 * k :]) for vec in base)
-        assert bool(qsearch._y_orbits(k, s, km)) == y_nonzero
+        assert bool(qsearch._y_orbits(k, s, km)[1]) == y_nonzero
         renormalized = [[a * next(b for b in vec if b) for a in vec] for vec in base]
         renormalized_differs += renormalized != base
         nonempty_y += y_nonzero
@@ -488,7 +516,7 @@ def test_y_block_screen_is_exact_and_never_drops_a_family():
         neg = sum(1 << i for i, sign in enumerate(r or ()) if sign < 0)
         keeps = any(
             all((neg & mask).bit_count() & 1 == parity for mask, parity in orbit)
-            for orbit in qsearch._y_orbits(k, s, km, v)
+            for orbit in qsearch._y_orbits(k, s, km, v)[1].values()
         )
         rows = qsearch._dense_rows(k, qsearch._relation_terms(k, s, p, c, km, v, r))
         space = int_nullspace(rows, 3 * k)
@@ -497,9 +525,48 @@ def test_y_block_screen_is_exact_and_never_drops_a_family():
             assert space
             kept += 1
         else:
-            assert not qsearch._extends(k, s, km, space, [], v is not None)
+            assert not qsearch._survives(k, s, km, qsearch._columns(k, space), v is not None)
             dropped += 1
     assert kept and dropped
+
+
+# The stage-1 classes of the 23 nontrivial k = 4 four-line families.
+K4_FOUR_LINE_CLASSES = [
+    11776, 11783, 11822, 11832, 11839, 14186, 14189, 14190, 14200, 14204, 14207,
+    14277, 14279, 14321, 14323, 14328, 14330,
+]
+
+
+def _four_line_oracle_entries():
+    """Every raw four-line class for k <= 3, and the first 20 k = 4 classes
+    plus the classes of the known k = 4 families."""
+    for k in (1, 2, 3):
+        yield k, _stage1_classes(k, dedup=False)
+    classes = _stage1_classes(4)
+    yield 4, classes[:20] + [cls for cls in classes if cls[0] in K4_FOUR_LINE_CLASSES]
+
+
+def test_four_line_decision_matches_full_elimination():
+    """The search's verdict on each four-line case equals that of
+    `solve_quantum`, an independent elimination of all 3k unknowns: the
+    search finds exactly the cases that solve to a nontrivial family."""
+    found = 0
+    for k, entries in _four_line_oracle_entries():
+        rel = qsearch._relabelings(k)
+        per_class = len(rel.perms) * len(rel.signs)
+        expected, cases = [], 0
+        for flat, s, p, c, km, stab in entries:
+            for local, (v, r) in enumerate(qsearch._stage2_cases(rel, stab)):
+                mult = MultiplierAssignment(c, km, r, quantum=True)
+                system = build_system(k, "four", PermTriple(s, p, v), mult)
+                if solve_quantum(system).status == "nontrivial":
+                    expected.append(flat * per_class + local)
+                cases += 1
+        searched, examined, complete = qsearch._enumerate_chunk((k, "four", entries, None, rel))
+        assert complete and examined == cases
+        assert [item[0] for item in searched] == expected, k
+        found += len(expected)
+    assert found == 23
 
 
 # --- the classical k = 3 survey -----------------------------------------------------
