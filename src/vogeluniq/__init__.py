@@ -64,6 +64,7 @@ from .configs import (
     Coloring,
     ConfigurationTable,
     IncidenceSketch,
+    N3Stats,
     canonical_form,
     emit_svg,
     enumerate_n3,

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from ._util import parse_rational, rat_to_json
@@ -56,6 +57,7 @@ from .qsearch import (
 from .configs import (
     Coloring,
     ConfigurationTable,
+    N3Stats,
     emit_svg,
     enumerate_n3,
     extract_permutations,
@@ -249,13 +251,15 @@ def cmd_configs_enumerate(args) -> int:
         n = int(nexp)
     except ValueError:
         raise UsageError("--type must look like 9_3")
-    classes = enumerate_n3(n)
+    stats = N3Stats()
+    classes = enumerate_n3(n, stats)
     colorable = []
     if args.color:
         colorable = [t for t in classes if find_coloring(t) is not None]
     payload = {
         "classes": len(classes),
         "tables": [t.to_json() for t in classes],
+        "stats": asdict(stats),
     }
     text = f"{len(classes)} classes"
     if args.color:

@@ -333,28 +333,118 @@ def isomorphic(t1: ConfigurationTable, t2: ConfigurationTable) -> bool:
 # --- exhaustive (n_3) enumeration ----------------------------------------------
 
 
-def enumerate_n3(n: int) -> list[ConfigurationTable]:
-    """All (n_3) configuration tables up to isomorphism, by exhaustive
-    backtracking with canonical-form deduplication.  Bounded to n <= 10."""
-    if n < 1 or n > 10:
-        raise ValueError("enumeration is supported for 1 <= n <= 10")
-    # For n >= 7 any (n_3) can be relabeled so the three lines through point
-    # 0 are these; the lex-sorted line list then starts with them.  They
-    # already need seven points, so smaller n have no tables; the plain
-    # search confirms.
+@dataclass
+class N3Stats:
+    """What one `enumerate_n3` call did.
+
+    `tables_generated` counts the complete tables the pruned search reached,
+    `tables_kept` those that are lex-minimal in their prefix-stabilizer orbit
+    (the only ones labeled), and `classes` the relabeling classes found.
+    """
+
+    tables_generated: int = 0
+    tables_kept: int = 0
+    classes: int = 0
+
+
+def enumerate_n3(n: int, stats: N3Stats | None = None) -> list[ConfigurationTable]:
+    """All (n_3) configuration tables up to isomorphism, as canonical forms in
+    order of first appearance.  Bounded to n <= 11; `stats`, when given, is
+    filled in.
+
+    For n >= 7 any (n_3) can be relabeled so the three lines through point 0
+    are the prefix (0,1,2), (0,3,4), (0,5,6); the lex-sorted line list then
+    starts with them.  They already need seven points, so smaller n have no
+    tables; the plain search confirms.
+
+    Only raw tables that are lex-minimal in their orbit under the prefix's
+    stabilizer G are labeled (an orderly test, as in Betten, Brinkmann &
+    Pisanski 2000).  This leaves the output unchanged:
+
+    * `_complete_n3` without a group yields every labeled (n_3) that contains
+      the prefix, once each, in lex order of line lists.
+    * G maps that set onto itself, since g(T) contains g(prefix) = prefix.
+    * So the G-orbit of a table lies inside its class's raw tables, and the
+      first raw table of each class is lex-minimal in its orbit: it is kept.
+    * The classes therefore come out in the same order, each keyed by the
+      same canonical form, as when every raw table is labeled.
+    """
+    if n < 1 or n > 11:
+        raise ValueError("enumeration is supported for 1 <= n <= 11")
     prefix = [(0, 1, 2), (0, 3, 4), (0, 5, 6)] if n >= 7 else []
-    raw = _complete_n3(n, prefix)
+    group = _prefix_stabilizer(n) if n >= 7 else []
+    raw = _complete_n3(n, prefix, group)
+    kept = [t for t in raw if _lex_minimal(t.columns[len(prefix) :], group)]
     classes: list[ConfigurationTable] = []
     seen: set[tuple] = set()
-    for table in raw:
+    for table in kept:
         key = canonical_form(table).columns
         if key not in seen:
             seen.add(key)
             classes.append(ConfigurationTable(key))
+    if stats is not None:
+        stats.tables_generated = len(raw)
+        stats.tables_kept = len(kept)
+        stats.classes = len(classes)
     return classes
 
 
-def _complete_n3(n: int, prefix: list[tuple[int, int, int]]) -> list[ConfigurationTable]:
+def _prefix_stabilizer(n: int) -> list[list[int]]:
+    """The stabilizer of the lines (0,1,2), (0,3,4), (0,5,6) in S_n, each
+    element g as its point weights w[v] = 2^(n-1-g(v)).
+
+    g fixes 0, the one point on all three lines; it permutes the pairs {1,2},
+    {3,4}, {5,6}, may swap inside each, and permutes 7..n-1 freely, so
+    |G| = 48 (n-7)!.  The identity comes first.
+    """
+    elements = []
+    for pairs in itertools.permutations(((1, 2), (3, 4), (5, 6))):
+        for swaps in itertools.product((False, True), repeat=3):
+            head = [0]
+            for (a, b), swap in zip(pairs, swaps):
+                head += (b, a) if swap else (a, b)
+            for tail in itertools.permutations(range(7, n)):
+                elements.append([1 << (n - 1 - g) for g in head + list(tail)])
+    return elements
+
+
+def _lex_minimal(lines, group: list[list[int]]) -> bool:
+    """No element of `group` (weight lists, identity first) maps the lex-sorted
+    `lines` to a lex-smaller sorted list.
+
+    A line's mask is the sum of its points' weights.  For 3-subsets, lex order
+    is the reverse of mask order: the smallest point where two lines differ
+    carries the highest differing bit.  So a lex-sorted list has descending
+    masks, and sorted(g(L)) < L exactly when the descending masks of g(L)
+    form the larger list.
+
+    Callers pass only the lines after the prefix: g fixes 0, so it maps the
+    prefix onto itself and the other lines (none through 0) among
+    themselves, and sorted(g(T)) is the prefix followed by sorted(g(rest)).
+    """
+    if not group:
+        return True
+    own = group[0]
+    masks = [own[a] | own[b] | own[c] for a, b, c in lines]
+    return all(
+        sorted([w[a] | w[b] | w[c] for a, b, c in lines], reverse=True) <= masks for w in group
+    )
+
+
+def _complete_n3(
+    n: int, prefix: list[tuple[int, int, int]], group=()
+) -> list[ConfigurationTable]:
+    """Every labeled (n_3) table whose lex-sorted line list starts with
+    `prefix`, once each, in lex order; with `group`, a stabilizer of the
+    prefix, the partial tables that are not lex-minimal are cut.
+
+    The cut tests the non-prefix lines L at every second line.  It is sound:
+    for any completion T of L, the m = len(L) smallest lines of g(T) are,
+    position by position, <= those of sorted(g(L)); so sorted(g(L)) < L
+    gives sorted(g(T)) < T, and no completion is lex-minimal.  Testing at
+    every line measured slower at n = 9 and 10 (2-core x86-64 host): the
+    extra tests cut few tables.
+    """
     degrees = [0] * n
     pair_used = set()
     for line in prefix:
@@ -364,11 +454,15 @@ def _complete_n3(n: int, prefix: list[tuple[int, int, int]]) -> list[Configurati
             pair_used.add((a, b))
     results: list[ConfigurationTable] = []
     lines = list(prefix)
+    fixed = len(prefix)
 
     def backtrack():
         if len(lines) == n:
             if all(d == 3 for d in degrees):
                 results.append(ConfigurationTable(lines))
+            return
+        added = len(lines) - fixed
+        if added and added % 2 == 0 and not _lex_minimal(lines[fixed:], group):
             return
         deficient = [v for v in range(n) if degrees[v] < 3]
         if not deficient:

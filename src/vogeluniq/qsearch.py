@@ -140,18 +140,6 @@ class ConstraintSystem:
     def line_forms(self) -> tuple[LinearForm, ...]:
         return PRIMED_LINES[self.lines]
 
-    def equations(self) -> list[tuple[str, dict[int, Fraction]]]:
-        """Labelled sparse rows {unknown: coefficient}, for verify_solution."""
-        k, perms, mult = self.k, self.perms, self.mult
-        terms = _relation_terms(k, perms.s, perms.p, mult.c, mult.kmul, perms.v, mult.r)
-        eqs: list[tuple[str, dict[int, Fraction]]] = []
-        for e, row_terms in enumerate(terms):
-            row: dict[int, Fraction] = {}
-            for idx, coef in row_terms:
-                row[idx] = row.get(idx, Fraction(0)) + coef
-            eqs.append((_label(k, e), {i: q for i, q in row.items() if q != 0}))
-        return eqs
-
 
 _THREE_LINE_LABELS = (
     "x[{i}] = c[{i}]*x[p({i})]",

@@ -230,6 +230,21 @@ def test_configs_enumerate_nine(capsys):
     assert "3 classes" in out and "1 colorable" in out
 
 
+def test_configs_enumerate_reports_its_work(capsys):
+    code, payload = run_json(capsys, "configs-enumerate", "--type", "9_3")
+    assert code == 0
+    stats = payload["stats"]
+    assert stats["classes"] == payload["classes"] == 3
+    # four of the 176 raw tables are lex-minimal under the prefix stabilizer
+    assert stats["tables_kept"] == 4
+    assert stats["tables_kept"] <= stats["tables_generated"] <= 176
+
+
+def test_configs_enumerate_bound_is_a_usage_error(capsys):
+    code, _ = run(capsys, "configs-enumerate", "--type", "12_3")
+    assert code == 2
+
+
 def test_configs_color_and_extract(tmp_path, capsys):
     table = ConfigurationTable(
         [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8), (3, 6, 9),

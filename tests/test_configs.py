@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,9 @@ from vogeluniq.configs import (
     ConfigurationTable,
     MalformedColoringError,
     NotAQPictureError,
+    _complete_n3,
+    _lex_minimal,
+    _prefix_stabilizer,
     canonical_form,
     choose_chart,
     emit_svg,
@@ -120,7 +126,73 @@ def test_small_n3_counts(n, count):
 
 def test_enumeration_bound():
     with pytest.raises(ValueError):
-        enumerate_n3(11)
+        enumerate_n3(12)
+
+
+PREFIX = [(0, 1, 2), (0, 3, 4), (0, 5, 6)]
+
+
+def _label_every_raw_table(n):
+    """Canonical forms of all raw tables in order of first appearance: the
+    enumeration without the orbit test."""
+    keys = []
+    for table in _complete_n3(n, PREFIX if n >= 7 else []):
+        key = canonical_form(table).columns
+        if key not in keys:
+            keys.append(key)
+    return keys
+
+
+def _stabilizer_by_filtering(n):
+    """Every permutation of 0..n-1 that maps the prefix lines onto themselves.
+    Such a permutation fixes 0 (on all three lines) and the point set 1..6."""
+    out = []
+    for head in itertools.permutations(range(1, 7)):
+        g = (0,) + head
+        if {tuple(sorted(g[v] for v in line)) for line in PREFIX} == set(PREFIX):
+            out += [g + tail for tail in itertools.permutations(range(7, n))]
+    return out
+
+
+def _lex_minimal_by_sorting(columns, perms):
+    return all(
+        sorted(tuple(sorted(g[v] for v in col)) for col in columns) >= list(columns)
+        for g in perms
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_enumeration_matches_labeling_every_raw_table(n):
+    assert [t.columns for t in enumerate_n3(n)] == _label_every_raw_table(n)
+
+
+def test_the_orbit_test_keeps_exactly_the_lex_minimal_tables():
+    perms = _stabilizer_by_filtering(9)
+    assert len(perms) == 96
+    raw = _complete_n3(9, PREFIX)
+    expected = [t for t in raw if _lex_minimal_by_sorting(t.columns, perms)]
+    group = _prefix_stabilizer(9)
+    assert [t for t in raw if _lex_minimal(t.columns[3:], group)] == expected
+    pruned = _complete_n3(9, PREFIX, group)
+    assert [t for t in pruned if _lex_minimal(t.columns[3:], group)] == expected
+
+
+def test_ten_three_classes_are_distinct_valid_and_come_from_orbit_minimal_tables():
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    classes = enumerate_n3(10)
+    assert len(classes) == 10
+    assert all(validate_table(t) == [] for t in classes)
+    for a, b in itertools.combinations(classes, 2):
+        assert not oracle.isomorphic(a.columns, b.columns)
+    perms = _stabilizer_by_filtering(10)
+    assert len(perms) == 288
+    group = _prefix_stabilizer(10)
+    kept = [t for t in _complete_n3(10, PREFIX, group) if _lex_minimal(t.columns[3:], group)]
+    assert all(_lex_minimal_by_sorting(t.columns, perms) for t in kept)
+    assert {canonical_form(t).columns for t in kept} == {t.columns for t in classes}
 
 
 def test_fano_table_shape():

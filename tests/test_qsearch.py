@@ -31,6 +31,7 @@ from vogeluniq.qsearch import (
     solve_quantum,
     survey_k3_classical,
     verify_solution,
+    _relation_terms,
     _stage1_classes,
 )
 from vogeluniq._linalg import int_nullspace
@@ -72,7 +73,8 @@ def test_quantum_assignment_requires_unit_entries():
 
 def test_three_line_system_equation_count():
     system = k3_system()
-    assert len(system.equations()) == 9
+    perms, mult = system.perms, system.mult
+    assert len(_relation_terms(3, perms.s, perms.p, mult.c, mult.kmul)) == 9
     assert len(system.line_forms()) == 3
 
 
