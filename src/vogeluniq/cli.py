@@ -85,6 +85,8 @@ def _build_formula(args) -> FactorProduct:
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
             raise UsageError(f"cannot read formula JSON: {err}")
     name = args.builtin
+    if name is None:
+        raise UsageError("one of --builtin and --formula-json is needed")
     params = [parse_rational(q) for q in args.params.split(",")] if args.params else []
     if name == "adjoint":
         return adjoint_formula()
@@ -121,12 +123,12 @@ def _parse_lines(spec: str, basis: Basis) -> list[LinearForm]:
         if piece in ("sl", "so", "sp", "exc"):
             lines.append(family_line(piece, basis))
         else:
-            coords = [parse_rational(q) for q in piece.split(":")]
-            if len(coords) != 3:
+            fields = piece.split(":")
+            if len(fields) != 3:
                 raise UsageError(
                     f"line {piece!r} is neither a family name nor a 'a:b:c' triple"
                 )
-            lines.append(LinearForm(coords, basis))
+            lines.append(LinearForm([parse_rational(q) for q in fields], basis))
     return lines
 
 

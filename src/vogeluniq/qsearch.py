@@ -17,14 +17,15 @@ coefficients are then integers in {0, +-1, +-3}.  Each three-line relation,
 and y_i = r_i y_{v(i)}, has two +-1 terms, a signed edge between two
 unknowns, so those spaces are read off the components of signed graphs
 (n, x and y) with no elimination.  The y relations never mix with the
-(n, x) relations: a case whose y block is zero is trivial, which a sign
-check on the orbits of <s, v> decides for most cases, and only the k mixed
-fourth-line rows, over the balanced n and x components, are solved by
-fraction-free integer elimination.  Each case is decided by exact tests
-(degeneracy, and nontriviality by pairing the factors' linear maps up to
-sign), so the search draws no random numbers and its result does not
-depend on a seed; Fraction vectors are built only for the families it
-returns.  The classical multipliers form a continuum; they are verified
+(n, x) relations, so on both line sets a case's space is the direct sum of
+a y part, zero (and the case trivial) unless a sign check on the orbits of
+<s, v> passes, and an (n, x) part: the nullspace of the k mixed fourth-line
+rows over the balanced n and x components, by fraction-free integer
+elimination, or all of them on three lines.  Each case is decided by
+exact tests (degeneracy, and nontriviality by pairing the factors' linear
+maps up to sign), so the search draws no random numbers and its result
+does not depend on a seed; Fraction vectors are built only for the
+families it returns.  The classical multipliers form a continuum; they are verified
 rather than searched, except for the dedicated k = 3 survey which decides
 nontriviality stratum by stratum, exactly, at one point with distinct prime
 coordinates.
@@ -568,11 +569,10 @@ def enumerate_families(
 def _enumerate_chunk(args):
     """Worker: process three-line classes with the relabeling tables `rel`;
     returns (found, cases, complete) where found holds (global_case_index,
-    system, family) triples.  A three-line class is one case, decided on
-    its three-line base; a four-line class has one case per fourth-line
-    choice (v, r), decided on `_four_line_columns`.  A case whose y block
-    is zero is trivial (`_y_orbits`), for a whole class at once where
-    (s, kmul) alone leaves y zero."""
+    system, family) triples.  A three-line class is one case, with
+    v = r = None; a four-line class has one case per fourth-line choice
+    (v, r).  Every case is decided on `_case_columns`, and a whole class is
+    trivial when its `_y_columns` are empty."""
     k, lines, entries, budget, rel = args
     four = lines == "four"
     per_class = len(rel.perms) * len(rel.signs) if four else 1
@@ -584,22 +584,20 @@ def _enumerate_chunk(args):
         if stab not in stage2_of:
             stage2_of[stab] = _stage2_cases(rel, stab) if four else [(None, None)]
         stage2 = stage2_of[stab]
-        if not _y_orbits(k, s, km)[1]:  # no case of the class can extend
+        if (s, km) not in y_columns_of:
+            y_columns_of[s, km] = _y_columns(k, s, km, rel if four else None)
+        y_columns = y_columns_of[s, km]
+        if not y_columns:  # no case of the class can extend
             if budget is not None and cases + len(stage2) > budget:
                 return found, budget, False
             cases += len(stage2)
             continue
-        base = _three_line_base(k, s, p, c, km)
-        if four:
-            if (s, km) not in y_columns_of:
-                y_columns_of[s, km] = _y_columns(k, s, km, rel)
-            y_columns = y_columns_of[s, km]
-            nx = _nx_part(k, p, c, base)
+        nx = _nx_part(k, s, p, c, km, four)
         for local_index, (v, r) in enumerate(stage2):
             if budget is not None and cases >= budget:
                 return found, cases, False
             cases += 1
-            cols = _four_line_columns(k, nx, y_columns, v, r) if four else _columns(k, base)
+            cols = _case_columns(k, nx, y_columns, v, r)
             if cols and _survives(k, s, km, cols, four):
                 mult = MultiplierAssignment(c, km, r, quantum=True)
                 system = build_system(k, lines, PermTriple(s, p, v), mult)
@@ -679,14 +677,20 @@ def _y_orbits(k, s, km, v=None) -> tuple[list, dict]:
     }
 
 
-def _y_columns(k, s, km, rel: _Relabelings) -> dict:
-    """The y columns of each fourth-line choice (v, r) with a nonzero y block,
-    from one `_y_orbits` call per v: y_i is +-1 (its sign relative to its
-    orbit's root) times its orbit's parameter, or 0 if the orbit is zero."""
+def _y_columns(k, s, km, rel: _Relabelings | None) -> dict:
+    """The y columns of each fourth-line choice (v, r) of `rel` with a
+    nonzero y block, from one `_y_orbits` call per v: y_i is +-1 (its sign
+    relative to its orbit's root) times its orbit's parameter, or 0 if the
+    orbit is zero.  Without `rel` the one choice is (None, None), the
+    three-line case, whose masks are all 0.
+
+    The dict is empty exactly when no s-orbit is balanced.  A balanced
+    s-orbit stays balanced for v = identity and r = all +1, and an
+    unbalanced cycle stays in whatever component v merges it into."""
     out = {}
-    for v in rel.perms:
+    for v in rel.perms if rel else [None]:
         label, orbits = _y_orbits(k, s, km, v)
-        for r in rel.signs:
+        for r in rel.signs if rel else [None]:
             odd = lambda mask: sum(r[i] < 0 for i in range(k) if mask >> i & 1) & 1
             roots = [root for root, conds in orbits.items() if all(odd(m) == q for m, q in conds)]
             if roots:
@@ -697,76 +701,53 @@ def _y_columns(k, s, km, rel: _Relabelings) -> dict:
     return out
 
 
-def _nx_part(k, p, c, base) -> tuple[int, list, dict]:
-    """(m, units, rows) over the m vectors of `base` with no y part, one per
-    balanced n or x component: units[u] is the (vector, entry) carrying
-    unknown u < 2k, or None if u is zero, and rows[i, j, sign] is factor
-    i's mixed row c_i n_{p(i)} + 3 x_i - r_i (n_{v(i)} + 3 x_{v(i)}) for
-    v(i) = j and r_i = sign."""
-    cols = _columns(k, [vec for vec in base if not any(vec[2 * k :])])[: 2 * k]
-    units = [next(((j, a) for j, a in enumerate(col) if a), None) for col in cols]
+def _nx_part(k, s, p, c, km, four: bool) -> tuple[int, list, dict]:
+    """(m, units, rows) over the m balanced components of the signed graph
+    that the x and n relations of `_relation_terms` make on the 2k unknowns
+    n and x (a relation ca u_a + cb u_b = 0 is the edge u_b = -(ca cb) u_a):
+    units[u] is the (component, sign) carrying unknown u, or None if u is
+    zero, and on four lines rows[i, j, sign] is factor i's mixed row
+    c_i n_{p(i)} + 3 x_i - r_i (n_{v(i)} + 3 x_{v(i)}) for v(i) = j and
+    r_i = sign."""
+    terms = _relation_terms(k, s, p, c, km)
+    del terms[1::3]  # the y relations
+    label, conditions = _signed_components(
+        2 * k, [(a, b, int(ca * cb > 0), 0) for (a, ca), (b, cb) in terms]
+    )
+    free = [root for root, conds in conditions.items() if (0, 1) not in conds]
+    units = [
+        (free.index(root), (-1) ** parity) if root in free else None for root, parity, _ in label
+    ]
+
+    def row(*terms):
+        out = [0] * len(free)
+        for u, coef in terms:
+            if units[u]:
+                out[units[u][0]] += coef * units[u][1]
+        return out
+
     rows = {
-        (i, j, sign): [c[i] * a + 3 * b - sign * (d + 3 * e)
-                       for a, b, d, e in zip(cols[p[i]], cols[k + i], cols[j], cols[k + j])]
+        (i, j, sign): row((p[i], c[i]), (k + i, 3), (j, -sign), (k + j, -3 * sign))
         for i, j, sign in itertools.product(range(k), range(k), (1, -1))
-    }
-    return len(cols[0]), units, rows
+    } if four else {}
+    return len(free), units, rows
 
 
-def _four_line_columns(k, nx, y_columns, v, r) -> list[tuple] | None:
-    """`_columns` of a four-line case's solution space, the direct sum of
-    its (n, x) part, the nullspace of its k mixed rows over `_nx_part`, and
-    its y part from `_y_columns`.  None when either part is zero: a zero y
-    part makes the case trivial, and with n = x = 0 every factor vanishes
-    on c' = 0."""
+def _case_columns(k, nx, y_columns, v, r) -> list[tuple] | None:
+    """`_columns` of a case's solution space, the direct sum of its (n, x)
+    part, the nullspace of its k mixed rows (none on three lines) over
+    `_nx_part`, and its y part from `_y_columns`.  None when either part is
+    zero: a zero y part makes the case trivial, and with n = x = 0 every
+    factor vanishes on c' = 0."""
     m, units, rows = nx
     y = y_columns.get((v, r))
-    null = y and int_nullspace([rows[i, v[i], r[i]] for i in range(k)], m)
+    mixed = [rows[i, v[i], r[i]] for i in range(k)] if v else []
+    null = y and int_nullspace(mixed, m)
     if not null:
         return None
     zero, pad = (0,) * len(null), (0,) * len(y[0])
     cols = [zero if unit is None else tuple(unit[1] * t[unit[0]] for t in null) for unit in units]
     return [col + pad for col in cols] + [zero + col for col in y]
-
-
-def _three_line_base(k, s, p, c, km) -> list[list[int]]:
-    """The integer basis of the three-line solution space of +-1
-    multipliers, read off signed-graph components: exactly the list
-    `int_nullspace` returns for the rows of `_relation_terms`.
-
-    Each relation has two terms, ca v_a + cb v_b = 0 with ca, cb = +-1,
-    which is the signed edge v_b = -(ca cb) v_a; the x, y and n relations
-    make three graphs on disjoint unknowns.  On a component every value is +-1 times
-    the root's, so the component spans one dimension of solutions when it
-    is balanced and forces zero when it is not (`_signed_components`), and
-    the space is spanned by the balanced components' +-1 vectors, whose
-    supports are disjoint.  The basis here gives each such vector +1 at its
-    component's largest unknown and sorts the vectors by that index.
-
-    That is `int_nullspace`'s basis.  Elimination takes the leftmost
-    pivots: a column is free exactly when some solution has its last
-    nonzero entry there.  A solution is a combination of component vectors
-    with disjoint supports, so its last nonzero entry is the largest
-    unknown of one of them: the free columns are the largest unknowns of
-    the balanced components.  The basis vector of a free column is the
-    solution with 1 there and 0 at the other free columns, which is that
-    component's vector scaled to +1 there; it is primitive, and its free
-    entry is positive, as `int_nullspace` makes it.  Vectors come in the
-    order of their free columns."""
-    edges = [
-        (a, b, int(ca * cb > 0), 0) for (a, ca), (b, cb) in _relation_terms(k, s, p, c, km)
-    ]
-    label, conditions = _signed_components(3 * k, edges)
-    vectors = {}  # root -> (vector, parity at the largest unknown)
-    for u in reversed(range(3 * k)):
-        root, parity, _ = label[u]
-        if (0, 1) in conditions[root]:
-            continue
-        if root not in vectors:
-            vectors[root] = ([0] * (3 * k), parity)
-        vec, top = vectors[root]
-        vec[u] = -1 if parity ^ top else 1
-    return [vec for vec, _ in reversed(vectors.values())]
 
 
 def _stage2_cases(rel: _Relabelings, stab) -> list[tuple[Perm, tuple]]:

@@ -158,6 +158,30 @@ def test_check_identity_custom_line_triples(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv,spec", [
+    (["check-identity", "--lines", "foo"], "foo"),
+    (["check-identity", "--lines", ""], ""),
+    (["check-identity", "--lines", "1:0"], "1:0"),
+    (["sketch", "--black", "foo"], "foo"),
+])
+def test_a_line_that_is_no_triple_is_named(capsys, argv, spec):
+    code = main([*argv, "--builtin", "q33", "--params", "2,3,1,1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: line {spec!r} is neither a family name nor a 'a:b:c' triple\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--algebra", "sl", "--param", "5"],
+    ["check-identity", "--lines", "sl"],
+    ["sketch", "--black", "sl"],
+])
+def test_a_formula_must_be_given(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: one of --builtin and --formula-json is needed\n"
+
+
 # --- search ---------------------------------------------------------------------------
 
 

@@ -468,34 +468,6 @@ def test_stage1_class_count_is_burnside_count(k, count):
     assert sum(len(perms) // len(cls[5]) for cls in classes) == len(perms) ** 2 * 4 ** (k - 1)
 
 
-def _base_cases():
-    """Every raw three-line tuple for k <= 3 and every k = 4 stage-1 class."""
-    for k in (1, 2, 3):
-        for _, s, p, c, km, _ in _stage1_classes(k, dedup=False):
-            yield k, s, p, c, km
-    for _, s, p, c, km, _ in _stage1_classes(4):
-        yield 4, s, p, c, km
-
-
-def test_three_line_base_is_the_elimination_basis():
-    """The signed-graph base equals `int_nullspace` on the three-line rows,
-    vector for vector; a base normalized at each component's smallest
-    unknown instead would fail the comparison."""
-    cases = nonempty_y = renormalized_differs = 0
-    for k, s, p, c, km in _base_cases():
-        base = qsearch._three_line_base(k, s, p, c, km)
-        rows = qsearch._dense_rows(k, qsearch._relation_terms(k, s, p, c, km))
-        assert base == int_nullspace(rows, 3 * k), (k, s, p, c, km)
-        y_nonzero = any(any(vec[2 * k :]) for vec in base)
-        assert bool(qsearch._y_orbits(k, s, km)[1]) == y_nonzero
-        renormalized = [[a * next(b for b in vec if b) for a in vec] for vec in base]
-        renormalized_differs += renormalized != base
-        nonempty_y += y_nonzero
-        cases += 1
-    assert cases == 593 + 1756
-    assert nonempty_y and renormalized_differs
-
-
 def _screen_cases():
     """Every case for k <= 3 on both line sets without dedup (a three-line
     case has v = r = None), and the stage-2 cases of the first 20 k = 4
@@ -539,36 +511,40 @@ K4_FOUR_LINE_CLASSES = [
 ]
 
 
-def _four_line_oracle_entries():
-    """Every raw four-line class for k <= 3, and the first 20 k = 4 classes
-    plus the classes of the known k = 4 families."""
+def _oracle_entries(lines):
+    """Every raw class for k <= 3; at k = 4 every three-line class, and the
+    first 20 four-line classes plus the classes of the known families."""
     for k in (1, 2, 3):
         yield k, _stage1_classes(k, dedup=False)
     classes = _stage1_classes(4)
-    yield 4, classes[:20] + [cls for cls in classes if cls[0] in K4_FOUR_LINE_CLASSES]
+    if lines == "four":
+        classes = classes[:20] + [cls for cls in classes if cls[0] in K4_FOUR_LINE_CLASSES]
+    yield 4, classes
 
 
 def test_four_line_decision_matches_full_elimination():
-    """The search's verdict on each four-line case equals that of
+    """The search's verdict on each case, on both line sets, equals that of
     `solve_quantum`, an independent elimination of all 3k unknowns: the
     search finds exactly the cases that solve to a nontrivial family."""
-    found = 0
-    for k, entries in _four_line_oracle_entries():
-        rel = qsearch._relabelings(k)
-        per_class = len(rel.perms) * len(rel.signs)
-        expected, cases = [], 0
-        for flat, s, p, c, km, stab in entries:
-            for local, (v, r) in enumerate(qsearch._stage2_cases(rel, stab)):
-                mult = MultiplierAssignment(c, km, r, quantum=True)
-                system = build_system(k, "four", PermTriple(s, p, v), mult)
-                if solve_quantum(system).status == "nontrivial":
-                    expected.append(flat * per_class + local)
-                cases += 1
-        searched, examined, complete = qsearch._enumerate_chunk((k, "four", entries, None, rel))
-        assert complete and examined == cases
-        assert [item[0] for item in searched] == expected, k
-        found += len(expected)
-    assert found == 23
+    for lines, families in (("three", 53), ("four", 23)):
+        four, found = lines == "four", 0
+        for k, entries in _oracle_entries(lines):
+            rel = qsearch._relabelings(k)
+            per_class = len(rel.perms) * len(rel.signs) if four else 1
+            expected, cases = [], 0
+            for flat, s, p, c, km, stab in entries:
+                stage2 = qsearch._stage2_cases(rel, stab) if four else [(None, None)]
+                for local, (v, r) in enumerate(stage2):
+                    mult = MultiplierAssignment(c, km, r, quantum=True)
+                    system = build_system(k, lines, PermTriple(s, p, v), mult)
+                    if solve_quantum(system).status == "nontrivial":
+                        expected.append(flat * per_class + local)
+                    cases += 1
+            searched, examined, complete = qsearch._enumerate_chunk((k, lines, entries, None, rel))
+            assert complete and examined == cases
+            assert [item[0] for item in searched] == expected, (lines, k)
+            found += len(expected)
+        assert found == families, lines
 
 
 # --- the classical k = 3 survey -----------------------------------------------------
