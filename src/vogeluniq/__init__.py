@@ -51,6 +51,7 @@ from .qsearch import (
     MultiplierAssignment,
     PermTriple,
     SolutionFamily,
+    SurveyStats,
     build_system,
     builtin_q33,
     builtin_q_prop4,

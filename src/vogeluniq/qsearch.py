@@ -472,7 +472,7 @@ def _relabelings(k: int) -> _Relabelings:
     return _Relabelings(perms, signs, perm_image, sign_image, by_rank)
 
 
-def _orbit_minima(items, images) -> list[tuple[int, list[int]]]:
+def _orbit_minima(items, images) -> list[tuple[object, list[int]]]:
     """Each orbit's first member in `items`, with the positions where
     `images(item)`, its images under the group's elements, fix it."""
     seen = set()
@@ -909,14 +909,38 @@ class SurveyEntry:
     witness_data: dict = field(default_factory=dict)
 
 
+@dataclass
+class SurveyStats:
+    """What one `survey_k3_classical` call did.
+
+    `pairings_surveyed` counts the pairings whose strata were walked,
+    `strata_screened` the strata given the degeneracy screen, `strata_decided`
+    those that passed it and were decided sign pattern by sign pattern, and
+    `sign_patterns` the admissible sign patterns instantiated and verified.
+    """
+
+    pairings_surveyed: int = 0
+    strata_screened: int = 0
+    strata_decided: int = 0
+    sign_patterns: int = 0
+
+
 # Distinct primes for the stratum variables: the torus generators, then the
 # free x value of each p-cycle, then the free y value of each s-cycle.  The
 # `search --json` line check instantiates families at the same primes.
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# The 64 sign patterns of the multipliers (c0, c1, c2, k0, k1, k2), in
+# itertools.product order, each with the bit mask of its negative entries.
+_SIGN_PATTERNS = tuple(
+    (signs, sum(1 << j for j, sign in enumerate(signs) if sign < 0))
+    for signs in itertools.product((1, -1), repeat=6)
+)
 
-def survey_k3_classical() -> list[SurveyEntry]:
-    """Existence survey of nontrivial classical three-line factors at k = 3.
+
+def survey_k3_classical(stats: SurveyStats | None = None) -> list[SurveyEntry]:
+    """Existence survey of nontrivial classical three-line factors at k = 3;
+    `stats`, when given, is filled in.
 
     For each pairing (s, p) the solution set splits into finitely many strata
     by the zero patterns of n, x and y (unions of cycles of the relevant
@@ -939,6 +963,11 @@ def survey_k3_classical() -> list[SurveyEntry]:
     of a trivial orbit is trivial without a survey, and a member of a
     nontrivial one is surveyed for its own witness.  The one nontrivial
     orbit holds the two fixed-point-free pairings with s != p: 12 surveys.
+    Inside a pairing the same argument, for the tau that fix s and p,
+    decides one stratum per orbit (see `_survey_pair`): the 12 surveys
+    screen 554 strata for degeneracy, decide 127 of them and verify 262
+    sign patterns, where a walk over every stratum would take 1,090, 195
+    and 358.
     """
     perms = list(itertools.permutations(range(3)))
     entries = []
@@ -947,7 +976,7 @@ def survey_k3_classical() -> list[SurveyEntry]:
         for p in perms:
             least = min((_conj_perm(tau, s), _conj_perm(tau, p)) for tau in perms)
             if least == (s, p) or orbit_nontrivial[least]:
-                witness, data = _survey_pair(s, p)
+                witness, data = _survey_pair(s, p) if stats is None else _survey_pair(s, p, stats)
                 orbit_nontrivial.setdefault(least, witness is not None)
             else:
                 witness, data = None, {}
@@ -955,8 +984,25 @@ def survey_k3_classical() -> list[SurveyEntry]:
     return entries
 
 
-def _survey_pair(s: Perm, p: Perm):
+def _survey_pair(s: Perm, p: Perm, stats: SurveyStats | None = None):
+    """(witness, witness_data) of the first nontrivial stratum of (s, p), in
+    order of zero count and then of the sorted zero sets, or (None, {}).
+
+    A tau in Stab(s, p), the relabelings with tau s tau^-1 = s and
+    tau p tau^-1 = p, maps a solution on stratum (zn, zx, zy) with
+    multipliers (c, k) to one on (tau zn, tau zx, tau zy) with
+    (c o tau^-1, k o tau^-1), and only reorders the factors.  So whether a
+    stratum is degenerate, and whether it is nontrivial, is constant on its
+    orbit, and only the first stratum of each orbit (`_orbit_minima`) is
+    screened and decided.  The walk still returns the same stratum: the
+    first nontrivial stratum in order is the first of its orbit, since an
+    earlier member would be nontrivial too, and a stratum skipped before it
+    has an earlier orbit member that was degenerate or trivial.  That
+    stratum is decided as before, so its witness and data are unchanged.
+    """
     k = 3
+    stats = SurveyStats() if stats is None else stats
+    stats.pairings_surveyed += 1
     p_inv = perm_inverse(p)
     u = tuple(s[p_inv[j]] for j in range(k))
     u_cycles, p_cycles, s_cycles = _cycles(u), _cycles(p), _cycles(s)
@@ -969,17 +1015,24 @@ def _survey_pair(s: Perm, p: Perm):
         itertools.product(unions(u_cycles), unions(p_cycles), unions(s_cycles)),
         key=lambda zeros: (sum(map(len, zeros)), *map(sorted, zeros)),
     )
-    for zn, zx, zy in strata:
+    stab = [
+        tau for tau in itertools.permutations(range(k))
+        if _conj_perm(tau, s) == s and _conj_perm(tau, p) == p
+    ]
+    images = lambda zeros: [tuple(frozenset(tau[i] for i in z) for z in zeros) for tau in stab]
+    for (zn, zx, zy), _ in _orbit_minima(strata, images):
+        stats.strata_screened += 1
         cols = [(int(i not in zeros),) for zeros in (zn, zx, zy) for i in range(k)]
         if _degeneracy(_factor_maps(k, s, (1, 1, 1), cols), False) is not None:
             continue
-        witness = _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles)
+        stats.strata_decided += 1
+        witness = _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles, stats)
         if witness is not None:
             return witness
     return None, {}
 
 
-def _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles):
+def _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles, stats: SurveyStats):
     """(product, data) for the first sign pattern of the stratum whose
     product at the prime point keeps a factor after `formula.pair_factors`,
     or None.  A sign pattern is admissible when every multiplicative
@@ -996,10 +1049,10 @@ def _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles):
             torus[j] *= Fraction(prime) ** gen[j]
     n = tuple(Fraction(0) if i in zn else Fraction(1) for i in range(k))
     odd = [sum(1 << j for j, e in enumerate(row) if e % 2) for row in rows]
-    for signs in itertools.product((1, -1), repeat=6):
-        negatives = sum(1 << j for j, sign in enumerate(signs) if sign < 0)
+    for signs, negatives in _SIGN_PATTERNS:
         if any((negatives & mask).bit_count() & 1 for mask in odd):
             continue
+        stats.sign_patterns += 1
         c = tuple(signs[j] * torus[j] for j in range(3))
         km = tuple(signs[3 + j] * torus[3 + j] for j in range(3))
         x = _cycle_values(p, p_cycles, zx, c, _PRIMES[6:9])

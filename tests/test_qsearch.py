@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 from collections import Counter
 from fractions import Fraction
@@ -630,3 +631,131 @@ def test_survey_raises_when_a_stratum_assignment_fails_its_equations(monkeypatch
     monkeypatch.setattr(qsearch, "verify_solution", lambda *args: VerifyReport(False, ("eq",)))
     with pytest.raises(InternalConsistencyError):
         survey_k3_classical()
+
+
+def test_survey_stats_count_the_orbit_walk(monkeypatch):
+    verified = []
+    verify = qsearch.verify_solution
+
+    def counting(*args):
+        verified.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(qsearch, "verify_solution", counting)
+    stats = qsearch.SurveyStats()
+    survey_k3_classical(stats)
+    assert stats == qsearch.SurveyStats(
+        pairings_surveyed=12, strata_screened=554, strata_decided=127, sign_patterns=262
+    )
+    assert len(verified) == stats.sign_patterns  # every instantiated pattern is verified
+
+
+def test_sign_patterns_are_the_product_order_with_their_negative_masks():
+    expected = list(itertools.product((1, -1), repeat=6))
+    assert [signs for signs, _ in qsearch._SIGN_PATTERNS] == expected
+    for signs, negatives in qsearch._SIGN_PATTERNS:
+        assert [bool(negatives >> j & 1) for j in range(6)] == [sign < 0 for sign in signs]
+        assert negatives < 64
+
+
+def _oracle_torus(rows):
+    """The multiplier magnitudes at the prime point: the rref nullspace basis
+    of the exponent rows, each vector scaled to primitive integers, with the
+    g-th basis vector raised to the g-th prime."""
+    sympy = pytest.importorskip("sympy")
+    torus = [Fraction(1)] * 6
+    for prime, vec in zip(qsearch._PRIMES, sympy.Matrix(rows).nullspace()):
+        scale = math.lcm(*(sympy.fraction(a)[1] for a in vec))
+        for j, a in enumerate(vec):
+            torus[j] *= Fraction(prime) ** int(a * scale)
+    return torus
+
+
+def _oracle_cycle_values(perm, zeros, mult, primes):
+    """Each perm-cycle outside `zeros` starts at its least index with its prime
+    (cycles in order of least index) and follows value[perm(i)] = value[i] / mult[i]."""
+    values = [Fraction(0)] * 3
+    starts = [i for i in range(3) if all(i <= j for j in _orbit(perm, {i}))]
+    for start, prime in zip(starts, primes):
+        if start in zeros:
+            continue
+        i, values[start] = start, Fraction(prime)
+        while perm[i] != start:
+            values[perm[i]] = values[i] / mult[i]
+            i = perm[i]
+    return values
+
+
+def _orbit(perm, start):
+    orbit = set(start)
+    while {perm[i] for i in orbit} - orbit:
+        orbit |= {perm[i] for i in orbit}
+    return orbit
+
+
+def _oracle_stratum(s, p, zn, zx, zy):
+    """('degenerate' | 'trivial' | 'nontrivial', first witness) of one stratum,
+    with every one of the 64 sign patterns checked against the constraints
+    directly and every admissible one instantiated and decided."""
+    rows = [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]]
+    rows += [[int(j == i) - int(j == 3 + i) for j in range(6)] for i in range(3) if s[i] not in zn]
+    p_cycles = {frozenset(_orbit(p, {i})) for i in range(3)}
+    s_cycles = {frozenset(_orbit(s, {i})) for i in range(3)}
+    rows += [[int(j in cyc) for j in range(3)] + [0] * 3 for cyc in p_cycles if not cyc <= zx]
+    rows += [[0] * 3 + [int(j in cyc) for j in range(3)] for cyc in s_cycles if not cyc <= zy]
+    num_zero = [(i in zn, i in zx, i in zy) for i in range(3)]
+    den_zero = [(s[i] in zn, i in zx, i in zy) for i in range(3)]
+    if any(sum(zero) >= 2 for zero in num_zero + den_zero):
+        return "degenerate", None
+    torus = _oracle_torus(rows)
+    n = tuple(Fraction(int(i not in zn)) for i in range(3))
+    witness = None
+    for signs in itertools.product((1, -1), repeat=6):
+        if any(math.prod(sign**e for sign, e in zip(signs, row)) != 1 for row in rows):
+            continue
+        c = tuple(signs[j] * torus[j] for j in range(3))
+        km = tuple(signs[3 + j] * torus[3 + j] for j in range(3))
+        x = _oracle_cycle_values(p, zx, c, qsearch._PRIMES[6:9])
+        y = _oracle_cycle_values(s, zy, km, qsearch._PRIMES[9:12])
+        for i in range(3):
+            assert x[i] == c[i] * x[p[i]] and y[i] == km[i] * y[s[i]]
+            assert km[i] * n[s[i]] == c[i] * n[p[i]]
+        num = [(n[i], x[i], y[i]) for i in range(3)]
+        den = [(km[i] * n[s[i]], x[i], y[i]) for i in range(3)]
+        parallel = lambda a, b: all(a[i] * b[j] == a[j] * b[i] for i, j in ((0, 1), (0, 2), (1, 2)))
+        if witness is None and not any(
+            all(parallel(num[i], den[pi[i]]) for i in range(3))
+            for pi in itertools.permutations(range(3))
+        ):
+            system = build_system(3, "three", PermTriple(s, p), MultiplierAssignment(c, km))
+            data = {"zn": sorted(zn), "zx": sorted(zx), "zy": sorted(zy), "c": c, "k": km,
+                    "n": n, "x": tuple(x), "y": tuple(y)}
+            witness = product_from_assignment(system, n, tuple(x), tuple(y)), data
+    return ("trivial" if witness is None else "nontrivial"), witness
+
+
+def test_survey_pairs_match_an_oracle_that_decides_every_stratum():
+    perms = list(itertools.permutations(range(3)))
+    compose = lambda a, b: tuple(a[b[i]] for i in range(3))
+    stratum_key = lambda zeros: (sum(map(len, zeros)), *map(sorted, zeros))
+    nontrivial = set()
+    for s, p in itertools.product(perms, repeat=2):
+        u = tuple(s[p.index(j)] for j in range(3))
+        invariant = lambda perm: [
+            frozenset(z) for size in range(4) for z in itertools.combinations(range(3), size)
+            if {perm[i] for i in z} == set(z)
+        ]
+        strata = sorted(
+            itertools.product(invariant(u), invariant(p), invariant(s)), key=stratum_key
+        )
+        commute = lambda t, a: compose(t, a) == compose(a, t)
+        stab = [t for t in perms if commute(t, s) and commute(t, p)]
+        verdicts = {zeros: _oracle_stratum(s, p, *zeros) for zeros in strata}
+        for zeros, (verdict, _) in verdicts.items():
+            orbit = [tuple(frozenset(t[i] for i in z) for z in zeros) for t in stab]
+            assert verdicts[min(orbit, key=stratum_key)][0] == verdict, (s, p, zeros)
+        first = next((w for _, w in verdicts.values() if w is not None), (None, {}))
+        assert qsearch._survey_pair(s, p) == first, (s, p)
+        if first[0] is not None:
+            nontrivial.add((s, p))
+    assert nontrivial == {((1, 2, 0), (2, 0, 1)), ((2, 0, 1), (1, 2, 0))}
