@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .formula import FactorProduct, convert_product
 from .plane import (
@@ -25,7 +24,6 @@ from .plane import (
     DegenerateInputError,
     LinearForm,
     ProjPoint,
-    _cross,
     family_line,
     incident,
     meet,
@@ -303,13 +301,12 @@ def _canonical_labeling(columns: list[list[int]], npts: int) -> list[int]:
 
 def canonical_form(table: ConfigurationTable) -> ConfigurationTable:
     """Canonical representative of the relabeling class; idempotent."""
-    canonical, _, _ = _canonicalize(table)
-    return canonical
+    return _canonicalize(table)[0]
 
 
 def _canonicalize(table: ConfigurationTable):
-    """Canonical table plus the point map (original label -> canonical label)
-    and the column order (canonical index -> original index).
+    """Canonical table plus the column order (canonical index -> original
+    index).
 
     Points are numbered in the order of the canonical leaf of the table's
     Levi graph (`_canonical_labeling`); the relabeled columns are sorted.
@@ -320,7 +317,7 @@ def _canonicalize(table: ConfigurationTable):
     label_of = {points[v]: t for t, v in enumerate(order[: len(points)])}
     relabeled = [tuple(sorted(label_of[pt] for pt in col)) for col in table.columns]
     col_order = tuple(sorted(range(table.l), key=relabeled.__getitem__))
-    return ConfigurationTable([relabeled[i] for i in col_order]), label_of, col_order
+    return ConfigurationTable([relabeled[i] for i in col_order]), col_order
 
 
 def isomorphic(t1: ConfigurationTable, t2: ConfigurationTable) -> bool:
@@ -561,7 +558,7 @@ def find_coloring(table: ConfigurationTable) -> Coloring | None:
         raise ValueError("invalid table: " + "; ".join(violations))
     if table.gamma != 3 or table.l % 3 != 0:
         raise ValueError("coloring needs gamma = 3 and a line count divisible by 3")
-    canonical, _, col_order = _canonicalize(table)
+    canonical, col_order = _canonicalize(table)
     coloring = _color_canonical(canonical)
     if coloring is None:
         return None
@@ -608,11 +605,11 @@ def _color_canonical(table: ConfigurationTable) -> list[int] | None:
 def extract_permutations(table: ConfigurationTable, coloring: Coloring):
     """The red/green pairing permutations carried by the non-first black lines.
 
-    On every black line each point joins one red and one green line; that
-    pairing must be a bijection.  Green lines are relabeled so the first
-    black line's pairing becomes the identity; the remaining black lines then
-    define permutations (s, p) or (s, p, v) in the caller's black order,
-    mapping a green index to its red partner.
+    Once the coloring is valid every point lies on one red and one green
+    line; on each black line this pairing must be a bijection.  Green lines
+    are relabeled so the first black line's pairing becomes the identity; the
+    remaining black lines then define permutations (s, p) or (s, p, v) in the
+    caller's black order, mapping a green index to its red partner.
     """
     violations = validate_coloring(table, coloring)
     if violations:
@@ -621,42 +618,25 @@ def extract_permutations(table: ConfigurationTable, coloring: Coloring):
         raise MalformedColoringError("coloring has no black line")
     red_pos = {idx: i for i, idx in enumerate(coloring.red)}
     green_pos = {idx: i for i, idx in enumerate(coloring.green)}
-    red_set, green_set = set(coloring.red), set(coloring.green)
     k = len(coloring.red)
     lines_through = _lines_through(table)
     pairings = []
     for black in coloring.black:
         pairing = {}
         for pt in table.columns[black]:
-            through = lines_through[pt]
-            reds = [idx for idx in through if idx in red_set]
-            greens = [idx for idx in through if idx in green_set]
-            if len(reds) != 1 or len(greens) != 1:
-                raise MalformedColoringError(
-                    f"point {pt} on black line {black} lacks a unique red/green pair"
-                )
-            g, r = green_pos[greens[0]], red_pos[reds[0]]
+            r = next(red_pos[idx] for idx in lines_through[pt] if idx in red_pos)
+            g = next(green_pos[idx] for idx in lines_through[pt] if idx in green_pos)
             if g in pairing:
                 raise MalformedColoringError(
-                    f"green line {greens[0]} pairs twice on black line {black}"
+                    f"green line {coloring.green[g]} pairs twice on black line {black}"
                 )
             pairing[g] = r
         if sorted(pairing) != list(range(k)) or sorted(pairing.values()) != list(range(k)):
             raise MalformedColoringError(f"pairing on black line {black} is not a bijection")
         pairings.append(pairing)
-    base = pairings[0]
-    # relabel greens so the first black line pairs green i with red i
-    perms = []
-    for pairing in pairings[1:]:
-        perms.append(tuple(pairing[g] for g in _inverse_map(base)))
-    return tuple(perms)
-
-
-def _inverse_map(pairing: dict[int, int]) -> list[int]:
-    inv = [0] * len(pairing)
-    for g, r in pairing.items():
-        inv[r] = g
-    return inv
+    # relabel greens so the first black line pairs green r with red r
+    green_of = {r: g for g, r in pairings[0].items()}
+    return tuple(tuple(pairing[green_of[r]] for r in range(k)) for pairing in pairings[1:])
 
 
 # --- sketches --------------------------------------------------------------------
@@ -680,8 +660,13 @@ class IncidenceSketch:
 def sketch_from_q(F: FactorProduct, black_lines) -> IncidenceSketch:
     """Draw the picture of a factor product: numerator factors are red lines,
     denominator factors green, and each given black line must carry exactly
-    k points where a red and a green line cross it (one per red and green).
-    The configuration table read off the sketch is attached.
+    k triple points, one per red and one per green line.
+
+    Each red line i meets black line b in one point, through which exactly
+    one green line j must pass; j must be new on b, and the point must lie on
+    no earlier black line.  The point is stored as meet(red i, green j) and
+    labeled in order of (b, i); the configuration table read off the sketch
+    is attached.
     """
     blacks = list(black_lines)
     if not blacks:
@@ -703,55 +688,31 @@ def sketch_from_q(F: FactorProduct, black_lines) -> IncidenceSketch:
             raise NotAQPictureError(
                 f"lines {i} and {j} of the picture are proportional"
             )
-    black_points: list[list[ProjPoint]] = []
-    owner: dict[ProjPoint, tuple[int, int, int]] = {}
-    for b_idx, black in enumerate(blacks):
-        hits: dict[int, tuple[int, ProjPoint]] = {}
-        greens_seen = set()
-        for i, red in enumerate(reds):
-            for j, green in enumerate(greens):
-                pt = meet(red, green)
-                if not incident(pt, black):
-                    continue
-                if i in hits:
-                    raise NotAQPictureError(
-                        f"red line {i} crosses black line {b_idx} at two triple points"
-                    )
-                if j in greens_seen:
-                    raise NotAQPictureError(
-                        f"green line {j} crosses black line {b_idx} at two triple points"
-                    )
-                hits[i] = (j, pt)
-                greens_seen.add(j)
-        if len(hits) != k:
-            raise NotAQPictureError(
-                f"black line {b_idx} carries {len(hits)} triple points, expected {k}"
-            )
-        row = []
-        for i in range(k):
-            j, pt = hits[i]
-            if pt in owner:
-                raise NotAQPictureError(
-                    f"triple point of black line {b_idx} already lies on black line "
-                    f"{owner[pt][0]}"
-                )
-            owner[pt] = (b_idx, i, j)
-            row.append(pt)
-        black_points.append(row)
-    points: list[ProjPoint] = [pt for row in black_points for pt in row]
-    label_of = {pt: idx for idx, pt in enumerate(points)}
+    points: list[ProjPoint] = []
     columns: list[list[int]] = [[] for _ in range(3 * k)]
-    for pt, (b_idx, i, j) in owner.items():
-        label = label_of[pt]
-        columns[b_idx].append(label)
-        columns[k + i].append(label)
-        columns[2 * k + j].append(label)
-    table = ConfigurationTable(columns)
-    coloring = Coloring(
-        tuple(range(k)), tuple(range(k, 2 * k)), tuple(range(2 * k, 3 * k))
-    )
-    for pt, (b_idx, i, j) in owner.items():
-        assert incident(pt, blacks[b_idx]) and incident(pt, reds[i]) and incident(pt, greens[j])
+    for b_idx, black in enumerate(blacks):
+        for i, red in enumerate(reds):
+            pt = meet(red, black)
+            through = [j for j, green in enumerate(greens) if incident(pt, green)]
+            if len(through) != 1:
+                raise NotAQPictureError(
+                    f"red line {i} meets black line {b_idx} on {len(through)} green lines"
+                )
+            j = through[0]
+            if not set(columns[b_idx]).isdisjoint(columns[2 * k + j]):
+                raise NotAQPictureError(
+                    f"green line {j} crosses black line {b_idx} at two triple points"
+                )
+            earlier = next((c for c in range(b_idx) if incident(pt, blacks[c])), None)
+            if earlier is not None:
+                raise NotAQPictureError(
+                    f"triple point of black line {b_idx} already lies on black line {earlier}"
+                )
+            for col in (b_idx, k + i, 2 * k + j):
+                columns[col].append(len(points))
+            points.append(meet(red, greens[j]))
+    for line, col in zip(all_lines, columns):
+        assert all(incident(points[label], line) for label in col)
     labels = tuple(
         [_black_label(b, idx) for idx, b in enumerate(blacks)]
         + [f"r{i + 1}" for i in range(k)]
@@ -762,8 +723,10 @@ def sketch_from_q(F: FactorProduct, black_lines) -> IncidenceSketch:
         line_forms=tuple(all_lines),
         line_colors=tuple(["black"] * k + ["red"] * k + ["green"] * k),
         line_labels=labels,
-        table=table,
-        coloring=coloring,
+        table=ConfigurationTable(columns),
+        coloring=Coloring(
+            tuple(range(k)), tuple(range(k, 2 * k)), tuple(range(2 * k, 3 * k))
+        ),
         basis=basis,
     )
 
@@ -779,6 +742,7 @@ def _black_label(form: LinearForm, idx: int) -> str:
 
 
 _SVG_COLORS = {"black": "#000000", "red": "#c22a2a", "green": "#1f8a3d"}
+_SVG_SIZE = 720
 
 
 def _chart_candidates(basis: Basis):
@@ -801,66 +765,44 @@ def choose_chart(sketch: IncidenceSketch) -> LinearForm:
     raise DegenerateInputError("no usable chart line found")
 
 
-def _affine_frame(chart: LinearForm):
-    """Two coordinate forms completing the chart to a basis of the dual."""
-    w = chart.coeffs
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        rest = 3 - i - j
-        if w[rest] != 0:
-            e_i = [Fraction(0)] * 3
-            e_j = [Fraction(0)] * 3
-            e_i[i] = Fraction(1)
-            e_j[j] = Fraction(1)
-            return (tuple(e_i), tuple(e_j))
-    raise DegenerateInputError("chart form is zero")
-
-
-def _solve3(a, b, c, target):
-    """Coordinates of `target` in the basis (a, b, c) of coefficient triples,
-    by Cramer's rule."""
-
-    def det(u, v, w):
-        return sum(x * y for x, y in zip(u, _cross(v, w)))
-
-    d = Fraction(det(a, b, c))
-    if d == 0:
-        raise DegenerateInputError("frame is singular")
-    return (det(target, b, c) / d, det(a, target, c) / d, det(a, b, target) / d)
-
-
-def emit_svg(sketch: IncidenceSketch, path=None, size: int = 720) -> str:
+def emit_svg(sketch: IncidenceSketch, path=None) -> str:
     """Render the sketch deterministically; identical inputs give
-    byte-identical output.  The default chart sends the first coordinate line
-    to infinity and falls back automatically whenever a sketch point would
-    land on the chart."""
+    byte-identical output.
+
+    The chart line (`choose_chart`) goes to infinity.  With `rest` the last
+    coordinate where the chart w is nonzero and i < j the other two, a point
+    P lands at (P[i], P[j]) / w(P), and a line f = a*e_i + b*e_j + t*w, with
+    t = f[rest] / w[rest], at a*x + b*y + t = 0.
+    """
     chart = choose_chart(sketch)
-    e1, e2 = _affine_frame(chart)
+    w = chart.coeffs
+    rest = next(c for c in (2, 1, 0) if w[c] != 0)
+    i, j = (c for c in range(3) if c != rest)
     pts_xy = []
     for pt in sketch.points:
-        w = sum(c * v for c, v in zip(chart.coeffs, pt.coords))
-        x = sum(c * v for c, v in zip(e1, pt.coords)) / w
-        y = sum(c * v for c, v in zip(e2, pt.coords)) / w
-        pts_xy.append((float(x), float(y)))
+        h = chart(pt)
+        pts_xy.append((float(pt.coords[i] / h), float(pt.coords[j] / h)))
     xs = [x for x, _ in pts_xy]
     ys = [y for _, y in pts_xy]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     pad = 0.2 * span
     x0, y0 = min(xs) - pad, min(ys) - pad
     x1, y1 = max(xs) + pad, max(ys) + pad
-    scale = size / max(x1 - x0, y1 - y0)
+    scale = _SVG_SIZE / max(x1 - x0, y1 - y0)
 
     def to_screen(x, y):
         return ((x - x0) * scale, (y1 - y) * scale)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="#ffffff"/>',
     ]
     for form, color, label in zip(sketch.line_forms, sketch.line_colors, sketch.line_labels):
-        lam = _solve3(e1, e2, chart.coeffs, form.coeffs)
-        seg = _clip_line(float(lam[0]), float(lam[1]), float(lam[2]), x0, y0, x1, y1)
+        f = form.coeffs
+        t = f[rest] / w[rest]
+        seg = _clip_line(float(f[i] - t * w[i]), float(f[j] - t * w[j]), float(t), x0, y0, x1, y1)
         if seg is None:
             continue
         (ax, ay), (bx, by) = to_screen(*seg[0]), to_screen(*seg[1])

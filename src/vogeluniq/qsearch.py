@@ -976,7 +976,7 @@ def survey_k3_classical(stats: SurveyStats | None = None) -> list[SurveyEntry]:
         for p in perms:
             least = min((_conj_perm(tau, s), _conj_perm(tau, p)) for tau in perms)
             if least == (s, p) or orbit_nontrivial[least]:
-                witness, data = _survey_pair(s, p) if stats is None else _survey_pair(s, p, stats)
+                witness, data = _survey_pair(s, p, stats)
                 orbit_nontrivial.setdefault(least, witness is not None)
             else:
                 witness, data = None, {}

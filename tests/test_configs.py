@@ -1,7 +1,9 @@
 import hashlib
 import importlib.util
 import itertools
+import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -283,6 +285,22 @@ def test_extraction_rejects_malformed_colorings():
         extract_permutations(NINE, bad)
 
 
+@pytest.mark.parametrize("columns,message", [
+    # black line 0 holds two points of green line 4
+    ([(1, 2), (3, 4), (1, 3), (2, 4), (1, 2), (3, 4)], "green line 4 pairs twice on black line 0"),
+    # black line 0 holds one point, so its pairing misses green 1 and red 1
+    ([(1,), (2, 3), (1, 3), (2,), (1, 3), (2,)], "pairing on black line 0 is not a bijection"),
+])
+def test_extraction_rejects_pairings_of_tables_that_fail_validation(columns, message):
+    # The coloring is valid on these tables, but `validate_table` rejects them
+    # and `extract_permutations` does not call it.
+    table = ConfigurationTable(columns)
+    coloring = Coloring((0, 1), (2, 3), (4, 5))
+    assert validate_coloring(table, coloring) == [] and validate_table(table) != []
+    with pytest.raises(MalformedColoringError, match=message):
+        extract_permutations(table, coloring)
+
+
 def test_extraction_rejects_a_coloring_without_black_lines():
     with pytest.raises(MalformedColoringError, match="no black line"):
         extract_permutations(ConfigurationTable([]), Coloring((), (), ()))
@@ -359,6 +377,71 @@ def test_random_product_is_not_a_picture(rng):
 def test_sketch_black_line_count_must_match_k():
     with pytest.raises(NotAQPictureError):
         sketch_from_q(builtin_q33(2, 3, 1, 1), PRIMED_LINES["four"])
+
+
+def test_sketch_point_representatives_are_pinned():
+    # The SVG digest does not see the scale of a point; `sketch --json` does.
+    # Each point is stored as the meet of its red and its green line.
+    three = sketch_from_q(builtin_q33(2, 3, 1, 1), PRIMED_LINES["three"])
+    assert [pt.coords for pt in three.points] == [
+        (0, 1, -1), (0, -5, 15), (0, 4, -24),
+        (-2, 0, 2), (-3, 0, 18), (5, 0, -10),
+        (-5, 5, 0), (2, -4, 0), (3, -1, 0),
+    ]
+    four = sketch_from_q(builtin_q_prop4(1, 2, 3, 5), PRIMED_LINES["four"])
+    assert [pt.coords for pt in four.points] == [
+        (0, 85, 34), (0, -85, -51), (0, -85, 51), (0, 85, -34),
+        (5, 0, 1), (-5, 0, 16), (5, 0, -1), (-5, 0, -16),
+        (20, -10, 0), (30, 160, 0), (-30, 10, 0), (-20, -160, 0),
+        (25, 75, 35), (25, 75, -35), (-25, -75, 50), (-25, -75, -50),
+    ]
+    assert all(pt.basis is Basis.PRIMED for pt in three.points + four.points)
+
+
+def _primed_product(num, den):
+    return FactorProduct(
+        tuple(LinearForm(c, Basis.PRIMED) for c in num),
+        tuple(LinearForm(c, Basis.PRIMED) for c in den),
+        basis=Basis.PRIMED,
+    )
+
+
+# Black lines a' = 0, b' = 0, c' = 0.  Red line 0 = (1, 1, 0) meets a' = 0 at
+# (0 : 0 : 1), which also lies on b' = 0; reds 1 and 2 meet a' = 0 at
+# (0 : 1 : -1) and (0 : 2 : -1), where greens 1 and 2 pass.
+_REDS = [(1, 1, 0), (1, 1, 1), (1, 1, 2)]
+_GREENS_12 = [(2, 1, 1), (3, 1, 2)]
+
+
+@pytest.mark.parametrize("num,den,message", [
+    # no green line through (0 : 0 : 1)
+    (_REDS, [(1, 2, 1)] + _GREENS_12, "red line 0 meets black line 0 on 0 green lines"),
+    # greens (1, 1, 1) and (2, 1, 1) both pass through (0 : 1 : -1), where
+    # red (3, 1, 1) meets a' = 0
+    ([(3, 1, 1), (1, 2, 3), (1, 5, 7)], [(1, 1, 1), (2, 1, 1), (1, -3, 11)],
+     "red line 0 meets black line 0 on 2 green lines"),
+    # a green line meets a black line once, so its two triple points there
+    # coincide: reds 0 and 1 both meet a' = 0 at (0 : 1 : -1)
+    ([(3, 1, 1), (5, 1, 1), (1, 5, 7)], [(1, 1, 1), (1, 2, 3), (1, -3, 11)],
+     "green line 0 crosses black line 0 at two triple points"),
+    # green (1, 2, 0) passes through (0 : 0 : 1), which b' = 0 meets again
+    (_REDS, [(1, 2, 0)] + _GREENS_12,
+     "triple point of black line 1 already lies on black line 0"),
+])
+def test_sketch_rejects_hand_built_non_pictures(num, den, message):
+    with pytest.raises(NotAQPictureError, match=re.escape(message)):
+        sketch_from_q(_primed_product(num, den), PRIMED_LINES["three"])
+
+
+def test_sketch_cli_exits_2_on_a_triple_point_of_two_black_lines(tmp_path, capsys):
+    from vogeluniq.cli import main
+
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(_primed_product(_REDS, [(1, 2, 0)] + _GREENS_12).to_json()))
+    assert main(["sketch", "--formula-json", str(path), "--black", "sl,so,exc"]) == 2
+    assert capsys.readouterr().err == (
+        "error: triple point of black line 1 already lies on black line 0\n"
+    )
 
 
 # --- svg ---------------------------------------------------------------------------------

@@ -573,9 +573,9 @@ def test_survey_decides_one_pairing_per_relabeling_orbit(monkeypatch):
     calls = []
     survey_pair = qsearch._survey_pair
 
-    def counting(s, p):
+    def counting(s, p, stats):
         calls.append((s, p))
-        return survey_pair(s, p)
+        return survey_pair(s, p, stats)
 
     monkeypatch.setattr(qsearch, "_survey_pair", counting)
     entries = survey_k3_classical()
