@@ -19,9 +19,12 @@ unknowns, so those spaces are read off the components of signed graphs
 (n, x and y) with no elimination.  The y relations never mix with the
 (n, x) relations, so on both line sets a case's space is the direct sum of
 a y part, zero (and the case trivial) unless a sign check on the orbits of
-<s, v> passes, and an (n, x) part: the nullspace of the k mixed fourth-line
+<s, v> passes, and an (n, x) part: the nullspace of the mixed fourth-line
 rows over the balanced n and x components, by fraction-free integer
-elimination, or all of them on three lines.  Each case is decided by
+elimination, or all of them on three lines.  Only the cases with a nonzero
+y part reach the elimination, and with z = n + 3x the mixed rows are signed
+edges along the cycles of v p^-1, so one row per balanced cycle is implied
+by the others and left out (`_case_columns`).  Each case is decided by
 exact tests (degeneracy, and nontriviality by pairing the factors' linear
 maps up to sign), so the search draws no random numbers and its result
 does not depend on a seed; Fraction vectors are built only for the
@@ -472,24 +475,24 @@ def _relabelings(k: int) -> _Relabelings:
     return _Relabelings(perms, signs, perm_image, sign_image, by_rank)
 
 
-def _orbit_minima(items, images) -> list[tuple[object, list[int]]]:
-    """Each orbit's first member in `items`, with the positions where
+def _orbit_minima(items, images):
+    """Yield each orbit's first member in `items`, with the positions where
     `images(item)`, its images under the group's elements, fix it."""
     seen = set()
-    minima = []
     for item in items:
         if item not in seen:
             row = images(item)
             seen.update(row)
-            minima.append((item, [g for g, image in enumerate(row) if image == item]))
-    return minima
+            yield item, [g for g, image in enumerate(row) if image == item]
 
 
-def _stage1_classes(k: int, dedup: bool = True, rel: _Relabelings | None = None) -> list[tuple]:
-    """Three-line classes as (flat index, s, p, c, kmul, stabilizer), in flat
-    order, where the flat index numbers the tuples (s, p, c, kmul) of
-    permutations x permutations x sign vectors x sign vectors.  `rel` is
-    `_relabelings(k)`, built here when not given.
+def _stage1_classes(k: int, dedup: bool = True, rel: _Relabelings | None = None):
+    """Yield the three-line classes as (flat index, s, p, c, kmul,
+    stabilizer), in flat order, where the flat index numbers the tuples
+    (s, p, c, kmul) of permutations x permutations x sign vectors x sign
+    vectors.  `rel` is `_relabelings(k)`, built here when not given.  The
+    classes of one pair orbit are built when the first of them is asked
+    for, so a caller that stops early builds only the orbits it reached.
 
     With dedup, each orbit under simultaneous relabeling gives one class:
     its minimum in tuple order, with the relabelings that fix it, in
@@ -503,16 +506,14 @@ def _stage1_classes(k: int, dedup: bool = True, rel: _Relabelings | None = None)
     sign_pairs = [j_c * n_s + j_k for j_c in rel.by_rank for j_k in rel.by_rank]
     perm_images = rel.perm_image if dedup else []
     pair_images = lambda pair: [pi[pair // n_p] * n_p + pi[pair % n_p] for pi in perm_images]
-    classes = []
     for pair, group in _orbit_minima(range(n_p * n_p), pair_images):
         tables = [rel.sign_image[t] for t in group]
         sign_images = lambda sp: [si[sp // n_s] * n_s + si[sp % n_s] for si in tables]
-        classes += sorted(
+        yield from sorted(
             (pair * n_s * n_s + sp, perms[pair // n_p], perms[pair % n_p], signs[sp // n_s],
              signs[sp % n_s], tuple(perms[group[h]] for h in stab))
             for sp, stab in _orbit_minima(sign_pairs, sign_images)
         )
-    return classes
 
 
 def enumerate_families(
@@ -534,9 +535,10 @@ def enumerate_families(
     but changes nothing.  Iteration order, and therefore the output, is
     deterministic.  `budget` caps the number of examined cases, counted in
     index order whether screened or solved, and flags the result incomplete
-    when exceeded (budgeted runs are serial).  Unbudgeted runs with
-    threads > 1 deal the classes into `threads` chunks and run them on a
-    process pool of at most `os.cpu_count()` workers.
+    when exceeded.  Budgeted runs are serial and build only the stage-1
+    classes they reach.  Unbudgeted runs with threads > 1 deal the classes
+    into `threads` chunks and run them on a process pool of at most
+    `os.cpu_count()` workers.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -551,6 +553,7 @@ def enumerate_families(
     rel = _relabelings(k)
     stage1 = _stage1_classes(k, dedup, rel)
     if threads > 1 and budget is None:
+        stage1 = list(stage1)
         chunks = [stage1[i::threads] for i in range(threads)]
         args = [(k, lines, chunk, None, rel) for chunk in chunks if chunk]
         # The pool starts all its workers at once: no more than the cores.
@@ -571,8 +574,9 @@ def _enumerate_chunk(args):
     returns (found, cases, complete) where found holds (global_case_index,
     system, family) triples.  A three-line class is one case, with
     v = r = None; a four-line class has one case per fourth-line choice
-    (v, r).  Every case is decided on `_case_columns`, and a whole class is
-    trivial when its `_y_columns` are empty."""
+    (v, r).  Cases are counted in index order, up to `budget`, but only
+    those whose choice is a key of the class's `_y_columns` are decided,
+    on `_case_columns`: every other case has a zero y part and is trivial."""
     k, lines, entries, budget, rel = args
     four = lines == "four"
     per_class = len(rel.perms) * len(rel.signs) if four else 1
@@ -582,26 +586,26 @@ def _enumerate_chunk(args):
     y_columns_of = {}  # the y block involves only s, km, v and r
     for flat, s, p, c, km, stab in entries:
         if stab not in stage2_of:
-            stage2_of[stab] = _stage2_cases(rel, stab) if four else [(None, None)]
-        stage2 = stage2_of[stab]
+            stage2 = _stage2_cases(rel, stab) if four else [(None, None)]
+            stage2_of[stab] = stage2, {choice: local for local, choice in enumerate(stage2)}
+        stage2, local_of = stage2_of[stab]
+        todo = len(stage2) if budget is None else min(len(stage2), budget - cases)
         if (s, km) not in y_columns_of:
             y_columns_of[s, km] = _y_columns(k, s, km, rel if four else None)
         y_columns = y_columns_of[s, km]
-        if not y_columns:  # no case of the class can extend
-            if budget is not None and cases + len(stage2) > budget:
-                return found, budget, False
-            cases += len(stage2)
-            continue
-        nx = _nx_part(k, s, p, c, km, four)
-        for local_index, (v, r) in enumerate(stage2):
-            if budget is not None and cases >= budget:
-                return found, cases, False
-            cases += 1
-            cols = _case_columns(k, nx, y_columns, v, r)
+        nonzero_y = sorted(i for i in map(local_of.get, y_columns) if i is not None and i < todo)
+        if nonzero_y:
+            nx = _nx_part(k, s, p, c, km, four)
+        for local_index in nonzero_y:
+            v, r = stage2[local_index]
+            cols = _case_columns(k, nx, y_columns[v, r], v, r)
             if cols and _survives(k, s, km, cols, four):
                 mult = MultiplierAssignment(c, km, r, quantum=True)
                 system = build_system(k, lines, PermTriple(s, p, v), mult)
                 found.append((flat * per_class + local_index, system, solve_quantum(system).family))
+        cases += todo
+        if todo < len(stage2):
+            return found, cases, False
     return found, cases, True
 
 
@@ -682,16 +686,21 @@ def _y_columns(k, s, km, rel: _Relabelings | None) -> dict:
     nonzero y block, from one `_y_orbits` call per v: y_i is +-1 (its sign
     relative to its orbit's root) times its orbit's parameter, or 0 if the
     orbit is zero.  Without `rel` the one choice is (None, None), the
-    three-line case, whose masks are all 0.
+    three-line case, whose masks are all 0.  A condition (mask, parity)
+    holds for r when the bits of mask among r's negative entries have that
+    parity, a popcount as in `_SIGN_PATTERNS`.
 
     The dict is empty exactly when no s-orbit is balanced.  A balanced
     s-orbit stays balanced for v = identity and r = all +1, and an
     unbalanced cycle stays in whatever component v merges it into."""
     out = {}
+    negatives = [
+        (r, sum(1 << i for i, sign in enumerate(r) if sign < 0)) for r in rel.signs
+    ] if rel else [(None, 0)]
     for v in rel.perms if rel else [None]:
         label, orbits = _y_orbits(k, s, km, v)
-        for r in rel.signs if rel else [None]:
-            odd = lambda mask: sum(r[i] < 0 for i in range(k) if mask >> i & 1) & 1
+        for r, neg in negatives:
+            odd = lambda mask: (neg & mask).bit_count() & 1
             roots = [root for root, conds in orbits.items() if all(odd(m) == q for m, q in conds)]
             if roots:
                 out[v, r] = [
@@ -701,14 +710,15 @@ def _y_columns(k, s, km, rel: _Relabelings | None) -> dict:
     return out
 
 
-def _nx_part(k, s, p, c, km, four: bool) -> tuple[int, list, dict]:
-    """(m, units, rows) over the m balanced components of the signed graph
-    that the x and n relations of `_relation_terms` make on the 2k unknowns
-    n and x (a relation ca u_a + cb u_b = 0 is the edge u_b = -(ca cb) u_a):
-    units[u] is the (component, sign) carrying unknown u, or None if u is
-    zero, and on four lines rows[i, j, sign] is factor i's mixed row
-    c_i n_{p(i)} + 3 x_i - r_i (n_{v(i)} + 3 x_{v(i)}) for v(i) = j and
-    r_i = sign."""
+def _nx_part(k, s, p, c, km, four: bool) -> tuple[int, list, dict, Perm | None, tuple]:
+    """(m, units, rows, p_inv, c) over the m balanced components of the
+    signed graph that the x and n relations of `_relation_terms` make on the
+    2k unknowns n and x (a relation ca u_a + cb u_b = 0 is the edge
+    u_b = -(ca cb) u_a): units[u] is the (component, sign) carrying unknown
+    u, or None if u is zero, and on four lines rows[i, j, sign] is factor
+    i's mixed row c_i n_{p(i)} + 3 x_i - r_i (n_{v(i)} + 3 x_{v(i)}) for
+    v(i) = j and r_i = sign.  p_inv (None on three lines) and c are for
+    `_mixed_rows`."""
     terms = _relation_terms(k, s, p, c, km)
     del terms[1::3]  # the y relations
     label, conditions = _signed_components(
@@ -726,23 +736,60 @@ def _nx_part(k, s, p, c, km, four: bool) -> tuple[int, list, dict]:
                 out[units[u][0]] += coef * units[u][1]
         return out
 
+    if not four:
+        return len(free), units, {}, None, c
     rows = {
         (i, j, sign): row((p[i], c[i]), (k + i, 3), (j, -sign), (k + j, -3 * sign))
         for i, j, sign in itertools.product(range(k), range(k), (1, -1))
-    } if four else {}
-    return len(free), units, rows
+    }
+    return len(free), units, rows, perm_inverse(p), c
 
 
-def _case_columns(k, nx, y_columns, v, r) -> list[tuple] | None:
-    """`_columns` of a case's solution space, the direct sum of its (n, x)
-    part, the nullspace of its k mixed rows (none on three lines) over
-    `_nx_part`, and its y part from `_y_columns`.  None when either part is
-    zero: a zero y part makes the case trivial, and with n = x = 0 every
-    factor vanishes on c' = 0."""
-    m, units, rows = nx
-    y = y_columns.get((v, r))
-    mixed = [rows[i, v[i], r[i]] for i in range(k)] if v else []
-    null = y and int_nullspace(mixed, m)
+def _mixed_rows(k, nx, v, r) -> list[list[int]]:
+    """The mixed rows of choice (v, r) that `_case_columns` eliminates: all
+    k of them but one per balanced cycle of sigma = v p^-1."""
+    _, _, rows, p_inv, c = nx
+    kept = []
+    seen = [False] * k
+    for start in range(k):
+        i, sign, cycle = start, 1, []
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(rows[i, v[i], r[i]])
+            sign *= c[i] * r[i]
+            i = p_inv[v[i]]
+        kept += cycle[:-1] if sign > 0 else cycle
+    return kept
+
+
+def _case_columns(k, nx, y, v, r) -> list[tuple] | None:
+    """`_columns` of a case with the nonzero y columns `y` from
+    `_y_columns`: the direct sum of its (n, x) part, the nullspace of its
+    mixed rows (none on three lines) over `_nx_part`, and its y part.  None
+    when the (n, x) part is zero: with n = x = 0 every factor vanishes on
+    c' = 0.
+
+    Only `_mixed_rows` are eliminated.  Over `_nx_part` the relation
+    x_i = c_i x_{p(i)} holds as linear forms, so with z_j = n_j + 3 x_j
+    mixed row i is c_i z_{p(i)} - r_i z_{v(i)}: a signed edge from p(i) to
+    v(i), and the k rows run along the cycles of sigma = v p^-1.  On a
+    cycle j_0 -> j_1 -> ... -> j_{L-1} -> j_0 let row t be the row of the
+    factor i with p(i) = j_t, and e_t = c_i r_i its sign, so r_i times
+    row t is e_t z_{j_t} - z_{j_{t+1}}.  With weights w_0 = 1 and
+    w_t = e_1 e_2 ... e_t, the sum of w_t r_i row t cancels z_{j_t} for
+    t >= 1 and leaves e_0 (1 - e_0 e_1 ... e_{L-1}) z_{j_0}.
+
+    On a balanced cycle, product +1 (Harary's balance), the rows therefore
+    satisfy a relation whose coefficients are all +-1: each is implied by
+    the others, and dropping one leaves the row space, and so the reduced
+    row echelon form and the primitive basis of `int_nullspace`,
+    unchanged.  On an unbalanced cycle, product -1, the L rows as forms in
+    the L values z_j have determinant +-(1 - product) = +-2, so no one of
+    them is implied by the others and together they say z_j = 0 at every
+    j on the cycle.  Putting the L rows z_j = 0 in their place leaves the
+    row space unchanged too, but measured no faster, so they are kept."""
+    m, units = nx[0], nx[1]
+    null = int_nullspace(_mixed_rows(k, nx, v, r) if v else [], m)
     if not null:
         return None
     zero, pad = (0,) * len(null), (0,) * len(y[0])

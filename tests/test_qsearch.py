@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import os
 from collections import Counter
@@ -280,6 +282,42 @@ def test_enumeration_rejects_out_of_range_arguments():
         enumerate_families(2, "three", threads=0)
 
 
+def test_budgeted_search_builds_only_the_stage1_classes_it_reaches(monkeypatch):
+    pulled = []
+    stage1 = qsearch._stage1_classes
+
+    def counting(*args):
+        for cls in stage1(*args):
+            pulled.append(cls)
+            yield cls
+
+    monkeypatch.setattr(qsearch, "_stage1_classes", counting)
+    result = enumerate_families(5, "four", budget=1000)
+    assert not result.complete and result.cases_examined == 1000
+    # the classes pulled are the first ones, and the last is the one the budget ends in
+    assert pulled == list(itertools.islice(stage1(5), len(pulled)))
+    rel = qsearch._relabelings(5)
+    sizes = [len(qsearch._stage2_cases(rel, cls[5])) for cls in pulled]
+    assert sum(sizes[:-1]) <= 1000 < sum(sizes)
+    assert len(pulled) < 31757
+
+
+@pytest.mark.parametrize("lines,budgets", [
+    ("three", (0, 1, 7, 1000, 4321)),  # 0, 0, 0, 12 and all 53 families
+    ("four", (0, 1, 1000, 220000, 230000)),  # 0, 0, 0, 4 and 11 of the 23
+])
+def test_budgeted_family_lists_are_prefixes_of_each_other(lines, budgets):
+    total = enumerate_families(4, lines)
+    previous = ()
+    for budget in budgets:
+        result = enumerate_families(4, lines, budget=budget)
+        assert result.cases_examined == min(budget, total.cases_examined)
+        assert result.complete == (budget >= total.cases_examined)
+        assert result.families[: len(previous)] == previous
+        previous = result.families
+    assert total.families[: len(previous)] == previous
+
+
 # --- built-ins ------------------------------------------------------------------------
 
 
@@ -430,11 +468,11 @@ def _brute_force_classes(k):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_stage1_classes_are_the_orbit_minima(k):
-    assert _stage1_classes(k) == _brute_force_classes(k)
+    assert list(_stage1_classes(k)) == _brute_force_classes(k)
 
 
 def test_stage1_k4_class_count_and_stabilizers():
-    classes = _stage1_classes(4)
+    classes = list(_stage1_classes(4))
     assert len(classes) == 1756
     assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
     sizes = Counter(len(cls[5]) for cls in classes)
@@ -464,7 +502,7 @@ def test_stage1_class_count_is_burnside_count(k, count):
                 lengths.append(length)
         fixed_signs = 2 ** (len(lengths) - any(n % 2 for n in lengths))
         burnside += centralizer ** 2 * fixed_signs ** 2
-    classes = _stage1_classes(k)
+    classes = list(_stage1_classes(k))
     assert burnside % len(perms) == 0 and burnside // len(perms) == len(classes) == count
     assert sum(len(perms) // len(cls[5]) for cls in classes) == len(perms) ** 2 * 4 ** (k - 1)
 
@@ -480,7 +518,7 @@ def _screen_cases():
             for v, r in itertools.product(rel.perms, rel.signs):
                 yield k, s, p, c, km, v, r
     rel = qsearch._relabelings(4)
-    for _, s, p, c, km, stab in _stage1_classes(4)[:20]:
+    for _, s, p, c, km, stab in list(_stage1_classes(4))[:20]:
         for v, r in qsearch._stage2_cases(rel, stab):
             yield 4, s, p, c, km, v, r
 
@@ -505,6 +543,29 @@ def test_y_block_screen_is_exact_and_never_drops_a_family():
     assert kept and dropped
 
 
+def test_mixed_row_pruning_keeps_the_nullspace():
+    """Dropping one mixed row per balanced cycle of sigma = v p^-1 leaves
+    `int_nullspace` unchanged, exactly; cycles of both kinds occur."""
+    balanced = unbalanced = 0
+    for k, s, p, c, km, v, r in _screen_cases():
+        if v is None:
+            continue
+        nx = qsearch._nx_part(k, s, p, c, km, True)
+        m, rows = nx[0], nx[2]
+        full = [rows[i, v[i], r[i]] for i in range(k)]
+        pruned = qsearch._mixed_rows(k, nx, v, r)
+        assert int_nullspace(pruned, m) == int_nullspace(full, m)
+        p_inv = qsearch.perm_inverse(p)
+        sigma = tuple(v[p_inv[j]] for j in range(k))
+        signs = [
+            math.prod(c[p_inv[j]] * r[p_inv[j]] for j in cycle) for cycle in qsearch._cycles(sigma)
+        ]
+        assert len(pruned) == k - signs.count(1)
+        balanced += signs.count(1)
+        unbalanced += signs.count(-1)
+    assert balanced and unbalanced
+
+
 # The stage-1 classes of the 23 nontrivial k = 4 four-line families.
 K4_FOUR_LINE_CLASSES = [
     11776, 11783, 11822, 11832, 11839, 14186, 14189, 14190, 14200, 14204, 14207,
@@ -512,23 +573,34 @@ K4_FOUR_LINE_CLASSES = [
 ]
 
 
+# A k = 5 four-line class that holds nontrivial families.
+K5_FOUR_LINE_CLASSES = [225431]
+
+
 def _oracle_entries(lines):
     """Every raw class for k <= 3; at k = 4 every three-line class, and the
-    first 20 four-line classes plus the classes of the known families."""
+    first 20 four-line classes plus the classes of the known families; at
+    k = 5 every 25th three-line class, and every 12,000th four-line class
+    plus one that holds families."""
     for k in (1, 2, 3):
-        yield k, _stage1_classes(k, dedup=False)
-    classes = _stage1_classes(4)
+        yield k, list(_stage1_classes(k, dedup=False))
+    classes = list(_stage1_classes(4))
     if lines == "four":
         classes = classes[:20] + [cls for cls in classes if cls[0] in K4_FOUR_LINE_CLASSES]
     yield 4, classes
+    classes = list(_stage1_classes(5))
+    if lines == "four":
+        yield 5, classes[::12000] + [cls for cls in classes if cls[0] in K5_FOUR_LINE_CLASSES]
+    else:
+        yield 5, classes[::25]
 
 
 def test_four_line_decision_matches_full_elimination():
     """The search's verdict on each case, on both line sets, equals that of
     `solve_quantum`, an independent elimination of all 3k unknowns: the
     search finds exactly the cases that solve to a nontrivial family."""
-    for lines, families in (("three", 53), ("four", 23)):
-        four, found = lines == "four", 0
+    for lines, families in (("three", {4: 53, 5: 42}), ("four", {4: 23, 5: 13})):
+        four, found = lines == "four", {}
         for k, entries in _oracle_entries(lines):
             rel = qsearch._relabelings(k)
             per_class = len(rel.perms) * len(rel.signs) if four else 1
@@ -544,8 +616,23 @@ def test_four_line_decision_matches_full_elimination():
             searched, examined, complete = qsearch._enumerate_chunk((k, lines, entries, None, rel))
             assert complete and examined == cases
             assert [item[0] for item in searched] == expected, (lines, k)
-            found += len(expected)
+            if expected:
+                found[k] = len(expected)
         assert found == families, lines
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lines,cases,families,digest", [
+    ("four", 59062969, 2135, "2bc320eec915e4dd"),
+    ("three", 31757, 1253, "92eb8d108de2e453"),
+])
+def test_k5_search_gate(lines, cases, families, digest):
+    """The full k = 5 search on two processes: its case count, family count
+    and the SHA-256 of `json.dumps` of its `case_index` list."""
+    result = enumerate_families(5, lines, threads=2)
+    found = [ff.case_index for ff in result.families]
+    assert result.complete and result.cases_examined == cases and len(found) == families
+    assert hashlib.sha256(json.dumps(found).encode()).hexdigest().startswith(digest)
 
 
 # --- the classical k = 3 survey -----------------------------------------------------
