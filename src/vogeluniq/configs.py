@@ -2,10 +2,13 @@
 
 A configuration table records which points lie on which lines; validity means
 every point label occurs in exactly `gamma` columns, every column holds `pi`
-distinct labels, and two columns share at most one label.  Tables are compared
-up to relabeling of points and lines via a canonical form: an exact
+distinct labels, and two columns share at most one label.  A canonical form
+represents a table up to relabeling of points and lines: an exact
 individualization-refinement canonical labeling of the point-line incidence
-(Levi) graph.
+(Levi) graph.  The labeling search yields each leaf's certificate as it goes,
+so `isomorphic` runs the searches of two tables in step and stops at the
+first certificate both reach, never doing more work than the two full
+searches.
 
 A colorable table splits its lines into black, red and green classes so that
 every point lies on one line of each color: the combinatorial shadow of a
@@ -157,15 +160,20 @@ def _refine(adj, lab, colour, size, active, bound=None) -> tuple | None:
     refined, as soon as that invariant falls below `bound`.
     """
     trace = []
-    active = set(active)
+    active = sum(1 << start for start in active)  # bit i set: the cell at i is active
     while active:
-        splitter = min(active)
-        active.remove(splitter)
+        splitter = (active & -active).bit_length() - 1
+        active ^= 1 << splitter
         count = {}
         for v in lab[splitter : splitter + size[splitter]]:
             for u in adj[v]:
                 count[u] = count.get(u, 0) + 1
-        for start in sorted({colour[u] for u in count}):
+        touched = 0  # bit i set: the cell at i has a neighbour of W
+        for u in count:
+            touched |= 1 << colour[u]
+        while touched:
+            start = (touched & -touched).bit_length() - 1
+            touched ^= 1 << start
             k = size[start]
             if k == 1:
                 continue
@@ -185,7 +193,7 @@ def _refine(adj, lab, colour, size, active, bound=None) -> tuple | None:
                     return None
                 if ref is None or trace[-1] > ref:
                     bound = None
-            keep = None if start in active else start + sum(sizes[: sizes.index(max(sizes))])
+            keep = None if active >> start & 1 else start + sum(sizes[: sizes.index(max(sizes))])
             pos = start
             for group in groups.values():
                 size[pos] = len(group)
@@ -193,16 +201,18 @@ def _refine(adj, lab, colour, size, active, bound=None) -> tuple | None:
                     colour[v] = pos
                 lab[pos : pos + len(group)] = group
                 if pos != keep:
-                    active.add(pos)
+                    active |= 1 << pos
                 pos += len(group)
     if bound is not None and len(trace) < len(bound):
         return None
     return tuple(trace)
 
 
-def _canonical_labeling(columns: list[list[int]], npts: int) -> list[int]:
-    """Vertex order (points, then lines) of the canonical leaf of the Levi
-    graph of `columns`, whose entries are point indices 0..npts-1.
+def _canonical_labeling(columns: list[list[int]], npts: int):
+    """Search the Levi graph of `columns`, whose entries are point indices
+    0..npts-1, for its canonical leaf: a generator that yields the
+    certificate of every leaf it visits, in visiting order, and returns the
+    vertex order (points, then lines) of the canonical leaf.
 
     Points and lines start as two cells, points first.  A node's children
     individualize each vertex of its first largest non-singleton cell (on
@@ -234,9 +244,8 @@ def _canonical_labeling(columns: list[list[int]], npts: int) -> list[int]:
     best = None  # (path invariant, certificate, lab, path vertices) of the best leaf so far
     automorphisms: list[list[int]] = []
 
-    def leaf(path, lab, colour, fixed) -> int:
+    def leaf(path, cert, lab, fixed) -> int:
         nonlocal best
-        cert = tuple(tuple(sorted([colour[u] for u in adj[v]])) for v in lab[npts:])
         if best is not None and cert == best[1]:
             image = [0] * n
             for v, w in zip(best[2], lab):
@@ -261,15 +270,18 @@ def _canonical_labeling(columns: list[list[int]], npts: int) -> list[int]:
                     frontier.append(g[v])
         return not orbit.isdisjoint(explored)
 
-    def visit(lab, colour, size, path, fixed) -> int:
-        """Search below a node; returns the depth the search resumes at."""
+    def visit(lab, colour, size, path, fixed):
+        """Search below a node, yielding its leaves' certificates; returns
+        the depth the search resumes at."""
         target, start = None, 0
         while start < n:
             if 1 < size[start] and (target is None or size[start] > size[target]):
                 target = start
             start += size[start]
         if target is None:
-            return leaf(path, lab, colour, fixed)
+            cert = tuple(tuple(sorted([colour[u] for u in adj[v]])) for v in lab[npts:])
+            yield cert
+            return leaf(path, cert, lab, fixed)
         k = size[target]
         depth = len(path)
         explored = []
@@ -290,13 +302,31 @@ def _canonical_labeling(columns: list[list[int]], npts: int) -> list[int]:
                 bound = best[0][depth]
             inv = _refine(adj, child_lab, child_colour, child_size, [target], bound)
             if inv is not None:
-                resume = visit(child_lab, child_colour, child_size, path + (inv,), fixed + [w])
+                resume = yield from visit(
+                    child_lab, child_colour, child_size, path + (inv,), fixed + [w]
+                )
                 if resume < depth:
                     return resume
         return depth
 
-    visit(lab, colour, size, (), [])
+    yield from visit(lab, colour, size, (), [])
     return best[2]
+
+
+def _labeling_search(table: ConfigurationTable):
+    """`_canonical_labeling` of the table, its points numbered in label
+    order."""
+    index = {pt: i for i, pt in enumerate(table.points)}
+    return _canonical_labeling([[index[pt] for pt in col] for col in table.columns], len(index))
+
+
+def _run_to_end(search):
+    """Drain a generator; its return value."""
+    while True:
+        try:
+            next(search)
+        except StopIteration as stop:
+            return stop.value
 
 
 def canonical_form(table: ConfigurationTable) -> ConfigurationTable:
@@ -312,8 +342,7 @@ def _canonicalize(table: ConfigurationTable):
     Levi graph (`_canonical_labeling`); the relabeled columns are sorted.
     """
     points = table.points
-    index = {pt: i for i, pt in enumerate(points)}
-    order = _canonical_labeling([[index[pt] for pt in col] for col in table.columns], len(points))
+    order = _run_to_end(_labeling_search(table))
     label_of = {points[v]: t for t, v in enumerate(order[: len(points)])}
     relabeled = [tuple(sorted(label_of[pt] for pt in col)) for col in table.columns]
     col_order = tuple(sorted(range(table.l), key=relabeled.__getitem__))
@@ -321,10 +350,44 @@ def _canonicalize(table: ConfigurationTable):
 
 
 def isomorphic(t1: ConfigurationTable, t2: ConfigurationTable) -> bool:
-    """Tables are identical up to relabeling points and lines."""
+    """Tables are identical up to relabeling points and lines.
+
+    The two tables' labeling searches run in step, one leaf at a time, and
+    the answer is True as soon as one search yields a certificate the other
+    has already yielded; False once both have ended.
+
+    * Soundness: a leaf's certificate lists, line by line in the leaf's
+      order, the leaf positions of the line's points, so it is the table
+      with points and lines relabeled by the leaf.  Equal certificates
+      from a leaf of each search mean identical relabeled tables: the two
+      leaves compose to a relabeling of t1 onto t2.
+    * Completeness: each search yields every leaf it visits, its canonical
+      leaf among them.  That leaf maximizes (path invariants, certificate)
+      over the whole search tree, which relabeling maps onto the other
+      table's tree, so isomorphic tables have equal canonical certificates
+      (this is what makes `canonical_form` canonical).  Whichever search
+      yields it second finds it shared, if no earlier certificate was.
+    * Work bound: a search does, up to each leaf it yields, exactly the
+      work of its full run up to that leaf, and is advanced no further
+      than its end.  So this never runs more refinements than the two full
+      searches, and exactly as many on tables of equal shape that are not
+      isomorphic (no certificate is shared and both run to the end).
+    """
     if (t1.p, t1.l, t1.gamma, t1.pi) != (t2.p, t2.l, t2.gamma, t2.pi):
         return False
-    return canonical_form(t1).columns == canonical_form(t2).columns
+    searches = (_labeling_search(t1), _labeling_search(t2))
+    seen = (set(), set())
+    live = [0, 1]
+    while live:
+        for side in tuple(live):
+            cert = next(searches[side], None)
+            if cert is None:
+                live.remove(side)
+            elif cert in seen[1 - side]:
+                return True
+            else:
+                seen[side].add(cert)
+    return False
 
 
 # --- exhaustive (n_3) enumeration ----------------------------------------------
@@ -580,20 +643,23 @@ def _color_canonical(table: ConfigurationTable) -> list[int] | None:
             conflicts[a].add(b)
             conflicts[b].add(a)
     colors = [-1] * l
+    used = [0, 0, 0]  # lines given each color so far
     quota = l // 3
 
     def backtrack(idx: int) -> bool:
         if idx == l:
             return True
         for color in range(3):
-            if sum(1 for c in colors if c == color) >= quota:
+            if used[color] >= quota:
                 continue
             if any(colors[other] == color for other in conflicts[idx]):
                 continue
             colors[idx] = color
+            used[color] += 1
             if backtrack(idx + 1):
                 return True
             colors[idx] = -1
+            used[color] -= 1
         return False
 
     return colors if backtrack(0) else None

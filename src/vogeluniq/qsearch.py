@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -556,6 +555,10 @@ def enumerate_families(
         stage1 = list(stage1)
         chunks = [stage1[i::threads] for i in range(threads)]
         args = [(k, lines, chunk, None, rel) for chunk in chunks if chunk]
+        # Imported here: it pulls in multiprocessing, which a serial run
+        # never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         # The pool starts all its workers at once: no more than the cores.
         with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_enumerate_chunk, args))

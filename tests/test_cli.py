@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vogeluniq
 from vogeluniq import qsearch
 from vogeluniq.cli import main
 from vogeluniq.configs import ConfigurationTable
@@ -21,6 +25,19 @@ def run_json(capsys, *argv):
 
 
 # --- eval ------------------------------------------------------------------------
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only a threaded search needs the pool; every process imports the CLI.
+    code = (
+        "import sys, vogeluniq.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(vogeluniq.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_eval_adjoint_at_e8(capsys):

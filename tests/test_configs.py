@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from vogeluniq import configs
 from vogeluniq.configs import (
     Coloring,
     ConfigurationTable,
     MalformedColoringError,
     NotAQPictureError,
+    _canonicalize,
     _complete_n3,
     _lex_minimal,
     _prefix_stabilizer,
@@ -78,13 +80,41 @@ def _relabeled(table, rng):
     return ConfigurationTable(columns)
 
 
-def _cyclic_group_table(k):
+def _cayley_table(elements, mul):
     """The (k^2_3 3k_k) table of rows, columns and symbols of the Cayley
-    table of the cyclic group of order k."""
+    table of a group of order k; point k*r + c is the cell (r, c)."""
+    elements = list(elements)
+    k = len(elements)
     rows = [[k * r + c for c in range(k)] for r in range(k)]
     cols = [[k * r + c for r in range(k)] for c in range(k)]
-    symbols = [[k * r + (s - r) % k for r in range(k)] for s in range(k)]
+    index = {a: i for i, a in enumerate(elements)}
+    symbols = [[] for _ in elements]
+    for r, a in enumerate(elements):
+        for c, b in enumerate(elements):
+            symbols[index[mul(a, b)]].append(k * r + c)
     return ConfigurationTable(rows + cols + symbols)
+
+
+def _cyclic_group_table(k):
+    """The Cayley table of the cyclic group of order k."""
+    return _cayley_table(range(k), lambda a, b: (a + b) % k)
+
+
+# Groups of order 8: (x, y) in Z4 x Z2, and (r, f) in D4, the rotation r
+# followed by f reflections.
+Z2_CUBED = _cayley_table(range(8), lambda a, b: a ^ b)
+Z4_Z2 = _cayley_table(
+    itertools.product(range(4), range(2)), lambda a, b: ((a[0] + b[0]) % 4, a[1] ^ b[1])
+)
+D4 = _cayley_table(
+    itertools.product(range(4), range(2)),
+    lambda a, b: ((a[0] + (-b[0] if a[1] else b[0])) % 4, a[1] ^ b[1]),
+)
+# AG(2,3): the 12 lines of the affine plane of order 3, a (9_4 12_3).
+AG23 = ConfigurationTable(
+    [[3 * x + (m * x + c) % 3 for x in range(3)] for m in range(3) for c in range(3)]
+    + [[3 * c + y for y in range(3)] for c in range(3)]
+)
 
 
 def test_canonical_form_is_invariant_under_relabeling():
@@ -114,6 +144,92 @@ def test_different_classes_are_not_isomorphic():
     classes = enumerate_n3(9)
     assert not isomorphic(classes[0], classes[1])
     assert not isomorphic(classes[1], classes[2])
+
+
+def _n3_pairs():
+    """(a, b) pairs of (9_3) and (10_3) tables under fixed relabelings:
+    each class against a relabeled copy of itself and of every later
+    class with the same n."""
+    rng = random.Random(1903)
+    pairs = []
+    for n in (9, 10):
+        classes = enumerate_n3(n)
+        for i, a in enumerate(classes):
+            pairs += [(a, _relabeled(b, rng)) for b in classes[i:]]
+    return pairs
+
+
+def test_isomorphic_agrees_with_the_backtracking_oracle():
+    oracle = _bench_oracle()
+    rng = random.Random(1904)
+    p4 = sketch_from_q(builtin_q_prop4(1, 2, 3, 5), PRIMED_LINES["four"]).table
+    fano = enumerate_n3(7)[0]
+    pairs = _n3_pairs()
+    pairs += [(t, _relabeled(t, rng)) for t in (p4, fano, AG23)]
+    # The sketch's table is the Cayley table of Z2 x Z2.  (The oracle needs
+    # minutes to tell it from Z4's, so that pair is left out.)
+    pairs.append((p4, _relabeled(_cayley_table(range(4), int.__xor__), rng)))
+    verdicts = [isomorphic(a, b) for a, b in pairs]
+    assert verdicts == [oracle.isomorphic(a.columns, b.columns) for a, b in pairs]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _refinements(monkeypatch, call, *args):
+    """How many `_refine` calls `call(*args)` makes, and its result."""
+    count = 0
+    refine = configs._refine
+
+    def counting(*refine_args):
+        nonlocal count
+        count += 1
+        return refine(*refine_args)
+
+    monkeypatch.setattr(configs, "_refine", counting)
+    result = call(*args)
+    monkeypatch.setattr(configs, "_refine", refine)
+    return count, result
+
+
+@pytest.mark.parametrize(
+    "a,b", [(_cyclic_group_table(8), Z2_CUBED), (Z4_Z2, D4)], ids=["Z8-Z2^3", "Z4xZ2-D4"]
+)
+def test_isomorphic_runs_no_more_refinements_than_two_canonical_forms(monkeypatch, a, b):
+    both = sum(_refinements(monkeypatch, canonical_form, t)[0] for t in (a, b))
+    calls, same = _refinements(monkeypatch, isomorphic, a, b)
+    assert not same
+    # not isomorphic: both searches run to their end
+    assert calls == both
+
+
+def test_isomorphic_stops_early_on_relabeled_copies(monkeypatch):
+    rng = random.Random(1905)
+    pairs = [(t, _relabeled(t, rng)) for t in enumerate_n3(9) + enumerate_n3(10)]
+    in_step = full = 0
+    for a, b in pairs:
+        calls, same = _refinements(monkeypatch, isomorphic, a, b)
+        assert same
+        in_step += calls
+        full += sum(_refinements(monkeypatch, canonical_form, t)[0] for t in (a, b))
+    assert in_step < full
+
+
+def test_canonical_forms_column_orders_and_colorings_are_pinned():
+    # Canonical forms, column orders and colorings of a fixed table set: a
+    # change to the labeling search that moves any of them moves the digest.
+    rng = random.Random(1919)
+    p4 = sketch_from_q(builtin_q_prop4(1, 2, 3, 5), PRIMED_LINES["four"]).table
+    tables = [t for n in range(7, 11) for t in enumerate_n3(n)] + [p4, _cyclic_group_table(12)]
+    tables += [_relabeled(t, rng) for t in tables for _ in range(2)]
+    digest = hashlib.sha256()
+    colored = 0
+    for table in tables:
+        canon, col_order = _canonicalize(table)
+        coloring = find_coloring(table) if table.gamma == 3 and table.l % 3 == 0 else None
+        colored += coloring is not None
+        entry = [canon.columns, col_order, coloring and coloring.to_json()]
+        digest.update(json.dumps(entry).encode())
+    assert (len(tables), colored) == (51, 9)
+    assert digest.hexdigest() == "37dab0ca974791ffe96cd505c4e58da38df69f321f2d269b8c6e8b18ee67f676"
 
 
 # --- enumeration ---------------------------------------------------------------------
@@ -179,11 +295,17 @@ def test_the_orbit_test_keeps_exactly_the_lex_minimal_tables():
     assert [t for t in pruned if _lex_minimal(t.columns[3:], group)] == expected
 
 
-def test_ten_three_classes_are_distinct_valid_and_come_from_orbit_minimal_tables():
+def _bench_oracle():
+    """bench/oracle.py, the benchmark's independent reference checks."""
     path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
     spec = importlib.util.spec_from_file_location("bench_oracle", path)
     oracle = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracle)
+    return oracle
+
+
+def test_ten_three_classes_are_distinct_valid_and_come_from_orbit_minimal_tables():
+    oracle = _bench_oracle()
     classes = enumerate_n3(10)
     assert len(classes) == 10
     assert all(validate_table(t) == [] for t in classes)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -409,7 +410,7 @@ def test_pool_starts_no_more_workers_than_cores(monkeypatch, threads, cpus, work
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(qsearch, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     result = enumerate_families(3, "three", threads=threads)
     assert sizes == [workers]
