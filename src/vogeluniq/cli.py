@@ -15,11 +15,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
-from fractions import Fraction
+from dataclasses import asdict, astuple
 
 from ._util import parse_rational, rat_to_json
 from .plane import (
+    FAMILIES,
     Basis,
     LinearForm,
     ProjPoint,
@@ -38,10 +38,9 @@ from .formula import (
 )
 from .identity import check_on_lines, check_symmetric
 from .qsearch import (
+    FOUR_LINE_PERMS,
     PRIMED_LINES,
-    _PRIMES,
     MultiplierAssignment,
-    PermTriple,
     build_system,
     builtin_q33,
     builtin_q_prop4,
@@ -116,11 +115,15 @@ def _parse_point(args) -> ProjPoint:
     raise UsageError("give either --algebra/--param or --point")
 
 
+def _line_specs(spec: str) -> list[str]:
+    """The pieces of a line list, split on ';' if it has one, else on ','."""
+    return [piece.strip() for piece in spec.split(";" if ";" in spec else ",")]
+
+
 def _parse_lines(spec: str, basis: Basis) -> list[LinearForm]:
     lines = []
-    for piece in spec.split(";") if ";" in spec else spec.split(","):
-        piece = piece.strip()
-        if piece in ("sl", "so", "sp", "exc"):
+    for piece in _line_specs(spec):
+        if piece in FAMILIES:
             lines.append(family_line(piece, basis))
         else:
             fields = piece.split(":")
@@ -183,11 +186,10 @@ def cmd_check_identity(args) -> int:
         return EXIT_OK if verdict else EXIT_NEGATIVE
     lines = _parse_lines(args.lines, formula.basis)
     reports = check_on_lines(formula, lines)
-    names = args.lines.split(";") if ";" in args.lines else args.lines.split(",")
     rows = []
     all_one = True
-    for name, report in zip(names, reports):
-        rows.append(f"{name.strip():>8}: {report.verdict}")
+    for name, report in zip(_line_specs(args.lines), reports):
+        rows.append(f"{name:>8}: {report.verdict}")
         all_one = all_one and report.identically_one
     payload = {"reports": [r.to_json() for r in reports], "all_identically_one": all_one}
     _emit(args, payload, "\n".join(rows))
@@ -220,11 +222,10 @@ def _family_json(ff) -> dict:
     """Family record: pairings, signs, parametric factors, the (semantic)
     triviality verdict, and a line check of the instantiation at the first
     primes, null when it cannot be built (a factor is zero there, or the
-    family has more parameters than `_PRIMES` has primes)."""
+    family has more parameters than there are primes)."""
     family, system = ff.family, ff.system
-    params = tuple(map(Fraction, _PRIMES[: family.free_parameters]))
     try:
-        sample = family.factor_product(params)
+        sample = family.factor_product(family.first_primes())
     except ValueError:
         line_check = None
     else:
@@ -410,12 +411,12 @@ def cmd_reproduce(args) -> int:
         check("four-line sketch has 16 triple points", len(sketch.points) == 16)
         check("sketch table is a valid (16_3 12_4)", not validate_table(sketch.table))
         perms = extract_permutations(sketch.table, sketch.coloring)
-        expected = ((1, 0, 3, 2), (3, 2, 1, 0), (2, 3, 0, 1))
-        check("extracted pairings are s=(12)(34) p=(14)(23) v=(13)(24)", perms == expected)
-        mult = MultiplierAssignment(
-            (Fraction(1),) * 4, (Fraction(1),) * 4, (Fraction(-1),) * 4, quantum=True
+        check(
+            "extracted pairings are s=(12)(34) p=(14)(23) v=(13)(24)",
+            perms == astuple(FOUR_LINE_PERMS),
         )
-        system = build_system(4, "four", PermTriple(*expected), mult)
+        mult = MultiplierAssignment((1,) * 4, (1,) * 4, (-1,) * 4, quantum=True)
+        system = build_system(4, "four", FOUR_LINE_PERMS, mult)
         outcome = solve_quantum(system)
         check("the extracted system has a nontrivial quantum family", outcome.status == "nontrivial")
         check(
@@ -478,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="adjoint power for x2k")
         p.add_argument("--quantum", action="store_true")
         if with_point:
-            p.add_argument("--algebra", choices=["sl", "so", "sp", "exc"])
+            p.add_argument("--algebra", choices=FAMILIES)
             p.add_argument("--param", help="family parameter (exact rational)")
             p.add_argument("--point", help="a,b,c exact rationals")
             p.add_argument("--basis", choices=["unprimed", "primed"], default="unprimed")
@@ -528,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sketch)
 
     p = sub.add_parser("vogel-table", help="universal parameters of the families")
-    p.add_argument("--family", choices=["sl", "so", "sp", "exc"])
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--param")
     p.set_defaults(func=cmd_vogel_table)
 
@@ -547,10 +548,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as err:
+    except (UsageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

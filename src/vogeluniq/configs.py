@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .formula import FactorProduct, convert_product
 from .plane import (
+    FAMILIES,
     Basis,
     DegenerateInputError,
     LinearForm,
@@ -798,7 +799,7 @@ def sketch_from_q(F: FactorProduct, black_lines) -> IncidenceSketch:
 
 
 def _black_label(form: LinearForm, idx: int) -> str:
-    for name in ("sl", "so", "sp", "exc"):
+    for name in FAMILIES:
         if form.same_line(family_line(name, form.basis)):
             return name
     return f"b{idx + 1}"

@@ -111,24 +111,20 @@ def empty_product(quantum: bool = False, basis: Basis = Basis.UNPRIMED) -> Facto
     return FactorProduct((), (), quantum=quantum, basis=basis)
 
 
+def _map_factors(F: FactorProduct, fn, **changes) -> FactorProduct:
+    """F with `fn` applied to every factor and the other fields in `changes`."""
+    return replace(F, num=tuple(map(fn, F.num)), den=tuple(map(fn, F.den)), **changes)
+
+
 def convert_product(F: FactorProduct, basis: Basis) -> FactorProduct:
     if F.basis is basis:
         return F
-    return replace(
-        F,
-        num=tuple(convert(f, basis) for f in F.num),
-        den=tuple(convert(f, basis) for f in F.den),
-        basis=basis,
-    )
+    return _map_factors(F, lambda f: convert(f, basis), basis=basis)
 
 
 def act_product(perm: Perm3, F: FactorProduct) -> FactorProduct:
     """Coordinate permutation applied to every factor."""
-    return replace(
-        F,
-        num=tuple(act(perm, f) for f in F.num),
-        den=tuple(act(perm, f) for f in F.den),
-    )
+    return _map_factors(F, lambda f: act(perm, f))
 
 
 def eval_classical(F: FactorProduct, point: ProjPoint) -> EvalResult:
@@ -222,18 +218,7 @@ def multiply(F: FactorProduct, G: FactorProduct) -> FactorProduct:
 
 def ratio(F: FactorProduct, G: FactorProduct) -> FactorProduct:
     """F / G as a factor product (the shape every non-uniqueness factor has)."""
-    if F.quantum != G.quantum:
-        raise ValueError("cannot divide classical by quantum products")
-    if F.basis is not G.basis:
-        raise BasisMismatchError("products are in different bases")
-    return FactorProduct(
-        F.num + G.den,
-        F.den + G.num,
-        quantum=F.quantum,
-        sign=F.sign * G.sign,
-        scalar=F.scalar / G.scalar,
-        basis=F.basis,
-    )
+    return multiply(F, replace(G, num=G.den, den=G.num, scalar=1 / G.scalar))
 
 
 def classical_limit(F: FactorProduct) -> FactorProduct:
@@ -354,22 +339,19 @@ def x2k_adn_formula(k: int, n: int) -> FactorProduct:
     def df(a, b, c):
         den.append(_quarter(a, b, c))
 
-    for i in range(k):
-        for _ in range(2):
-            nf(i - 2, -2, 0)
-            nf(i - 2, 0, -2)
-            nf(-(i - 2), 1, 1)
-            df(i + 1, 0, 0)
-            df(-(i - 1), 1, 0)
-            df(-(i - 1), 0, 1)
-    for i in range(n + 1):
-        j = i + k
+    def block(j):
         nf(j - 2, -2, 0)
         nf(j - 2, 0, -2)
         nf(-(j - 2), 1, 1)
         df(j + 1, 0, 0)
         df(-(j - 1), 1, 0)
         df(-(j - 1), 0, 1)
+
+    for i in range(k):
+        block(i)
+        block(i)
+    for j in range(k, k + n + 1):
+        block(j)
     for i in range(1, 2 * k + n + 1):
         nf(i - 3, -1, -2)
         nf(i - 3, -2, -1)

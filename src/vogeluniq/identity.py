@@ -157,7 +157,30 @@ def _witness_bound(k: int, quantum: bool) -> int:
     return 2 ** (k + 1) + 2 * k + 1 if quantum else 2 * k + 1
 
 
-def _witness_on_line(F: FactorProduct, lp: LineParam, quantum: bool) -> ProjPoint:
+def _values(F: FactorProduct, lp: LineParam, xs, limit: int):
+    """Yield (point, values) at the points among the first `limit` of
+    `_line_points` where the product has a value: the quantum values at
+    each x in `xs`, skipping points where some factor is zero, or the exact
+    classical value as a one-item list, skipping denominator zeros (a
+    numerator zero gives the value 0)."""
+    lp = _align(lp, F.basis)
+    # zip with range, not islice: the quantum bound can exceed sys.maxsize
+    for _, (s, t) in zip(range(limit), _line_points()):
+        pt = lp.point_at(s, t)
+        if F.quantum:
+            try:
+                values = [eval_quantum(F, pt, x) for x in xs]
+            except SingularPointError:
+                continue
+        else:
+            res = eval_classical(F, pt)
+            if res.kind not in ("finite", "zero"):
+                continue
+            values = [res.value if res.is_finite else Fraction(0)]
+        yield pt, values
+
+
+def _witness_on_line(F: FactorProduct, lp: LineParam) -> ProjPoint:
     """An exact rational point on the line where the value differs from 1:
     the first one among the first `_witness_bound` points of `_line_points`.
 
@@ -185,21 +208,10 @@ def _witness_on_line(F: FactorProduct, lp: LineParam, quantum: bool) -> ProjPoin
     Raises InternalConsistencyError when the walk ends without a witness:
     the symbolic verdict was wrong.
     """
-    param = _align(lp, F.basis)
-    # zip with range, not islice: the quantum bound can exceed sys.maxsize
-    for _, (s, t) in zip(range(_witness_bound(F.k, quantum)), _line_points()):
-        pt = param.point_at(s, t)
-        if quantum:
-            try:
-                vals = [eval_quantum(F, pt, x) for x in (0.37, 0.83, 1.29)]
-            except SingularPointError:
-                continue
-            if any(abs(v - 1) > 1e-6 for v in vals):
-                return pt
-        else:
-            res = eval_classical(F, pt)
-            if res.kind == "zero" or (res.is_finite and res.value != 1):
-                return pt
+    tol = 1e-6 if F.quantum else 0
+    for pt, values in _values(F, lp, (0.37, 0.83, 1.29), _witness_bound(F.k, F.quantum)):
+        if any(abs(v - 1) > tol for v in values):
+            return pt
     raise InternalConsistencyError(
         f"symbolic check says not constant on {lp.line}, but no point "
         "has a value other than 1"
@@ -219,7 +231,7 @@ def is_one_on_line(F: FactorProduct, line: LinearForm) -> IdentityReport:
         return IdentityReport(line, "vanishing_factor", vanishing=tuple(err.indices))
     pairing, total = pair_factors(num, den, up_to_sign=F.quantum)
     if None in pairing:
-        witness = _witness_on_line(F, lp, quantum=F.quantum)
+        witness = _witness_on_line(F, lp)
         return IdentityReport(line, "not_constant", witness=witness)
     constant = F.sign * F.scalar * total
     if constant == 1:
@@ -254,26 +266,11 @@ def numeric_crosscheck(
     limit = samples + 2 * F.k
     if not_constant:
         limit = max(limit, _witness_bound(F.k, F.quantum))
-    xs = (1e-2, 0.11, 0.57, 1.3, 2.7)
+    tol = rel_tol if F.quantum else 0  # classical values are exact
     checked = 0
     saw_deviation = False
-    for _, (s, t) in zip(range(limit), _line_points()):
-        if checked >= samples and (saw_deviation or not not_constant):
-            break
-        pt = lp.point_at(s, t)
-        if F.quantum:
-            try:
-                values = [eval_quantum(F, pt, x) for x in xs]
-            except SingularPointError:
-                continue  # hit a factor zero
-            deviates = any(abs(v - 1) > rel_tol for v in values)
-        else:
-            res = eval_classical(F, pt)
-            if res.kind not in ("finite", "zero"):
-                continue  # hit a denominator zero
-            value = res.value if res.is_finite else Fraction(0)
-            values = [float(value)]
-            deviates = value != 1  # exact
+    for pt, values in _values(F, lp, (1e-2, 0.11, 0.57, 1.3, 2.7), limit):
+        deviates = any(abs(v - 1) > tol for v in values)
         checked += 1
         saw_deviation = saw_deviation or deviates
         if report.verdict == "identically_one" and deviates:
@@ -286,6 +283,8 @@ def numeric_crosscheck(
                 raise InternalConsistencyError(
                     f"symbolic constant {report.constant} but sampled {values}"
                 )
+        if checked >= samples and (saw_deviation or not not_constant):
+            break
     if checked < samples:
         raise InternalConsistencyError(f"fewer than {samples} usable points on {line}")
     if not_constant and not saw_deviation:

@@ -180,28 +180,27 @@ def to_primed(obj):
     """Map a point or form from the unprimed to the primed basis."""
     if obj.basis is not Basis.UNPRIMED:
         raise BasisMismatchError("input is already primed")
-    if isinstance(obj, ProjPoint):
-        return ProjPoint(_mat_vec(_M, obj.coords), Basis.PRIMED)
-    if isinstance(obj, LinearForm):
-        return LinearForm(_vec_mat(obj.coeffs, _M_INV), Basis.PRIMED)
-    raise TypeError(f"cannot change basis of {type(obj).__name__}")
+    return convert(obj, Basis.PRIMED)
 
 
 def to_unprimed(obj):
     """Inverse of to_primed."""
     if obj.basis is not Basis.PRIMED:
         raise BasisMismatchError("input is already unprimed")
-    if isinstance(obj, ProjPoint):
-        return ProjPoint(_mat_vec(_M_INV, obj.coords), Basis.UNPRIMED)
-    if isinstance(obj, LinearForm):
-        return LinearForm(_vec_mat(obj.coeffs, _M), Basis.UNPRIMED)
-    raise TypeError(f"cannot change basis of {type(obj).__name__}")
+    return convert(obj, Basis.UNPRIMED)
 
 
 def convert(obj, basis: Basis):
+    """The point or form in `basis`: points by the forward matrix, forms by
+    its inverse on the right, or the other way round toward unprimed."""
     if obj.basis is basis:
         return obj
-    return to_primed(obj) if basis is Basis.PRIMED else to_unprimed(obj)
+    points, forms = (_M, _M_INV) if basis is Basis.PRIMED else (_M_INV, _M)
+    if isinstance(obj, ProjPoint):
+        return ProjPoint(_mat_vec(points, obj.coords), basis)
+    if isinstance(obj, LinearForm):
+        return LinearForm(_vec_mat(obj.coeffs, forms), basis)
+    raise TypeError(f"cannot change basis of {type(obj).__name__}")
 
 
 @dataclass(frozen=True)
@@ -254,9 +253,15 @@ def act(perm: Perm3, obj):
     raise TypeError(f"cannot act on {type(obj).__name__}")
 
 
-# Universal parameters of the simple Lie algebra families.  Each entry maps
-# the family parameter to (a, b, c), the total t, and the family's line.
-FAMILIES = ("sl", "so", "sp", "exc")
+# Vogel's table of the simple Lie algebra families: each family's point is
+# base + param * step in (a, b, c), with t = a + b + c, and its line.
+_FAMILY_POINTS = {
+    "sl": ((-2, 2, 0), (0, 0, 1)),  # (-2, 2, N)
+    "so": ((-2, 4, -4), (0, 0, 1)),  # (-2, 4, N - 4)
+    "sp": ((-2, 1, 2), (0, 0, 1)),  # (-2, 1, N + 2)
+    "exc": ((-2, 4, 4), (0, 1, 2)),  # (-2, n + 4, 2n + 4)
+}
+FAMILIES = tuple(_FAMILY_POINTS)
 
 _FAMILY_LINES_UNPRIMED = {
     "sl": (1, 1, 0),  # a + b
@@ -292,23 +297,11 @@ def vogel_point(family: str, param: Rat) -> AlgebraPoint:
     point on the line c = 2(a + b); t = a + b + c always.
     """
     q = Fraction(param)
-    if family == "sl":
-        coords = (Fraction(-2), Fraction(2), q)
-        t = q
-    elif family == "so":
-        coords = (Fraction(-2), Fraction(4), q - 4)
-        t = q - 2
-    elif family == "sp":
-        coords = (Fraction(-2), Fraction(1), q + 2)
-        t = q + 1
-    elif family == "exc":
-        coords = (Fraction(-2), q + 4, 2 * q + 4)
-        t = 3 * q + 6
-    else:
+    if family not in _FAMILY_POINTS:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    point = ProjPoint(coords)
-    assert sum(coords) == t
-    return AlgebraPoint(family, q, point, t)
+    base, step = _FAMILY_POINTS[family]
+    coords = tuple(b + q * d for b, d in zip(base, step))
+    return AlgebraPoint(family, q, ProjPoint(coords), sum(coords))
 
 
 def family_line(family: str, basis: Basis = Basis.UNPRIMED) -> LinearForm:
@@ -322,10 +315,7 @@ def distinguished_lines(basis: Basis = Basis.UNPRIMED) -> tuple[LinearForm, ...]
     """The 12 distinguished lines: sl, so, sp, exc and their coordinate-permuted
     images.  The set is closed under every coordinate permutation."""
     unprimed = [
-        (1, 1, 0),  # sl
-        (2, 1, 0),  # so
-        (1, 2, 0),  # sp
-        (-2, -2, 1),  # exc
+        *_FAMILY_LINES_UNPRIMED.values(),
         (1, 0, 1),
         (0, 1, 1),
         (1, 0, 2),

@@ -265,11 +265,16 @@ class SolutionFamily:
                 full[idx] += t * component
         return tuple(full[:k]), tuple(full[k : 2 * k]), tuple(full[2 * k :])
 
-    def factor_product(self, params: tuple[Fraction, ...], quantum: bool | None = None) -> FactorProduct:
+    def factor_product(self, params: tuple[Fraction, ...]) -> FactorProduct:
         n, x, y = self.instantiate(params)
-        if quantum is None:
-            quantum = self.system.mult.quantum
-        return product_from_assignment(self.system, n, x, y, quantum)
+        return product_from_assignment(self.system, n, x, y, self.system.mult.quantum)
+
+    def first_primes(self) -> tuple[Fraction, ...]:
+        """The parameters of the family's sample instantiation: the first
+        `free_parameters` of `_PRIMES`.  There are too few when the family
+        has more parameters than `_PRIMES` has primes, and `instantiate`
+        then raises ValueError."""
+        return tuple(map(Fraction, _PRIMES[: self.free_parameters]))
 
 
 def product_from_assignment(
@@ -562,14 +567,14 @@ def enumerate_families(
         # The pool starts all its workers at once: no more than the cores.
         with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_enumerate_chunk, args))
-        found = [item for part in parts for item in part[0]]
-        cases = sum(part[1] for part in parts)
-        complete = all(part[2] for part in parts)
     else:
-        found, cases, complete = _enumerate_chunk((k, lines, stage1, budget, rel))
-    found.sort(key=lambda item: item[0])
-    families = tuple(FoundFamily(idx, system, family) for idx, system, family in found)
-    return EnumerationResult(families, complete, cases)
+        parts = [_enumerate_chunk((k, lines, stage1, budget, rel))]
+    found = sorted((item for part in parts for item in part[0]), key=lambda item: item[0])
+    return EnumerationResult(
+        tuple(FoundFamily(*item) for item in found),
+        complete=all(part[2] for part in parts),
+        cases_examined=sum(part[1] for part in parts),
+    )
 
 
 def _enumerate_chunk(args):
@@ -654,19 +659,19 @@ def _signed_components(n, edges) -> tuple[list, dict]:
     return label, conditions
 
 
-def _y_orbits(k, s, km, v=None) -> tuple[list, dict]:
-    """(label, orbits): the `_signed_components` labels of the y unknowns,
-    and the orbits of <s, v> on which the y block can be nonzero, each root
-    mapped to its sorted sign conditions on the fourth-line multipliers r.
+def _y_columns(k, s, km, rel: _Relabelings | None) -> dict:
+    """The y columns of each fourth-line choice (v, r) of `rel` with a
+    nonzero y block; without `rel` the one choice is (None, None), the
+    three-line case, whose masks are all 0.
 
-    The y block is y_i = km_i y_{s(i)}, plus y_i = r_i y_{v(i)} given v.  On
-    an orbit every y value is +-y at the orbit's first index, so the orbit
-    carries a nonzero solution exactly when the signs around each of its
-    cycles multiply to one.  A condition (mask, parity) holds when the
-    number of negative r_i with bit i set in mask has that parity; the y
-    block has a nonzero solution exactly when every condition of some
-    listed orbit holds.  Without v the conditions are empty, and there are
-    no orbits exactly when no s-cycle has sign product one.
+    The y block is y_i = km_i y_{s(i)}, plus y_i = r_i y_{v(i)} given v.
+    `_signed_components` gives each y unknown its sign relative to the root
+    of its orbit of <s, v>, and an orbit carries a nonzero solution exactly
+    when the signs around each of its cycles multiply to one: when r meets
+    each of its conditions (mask, parity), that is when the bits of mask
+    among r's negative entries have that parity (a popcount, as in
+    `_SIGN_PATTERNS`).  y_i is its sign times its orbit's parameter, or 0
+    if the orbit is zero.
 
     An empty y block decides a case without elimination.  If every y map
     of a family is zero, the relations x_i = c_i x_{p(i)} and
@@ -674,24 +679,7 @@ def _y_orbits(k, s, km, v=None) -> tuple[list, dict]:
     pair up to sign and `_keeps_a_factor` is False.  Conversely the
     relations never mix y with (n, x), so a nonzero y solution with
     n = x = 0 always solves the system: a case the screen keeps has a
-    nonempty solution space."""
-    edges = [(i, s[i], int(km[i] < 0), 0) for i in range(k)]
-    if v is not None:
-        edges += [(i, v[i], 0, 1 << i) for i in range(k)]
-    label, conditions = _signed_components(k, edges)
-    return label, {
-        root: sorted(conds - {(0, 0)}) for root, conds in conditions.items() if (0, 1) not in conds
-    }
-
-
-def _y_columns(k, s, km, rel: _Relabelings | None) -> dict:
-    """The y columns of each fourth-line choice (v, r) of `rel` with a
-    nonzero y block, from one `_y_orbits` call per v: y_i is +-1 (its sign
-    relative to its orbit's root) times its orbit's parameter, or 0 if the
-    orbit is zero.  Without `rel` the one choice is (None, None), the
-    three-line case, whose masks are all 0.  A condition (mask, parity)
-    holds for r when the bits of mask among r's negative entries have that
-    parity, a popcount as in `_SIGN_PATTERNS`.
+    nonempty solution space.
 
     The dict is empty exactly when no s-orbit is balanced.  A balanced
     s-orbit stays balanced for v = identity and r = all +1, and an
@@ -700,8 +688,11 @@ def _y_columns(k, s, km, rel: _Relabelings | None) -> dict:
     negatives = [
         (r, sum(1 << i for i, sign in enumerate(r) if sign < 0)) for r in rel.signs
     ] if rel else [(None, 0)]
+    s_edges = [(i, s[i], int(km[i] < 0), 0) for i in range(k)]
     for v in rel.perms if rel else [None]:
-        label, orbits = _y_orbits(k, s, km, v)
+        v_edges = [(i, v[i], 0, 1 << i) for i in range(k)] if v is not None else []
+        label, conditions = _signed_components(k, s_edges + v_edges)
+        orbits = {root: sorted(c - {(0, 0)}) for root, c in conditions.items() if (0, 1) not in c}
         for r, neg in negatives:
             odd = lambda mask: (neg & mask).bit_count() & 1
             roots = [root for root, conds in orbits.items() if all(odd(m) == q for m, q in conds)]
@@ -904,7 +895,7 @@ def matches_builtin_four_line(family: SolutionFamily) -> bool:
     Raises ValueError, naming the factor, when that instantiation has a
     zero factor or one vanishing on a system line."""
     system = family.system
-    n, x, y = family.instantiate(tuple(map(Fraction, _PRIMES[: family.free_parameters])))
+    n, x, y = family.instantiate(family.first_primes())
     cols = [(value,) for value in (*n, *x, *y)]
     reason = _degeneracy(
         _factor_maps(system.k, system.perms.s, system.mult.kmul, cols), system.lines == "four"
@@ -976,8 +967,8 @@ class SurveyStats:
 
 
 # Distinct primes for the stratum variables: the torus generators, then the
-# free x value of each p-cycle, then the free y value of each s-cycle.  The
-# `search --json` line check instantiates families at the same primes.
+# free x value of each p-cycle, then the free y value of each s-cycle.
+# `SolutionFamily.first_primes` instantiates families at the same primes.
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # The 64 sign patterns of the multipliers (c0, c1, c2, k0, k1, k2), in

@@ -216,7 +216,7 @@ def test_witness_search_gives_up_with_a_named_error():
     for quantum in (False, True):
         q = builtin_q33(2, 3, 1, 1, quantum=quantum)
         with pytest.raises(InternalConsistencyError):
-            identity_module._witness_on_line(q, lp, quantum)
+            identity_module._witness_on_line(q, lp)
 
 
 def test_witness_bound_is_needed_and_enough():
@@ -238,7 +238,7 @@ def test_witness_bound_is_needed_and_enough():
     for s, t in points[: 2 * k]:
         res = eval_classical(F, lp.point_at(s, t))
         assert res.kind == "pole" or res.value == 1
-    witness = identity_module._witness_on_line(F, lp, quantum=False)
+    witness = identity_module._witness_on_line(F, lp)
     assert witness == lp.point_at(*points[2 * k])
     assert eval_classical(F, witness).value == Fraction(5, 6)
     # two usable samples, both equal to 1: the crosscheck walks on to the witness
@@ -254,7 +254,7 @@ def test_zero_value_is_a_classical_witness():
         LinearForm((0, 0, 1)), ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0))
     )
     F = FactorProduct(num=(LinearForm((6, 1, 0)),), den=(LinearForm((1, 1, 0)),))
-    witness = identity_module._witness_on_line(F, lp, quantum=False)
+    witness = identity_module._witness_on_line(F, lp)
     assert witness == lp.point_at(Fraction(1), Fraction(-6))
     assert eval_classical(F, witness).kind == "zero"
     assert numeric_crosscheck(F, LinearForm((0, 0, 1)), samples=1)

@@ -526,12 +526,13 @@ def _screen_cases():
 
 def test_y_block_screen_is_exact_and_never_drops_a_family():
     kept = dropped = 0
+    y_columns = {}
     for k, s, p, c, km, v, r in _screen_cases():
-        neg = sum(1 << i for i, sign in enumerate(r or ()) if sign < 0)
-        keeps = any(
-            all((neg & mask).bit_count() & 1 == parity for mask, parity in orbit)
-            for orbit in qsearch._y_orbits(k, s, km, v)[1].values()
-        )
+        four = v is not None
+        if (k, s, km, four) not in y_columns:
+            rel = qsearch._relabelings(k) if four else None
+            y_columns[k, s, km, four] = qsearch._y_columns(k, s, km, rel)
+        keeps = (v, r) in y_columns[k, s, km, four]
         rows = qsearch._dense_rows(k, qsearch._relation_terms(k, s, p, c, km, v, r))
         space = int_nullspace(rows, 3 * k)
         assert keeps == any(any(vec[2 * k :]) for vec in space)
