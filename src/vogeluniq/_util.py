@@ -15,12 +15,23 @@ def rat_to_json(q: Fraction) -> list[str]:
 
 
 def rat_from_json(pair) -> Fraction:
+    """Inverse of rat_to_json; each entry may also be a plain integer."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"expected [num, den] pair, got {pair!r}")
-    num, den = int(pair[0]), int(pair[1])
+    num, den = map(_int_from_json, pair)
     if den == 0:
         raise ValueError(f"zero denominator in {pair!r}")
     return Fraction(num, den)
+
+
+def _int_from_json(entry) -> int:
+    """An integer, not a bool, or a string of an optional '-' and digits."""
+    if isinstance(entry, int) and not isinstance(entry, bool):
+        return entry
+    digits = entry.removeprefix("-") if isinstance(entry, str) else ""
+    if digits.isascii() and digits.isdigit():
+        return int(entry)
+    raise ValueError(f"expected an integer or a string of digits, got {entry!r}")
 
 
 def parse_rational(text: str) -> Fraction:

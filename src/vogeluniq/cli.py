@@ -300,7 +300,12 @@ def cmd_extract_perms(args) -> int:
     table = _load_table(args.table_json)
     coloring = Coloring.from_json(_load_json(args.coloring_json))
     perms = extract_permutations(table, coloring)
-    names = ["s", "p", "v"][: len(perms)]
+    if len(perms) > 3:
+        raise UsageError(
+            f"the coloring has {len(coloring.black)} black lines; "
+            "extract-perms names the pairings s, p, v of at most four"
+        )
+    names = ("s", "p", "v")
     payload = {name: list(perm) for name, perm in zip(names, perms)}
     text = "  ".join(f"{name} = {perm}" for name, perm in zip(names, perms))
     _emit(args, payload, text)

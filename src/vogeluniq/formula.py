@@ -97,11 +97,16 @@ class FactorProduct:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FactorProduct":
+        """Inverse of to_json: `quantum` must be a bool and `sign` an int."""
+        if not isinstance(obj["quantum"], bool):
+            raise ValueError(f"quantum must be true or false, got {obj['quantum']!r}")
+        if type(obj["sign"]) is not int:
+            raise ValueError(f"sign must be the integer 1 or -1, got {obj['sign']!r}")
         return cls(
             num=tuple(LinearForm.from_json(f) for f in obj["num"]),
             den=tuple(LinearForm.from_json(f) for f in obj["den"]),
-            quantum=bool(obj["quantum"]),
-            sign=int(obj["sign"]),
+            quantum=obj["quantum"],
+            sign=obj["sign"],
             scalar=rat_from_json(obj["scalar"]),
             basis=Basis(obj["basis"]),
         )

@@ -254,7 +254,7 @@ def act(perm: Perm3, obj):
 
 
 # Vogel's table of the simple Lie algebra families: each family's point is
-# base + param * step in (a, b, c), with t = a + b + c, and its line.
+# base + param * step in (a, b, c), its t is a + b + c, and its line follows.
 _FAMILY_POINTS = {
     "sl": ((-2, 2, 0), (0, 0, 1)),  # (-2, 2, N)
     "so": ((-2, 4, -4), (0, 0, 1)),  # (-2, 4, N - 4)

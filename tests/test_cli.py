@@ -341,6 +341,26 @@ def test_extract_perms_rejects_an_empty_table(tmp_path, capsys):
     assert "error: invalid table: table has no columns" in capsys.readouterr().err
 
 
+def test_extract_perms_rejects_more_than_four_black_lines(tmp_path, capsys):
+    # The 5 x 5 grid (25_3 15_5): black lines are its rows, red its columns
+    # and green the classes of i + j mod 5, so there are four pairings.
+    point = lambda i, j: 5 * i + j + 1
+    rows = [[point(i, j) for j in range(5)] for i in range(5)]
+    columns = [[point(i, j) for i in range(5)] for j in range(5)]
+    diagonals = [[point(i, (g - i) % 5) for i in range(5)] for g in range(5)]
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"columns": rows + columns + diagonals}))
+    coloring = tmp_path / "coloring.json"
+    coloring.write_text(
+        json.dumps({"black": [0, 1, 2, 3, 4], "red": [5, 6, 7, 8, 9],
+                    "green": [10, 11, 12, 13, 14]})
+    )
+    code = main(["extract-perms", "--table-json", str(table), "--coloring-json", str(coloring)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: the coloring has 5 black lines")
+
+
 def test_uncolorable_table_gives_negative_exit(tmp_path, capsys):
     from vogeluniq.configs import enumerate_n3, find_coloring
 
@@ -396,6 +416,52 @@ def test_check_identity_rejects_malformed_formula_json(tmp_path, capsys, body):
     code = main(["check-identity", "--formula-json", str(path)])
     assert code == 2
     assert "error: cannot read formula JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("quantum", "false"),
+        ("quantum", 1),
+        ("sign", 1.5),
+        ("sign", True),
+        ("sign", "1"),
+        ("scalar", [1.7, 1]),
+        ("scalar", [True, 1]),
+        ("scalar", ["1", "2.0"]),
+        ("scalar", [" 3", "1"]),
+        ("scalar", ["+3", "1"]),
+        ("coefficient", 1.7),
+        ("coefficient", True),
+        ("coefficient", "1e3"),
+    ],
+)
+def test_formula_json_is_decoded_strictly(tmp_path, capsys, field, value):
+    from vogeluniq.qsearch import builtin_q_prop4
+
+    body = builtin_q_prop4(1, 2, 3, 5).to_json()
+    if field == "coefficient":
+        body["num"][0]["coeffs"][1] = [value, "1"]
+    else:
+        body[field] = value
+    path = tmp_path / "formula.json"
+    path.write_text(json.dumps(body))
+    code = main(["check-identity", "--formula-json", str(path), "--lines", "sl,so,exc,sp"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot read formula JSON")
+
+
+def test_formula_json_accepts_plain_integers(tmp_path, capsys):
+    from vogeluniq.qsearch import builtin_q_prop4
+
+    F = builtin_q_prop4(1, 2, 3, 5)
+    body = F.to_json()
+    body["scalar"] = [1, 1]
+    body["num"] = [
+        {"coeffs": [[int(n), int(d)] for n, d in form["coeffs"]], "basis": form["basis"]}
+        for form in body["num"]
+    ]
+    assert FactorProduct.from_json(body) == F
 
 
 @pytest.mark.parametrize(
