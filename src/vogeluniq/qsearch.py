@@ -22,9 +22,11 @@ a y part, zero (and the case trivial) unless a sign check on the orbits of
 <s, v> passes, and an (n, x) part: the nullspace of the mixed fourth-line
 rows over the balanced n and x components, by fraction-free integer
 elimination, or all of them on three lines.  Only the cases with a nonzero
-y part reach the elimination, and with z = n + 3x the mixed rows are signed
-edges along the cycles of v p^-1, so one row per balanced cycle is implied
-by the others and left out (`_case_columns`).  Each case is decided by
+y part reach the elimination, and of those only the ones whose forced zeros
+alone make no factor vanish on a system line (`_pattern_degenerate`).
+With z = n + 3x the mixed rows are signed edges along the cycles of
+v p^-1, so one row per balanced cycle is implied by the others and left
+out (`_case_columns`).  Each case is decided by
 exact tests (degeneracy, and nontriviality by pairing the factors' linear
 maps up to sign), so the search draws no random numbers and its result
 does not depend on a seed; Fraction vectors are built only for the
@@ -45,21 +47,11 @@ from fractions import Fraction
 from ._linalg import int_nullspace, rref_basis
 from .formula import FactorProduct, factor_class, is_identically_one, pair_factors, ratio
 from .identity import InternalConsistencyError
-from .plane import Basis, LinearForm
+from .plane import Basis, LinearForm, family_line
 
-PRIMED_LINES = {
-    "three": (
-        LinearForm((1, 0, 0), Basis.PRIMED),
-        LinearForm((0, 1, 0), Basis.PRIMED),
-        LinearForm((0, 0, 1), Basis.PRIMED),
-    ),
-    "four": (
-        LinearForm((1, 0, 0), Basis.PRIMED),
-        LinearForm((0, 1, 0), Basis.PRIMED),
-        LinearForm((0, 0, 1), Basis.PRIMED),
-        LinearForm((3, -1, 0), Basis.PRIMED),
-    ),
-}
+# The lines of sl, so and exc are a' = 0, b' = 0 and c' = 0; sp's is 3a' - b' = 0.
+_FOUR_LINES = tuple(family_line(f, Basis.PRIMED) for f in ("sl", "so", "exc", "sp"))
+PRIMED_LINES = {"three": _FOUR_LINES[:3], "four": _FOUR_LINES}
 
 
 class InvalidMultiplierError(ValueError):
@@ -471,10 +463,11 @@ def _relabelings(k: int) -> _Relabelings:
     signs = sign_vectors(k)
     perm_index = {perm: i for i, perm in enumerate(perms)}
     sign_index = {vec: j for j, vec in enumerate(signs)}
-    perm_image = [[perm_index[_conj_perm(tau, sigma)] for sigma in perms] for tau in perms]
-    sign_image = [
-        [sign_index[tuple(vec[i] for i in perm_inverse(tau))] for vec in signs] for tau in perms
-    ]
+    perm_image, sign_image = [], []
+    for tau in perms:  # tau sigma tau^-1 maps j to tau[sigma[tau^-1[j]]], as in `_conj_perm`
+        inv = perm_inverse(tau)
+        perm_image.append([perm_index[tuple(tau[sigma[i]] for i in inv)] for sigma in perms])
+        sign_image.append([sign_index[tuple(vec[i] for i in inv)] for vec in signs])
     by_rank = sorted(range(len(signs)), key=signs.__getitem__)
     return _Relabelings(perms, signs, perm_image, sign_image, by_rank)
 
@@ -584,7 +577,9 @@ def _enumerate_chunk(args):
     v = r = None; a four-line class has one case per fourth-line choice
     (v, r).  Cases are counted in index order, up to `budget`, but only
     those whose choice is a key of the class's `_y_columns` are decided,
-    on `_case_columns`: every other case has a zero y part and is trivial."""
+    on `_case_columns`: every other case has a zero y part and is trivial.
+    A case whose zero pattern is degenerate (`_pattern_degenerate`, memoised
+    per pattern) is rejected before `_case_columns`."""
     k, lines, entries, budget, rel = args
     four = lines == "four"
     per_class = len(rel.perms) * len(rel.signs) if four else 1
@@ -592,6 +587,7 @@ def _enumerate_chunk(args):
     cases = 0
     stage2_of = {}  # trivial stabilizers are all one tuple, so they share an entry
     y_columns_of = {}  # the y block involves only s, km, v and r
+    degenerate = {}  # (s, n and x pattern, y pattern) -> `_pattern_degenerate`
     for flat, s, p, c, km, stab in entries:
         if stab not in stage2_of:
             stage2 = _stage2_cases(rel, stab) if four else [(None, None)]
@@ -604,9 +600,17 @@ def _enumerate_chunk(args):
         nonzero_y = sorted(i for i in map(local_of.get, y_columns) if i is not None and i < todo)
         if nonzero_y:
             nx = _nx_part(k, s, p, c, km, four)
+            nx_nonzero = tuple(map(bool, nx[1]))
         for local_index in nonzero_y:
             v, r = stage2[local_index]
-            cols = _case_columns(k, nx, y_columns[v, r], v, r)
+            y_nonzero, y = y_columns[v, r]
+            key = s, nx_nonzero, y_nonzero
+            rejected = degenerate.get(key)
+            if rejected is None:
+                rejected = degenerate[key] = _pattern_degenerate(k, s, nx_nonzero + y_nonzero)
+            if rejected:
+                continue
+            cols = _case_columns(k, nx, y, v, r)
             if cols and _survives(k, s, km, cols, four):
                 mult = MultiplierAssignment(c, km, r, quantum=True)
                 system = build_system(k, lines, PermTriple(s, p, v), mult)
@@ -615,6 +619,30 @@ def _enumerate_chunk(args):
         if todo < len(stage2):
             return found, cases, False
     return found, cases, True
+
+
+def _pattern_degenerate(k, s, nonzero) -> bool:
+    """Whether a case fails `_degeneracy` by its zero pattern alone, on
+    either line set: `nonzero` holds, for each of the 3k unknowns, False if
+    it is forced to zero (an n or x unknown that `_nx_part` gives no
+    balanced component, or a y unknown whose `_y_columns` column is zero)
+    and True otherwise.
+
+    A degenerate pattern rejects the case soundly.  Every False of the
+    pattern is a zero map of the case's family, whatever its (n, x) part
+    turns out to be, so the family's zero maps include the pattern's.  Each
+    rule of `_degeneracy` asks only that some maps of one factor be zero,
+    so a rule that the pattern meets the family meets too: the family is
+    degenerate and `_survives` is False.  If its (n, x) part is empty the
+    case is rejected anyway.  On one-column 0/1 maps n + 3x is zero only
+    when n and x both are, so the rule of 3a' - b' = 0 meets a pattern only
+    where that of c' = 0 does, and the three-line rules decide both line
+    sets.  The maps take km = all ones, since a sign does not change
+    whether a value is zero.  A class with no balanced n or x component,
+    m = 0 in `_nx_part`, makes every factor vanish on c' = 0, so all its
+    cases are rejected here."""
+    cols = [(bit,) for bit in nonzero]
+    return _degeneracy(_factor_maps(k, s, (1,) * k, cols), False) is not None
 
 
 def _signed_components(n, edges) -> tuple[list, dict]:
@@ -660,8 +688,9 @@ def _signed_components(n, edges) -> tuple[list, dict]:
 
 
 def _y_columns(k, s, km, rel: _Relabelings | None) -> dict:
-    """The y columns of each fourth-line choice (v, r) of `rel` with a
-    nonzero y block; without `rel` the one choice is (None, None), the
+    """(nonzero, columns) of each fourth-line choice (v, r) of `rel` with a
+    nonzero y block: for each y unknown whether its column is nonzero, and
+    the y columns.  Without `rel` the one choice is (None, None), the
     three-line case, whose masks are all 0.
 
     The y block is y_i = km_i y_{s(i)}, plus y_i = r_i y_{v(i)} given v.
@@ -697,7 +726,7 @@ def _y_columns(k, s, km, rel: _Relabelings | None) -> dict:
             odd = lambda mask: (neg & mask).bit_count() & 1
             roots = [root for root, conds in orbits.items() if all(odd(m) == q for m, q in conds)]
             if roots:
-                out[v, r] = [
+                out[v, r] = tuple(root in roots for root, _, _ in label), [
                     tuple((-1) ** (parity ^ odd(mask)) * (root == other) for other in roots)
                     for root, parity, mask in label
                 ]

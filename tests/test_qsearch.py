@@ -568,6 +568,53 @@ def test_mixed_row_pruning_keeps_the_nullspace():
     assert balanced and unbalanced
 
 
+def test_zero_pattern_screen_rejects_only_cases_without_a_surviving_family():
+    """A case with a nonzero y part that `_pattern_degenerate` rejects has
+    no surviving family in the nullspace of its full system.  On three lines
+    the (n, x) part is every balanced component, so the screen rejects
+    exactly the cases whose family is degenerate.  Both outcomes occur on
+    both line sets."""
+    outcomes = Counter()
+    y_columns = {}
+    for k, s, p, c, km, v, r in _screen_cases():
+        four = v is not None
+        if (k, s, km, four) not in y_columns:
+            rel = qsearch._relabelings(k) if four else None
+            y_columns[k, s, km, four] = qsearch._y_columns(k, s, km, rel)
+        if (v, r) not in y_columns[k, s, km, four]:
+            continue
+        y_nonzero = y_columns[k, s, km, four][v, r][0]
+        nx_nonzero = tuple(map(bool, qsearch._nx_part(k, s, p, c, km, four)[1]))
+        rejected = qsearch._pattern_degenerate(k, s, nx_nonzero + y_nonzero)
+        outcomes[four, rejected] += 1
+        if not rejected and four:
+            continue
+        rows = qsearch._dense_rows(k, qsearch._relation_terms(k, s, p, c, km, v, r))
+        space = int_nullspace(rows, 3 * k)
+        if rejected:
+            assert not space or not qsearch._survives(k, s, km, qsearch._columns(k, space), four)
+        if not four:
+            maps = qsearch._factor_maps(k, s, km, qsearch._columns(k, space))
+            assert rejected == (qsearch._degeneracy(maps, False) is not None)
+    assert set(outcomes) == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("lines,budget,calls", [("four", 1000, 89), ("three", None, 905)])
+def test_zero_pattern_screen_leaves_few_cases_to_eliminate(monkeypatch, lines, budget, calls):
+    """The cases that reach `_case_columns` at k = 4; without the screen
+    they are 359 and 1,364."""
+    count = Counter()
+    case_columns = qsearch._case_columns
+
+    def counting(*args):
+        count["calls"] += 1
+        return case_columns(*args)
+
+    monkeypatch.setattr(qsearch, "_case_columns", counting)
+    enumerate_families(4, lines, budget=budget)
+    assert count["calls"] == calls
+
+
 # The stage-1 classes of the 23 nontrivial k = 4 four-line families.
 K4_FOUR_LINE_CLASSES = [
     11776, 11783, 11822, 11832, 11839, 14186, 14189, 14190, 14200, 14204, 14207,
