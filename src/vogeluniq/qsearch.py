@@ -16,14 +16,18 @@ finite enumeration over permutation tuples and sign vectors.  All its
 coefficients are then integers in {0, +-1, +-3}.  Each three-line relation,
 and y_i = r_i y_{v(i)}, has two +-1 terms, a signed edge between two
 unknowns, so those spaces are read off the components of signed graphs
-(n, x and y) with no elimination.  The y relations never mix with the
-(n, x) relations, so on both line sets a case's space is the direct sum of
-a y part, zero (and the case trivial) unless a sign check on the orbits of
-<s, v> passes, and an (n, x) part: the nullspace of the mixed fourth-line
-rows over the balanced n and x components, by fraction-free integer
-elimination, or all of them on three lines.  Only the cases with a nonzero
-y part reach the elimination, and of those only the ones whose forced zeros
-alone make no factor vanish on a system line (`_pattern_degenerate`).
+with no elimination: the n and x graphs are the cycles of p s^-1 and of p
+(`_nx_part`), the y graph the orbits of <s, v>.  The y relations never mix
+with the (n, x) relations, so on both line sets a case's space is the
+direct sum of a y part, zero (and the case trivial) unless a sign check on
+the orbits of <s, v> passes, and an (n, x) part.  On three lines that is
+every balanced n and x cycle, one parameter each, so a three-line case
+needs no elimination at all; on four lines it is the nullspace of the
+mixed fourth-line rows over them, by fraction-free integer elimination.
+Only the cases with a nonzero y part are decided, and of those only the
+ones whose forced zeros alone make no factor vanish on a system line
+(`_pattern_degenerate`); on three lines that screen is the whole
+degeneracy test (`_survives`).
 With z = n + 3x the mixed rows are signed edges along the cycles of
 v p^-1, so one row per balanced cycle is implied by the others and left
 out (`_case_columns`).  Each case is decided by
@@ -71,6 +75,24 @@ def perm_inverse(perm: Perm) -> Perm:
     for i, img in enumerate(perm):
         inv[img] = i
     return tuple(inv)
+
+
+def _cycles(perm: Perm) -> list[tuple[int, ...]]:
+    """The cycles of perm, each from its least index, in order of that index."""
+    seen = [False] * len(perm)
+    out = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        nxt = perm[start]
+        while nxt != start:
+            cyc.append(nxt)
+            seen[nxt] = True
+            nxt = perm[nxt]
+        out.append(tuple(cyc))
+    return out
 
 
 @dataclass(frozen=True)
@@ -648,7 +670,9 @@ def _pattern_degenerate(k, s, nonzero) -> bool:
 def _signed_components(n, edges) -> tuple[list, dict]:
     """The components of a signed graph on the vertices 0..n-1, whose edge
     (i, j, parity, mask) says value_j = value_i times (-1)^parity times the
-    product of the r_l with bit l set in mask.
+    product of the r_l with bit l set in mask.  It serves the y part
+    (`_y_columns`), whose components are the orbits of <s, v>, not the
+    cycles of one permutation; the n and x graphs are cycles (`_nx_part`).
 
     Returns (label, conditions).  label[i] = (root, parity, mask) gives the
     sign of value_i relative to its component's least vertex, the root, as
@@ -734,38 +758,51 @@ def _y_columns(k, s, km, rel: _Relabelings | None) -> dict:
 
 
 def _nx_part(k, s, p, c, km, four: bool) -> tuple[int, list, dict, Perm | None, tuple]:
-    """(m, units, rows, p_inv, c) over the m balanced components of the
-    signed graph that the x and n relations of `_relation_terms` make on the
-    2k unknowns n and x (a relation ca u_a + cb u_b = 0 is the edge
-    u_b = -(ca cb) u_a): units[u] is the (component, sign) carrying unknown
+    """(m, units, rows, p_inv, c) over the m balanced cycles of the signed
+    permutations that the x and n relations of `_relation_terms` make on the
+    2k unknowns n and x: units[u] is the (component, sign) carrying unknown
     u, or None if u is zero, and on four lines rows[i, j, sign] is factor
     i's mixed row c_i n_{p(i)} + 3 x_i - r_i (n_{v(i)} + 3 x_{v(i)}) for
     v(i) = j and r_i = sign.  p_inv (None on three lines) and c are for
-    `_mixed_rows`."""
-    terms = _relation_terms(k, s, p, c, km)
-    del terms[1::3]  # the y relations
-    label, conditions = _signed_components(
-        2 * k, [(a, b, int(ca * cb > 0), 0) for (a, ca), (b, cb) in terms]
-    )
-    free = [root for root, conds in conditions.items() if (0, 1) not in conds]
-    units = [
-        (free.index(root), (-1) ** parity) if root in free else None for root, parity, _ in label
-    ]
+    `_mixed_rows`.
+
+    The x relations say x_{p(i)} = c_i x_i, so the x graph is the cycles of
+    p, vertex i carrying the sign c_i.  The n relations say
+    n_{p(i)} = c_i km_i n_{s(i)}, so the n graph is the cycles of
+    sigma = p s^-1, vertex j carrying the sign c km at s^-1(j).  A cycle
+    carries a nonzero solution exactly when its signs multiply to +1
+    (Harary's balance); its unknowns are then their sign relative to its
+    least vertex times one parameter, and otherwise all zero.  Components
+    are numbered by least vertex, n before x."""
+    s_inv = perm_inverse(s)
+    sigma = tuple(p[i] for i in s_inv)
+    units = [None] * (2 * k)
+    m = 0
+    for base, perm, signs in ((0, sigma, [c[i] * km[i] for i in s_inv]), (k, p, c)):
+        for cycle in _cycles(perm):
+            value, values = 1, []
+            for j in cycle:
+                values.append(value)
+                value *= signs[j]
+            if value > 0:
+                for j, sign in zip(cycle, values):
+                    units[base + j] = (m, sign)
+                m += 1
 
     def row(*terms):
-        out = [0] * len(free)
+        out = [0] * m
         for u, coef in terms:
             if units[u]:
                 out[units[u][0]] += coef * units[u][1]
         return out
 
     if not four:
-        return len(free), units, {}, None, c
+        return m, units, {}, None, c
     rows = {
         (i, j, sign): row((p[i], c[i]), (k + i, 3), (j, -sign), (k + j, -3 * sign))
         for i, j, sign in itertools.product(range(k), range(k), (1, -1))
     }
-    return len(free), units, rows, perm_inverse(p), c
+    return m, units, rows, perm_inverse(p), c
 
 
 def _mixed_rows(k, nx, v, r) -> list[list[int]]:
@@ -788,19 +825,23 @@ def _mixed_rows(k, nx, v, r) -> list[list[int]]:
 def _case_columns(k, nx, y, v, r) -> list[tuple] | None:
     """`_columns` of a case with the nonzero y columns `y` from
     `_y_columns`: the direct sum of its (n, x) part, the nullspace of its
-    mixed rows (none on three lines) over `_nx_part`, and its y part.  None
-    when the (n, x) part is zero: with n = x = 0 every factor vanishes on
-    c' = 0.
+    mixed rows over `_nx_part`, and its y part.  None when the (n, x) part
+    is zero: with n = x = 0 every factor vanishes on c' = 0.
 
-    Only `_mixed_rows` are eliminated.  Over `_nx_part` the relation
-    x_i = c_i x_{p(i)} holds as linear forms, so with z_j = n_j + 3 x_j
-    mixed row i is c_i z_{p(i)} - r_i z_{v(i)}: a signed edge from p(i) to
-    v(i), and the k rows run along the cycles of sigma = v p^-1.  On a
-    cycle j_0 -> j_1 -> ... -> j_{L-1} -> j_0 let row t be the row of the
-    factor i with p(i) = j_t, and e_t = c_i r_i its sign, so r_i times
-    row t is e_t z_{j_t} - z_{j_{t+1}}.  With weights w_0 = 1 and
-    w_t = e_1 e_2 ... e_t, the sum of w_t r_i row t cancels z_{j_t} for
-    t >= 1 and leaves e_0 (1 - e_0 e_1 ... e_{L-1}) z_{j_0}.
+    A three-line case, v = None, has no mixed rows: its (n, x) part is all
+    m balanced components, one parameter each, so each n or x column is its
+    unit's sign at its component, a signed unit vector, or zero.  That is
+    what `int_nullspace` returns for no rows, so nothing is eliminated.
+
+    On four lines only `_mixed_rows` are eliminated.  Over `_nx_part` the
+    relation x_i = c_i x_{p(i)} holds as linear forms, so with
+    z_j = n_j + 3 x_j mixed row i is c_i z_{p(i)} - r_i z_{v(i)}: a signed
+    edge from p(i) to v(i), and the k rows run along the cycles of
+    sigma = v p^-1.  On a cycle j_0 -> j_1 -> ... -> j_{L-1} -> j_0 let
+    row t be the row of the factor i with p(i) = j_t, and e_t = c_i r_i its
+    sign, so r_i times row t is e_t z_{j_t} - z_{j_{t+1}}.  With weights
+    w_0 = 1 and w_t = e_1 e_2 ... e_t, the sum of w_t r_i row t cancels
+    z_{j_t} for t >= 1 and leaves e_0 (1 - e_0 e_1 ... e_{L-1}) z_{j_0}.
 
     On a balanced cycle, product +1 (Harary's balance), the rows therefore
     satisfy a relation whose coefficients are all +-1: each is implied by
@@ -812,11 +853,15 @@ def _case_columns(k, nx, y, v, r) -> list[tuple] | None:
     j on the cycle.  Putting the L rows z_j = 0 in their place leaves the
     row space unchanged too, but measured no faster, so they are kept."""
     m, units = nx[0], nx[1]
-    null = int_nullspace(_mixed_rows(k, nx, v, r) if v else [], m)
-    if not null:
+    null = None if v is None else int_nullspace(_mixed_rows(k, nx, v, r), m)
+    size = m if null is None else len(null)
+    if not size:
         return None
-    zero, pad = (0,) * len(null), (0,) * len(y[0])
-    cols = [zero if unit is None else tuple(unit[1] * t[unit[0]] for t in null) for unit in units]
+    zero, pad = (0,) * size, (0,) * len(y[0])
+    if null is None:
+        cols = [zero if u is None else zero[: u[0]] + (u[1],) + zero[u[0] + 1 :] for u in units]
+    else:
+        cols = [zero if u is None else tuple(u[1] * t[u[0]] for t in null) for u in units]
     return [col + pad for col in cols] + [zero + col for col in y]
 
 
@@ -832,10 +877,22 @@ def _stage2_cases(rel: _Relabelings, stab) -> list[tuple[Perm, tuple]]:
 
 
 def _survives(k, s, km, cols, four: bool) -> bool:
-    """Whether the family of `_columns` `cols` passes `_degeneracy` and
-    `_keeps_a_factor`, neither of which depends on the family's basis."""
+    """Whether the family of `_case_columns` `cols`, of a case that
+    `_pattern_degenerate` keeps, passes `_degeneracy` and `_keeps_a_factor`,
+    neither of which depends on the family's basis.
+
+    On three lines `_keeps_a_factor` alone decides.  There the n and x
+    columns are signed unit vectors or zero, as `_case_columns` builds
+    them, so an n or x map is zero exactly where the case's zero pattern
+    says, and so is a y map, whose `_y_columns` pattern is read off its
+    column.  A denominator map km_i n_{s(i)} is zero exactly when n_{s(i)}
+    is.  `_degeneracy(maps, False)` reads only which maps are zero, so it
+    gives the verdict it gives on the pattern, which `_pattern_degenerate`
+    has already found None.  On four lines the mixed rows can force more
+    maps to zero than the pattern holds, and the rule of 3a' - b' = 0 reads
+    n + 3x, so `_degeneracy` runs."""
     maps = _factor_maps(k, s, km, cols)
-    return _degeneracy(maps, four) is None and _keeps_a_factor(maps)
+    return (not four or _degeneracy(maps, True) is None) and _keeps_a_factor(maps)
 
 
 # --- built-in closed-form factors --------------------------------------------
@@ -951,23 +1008,6 @@ def matches_builtin_four_line(family: SolutionFamily) -> bool:
 
 
 # --- classical k = 3 survey ---------------------------------------------------
-
-
-def _cycles(perm: Perm) -> list[tuple[int, ...]]:
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        out.append(tuple(cyc))
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from vogeluniq import qsearch
 from vogeluniq.cli import main
 from vogeluniq.configs import ConfigurationTable
 from vogeluniq.formula import FactorProduct
+from vogeluniq.plane import FAMILIES, LinearForm, family_line, vogel_point
 
 
 def run(capsys, *argv):
@@ -395,6 +398,36 @@ def test_vogel_table_row(capsys):
     assert code == 0
     assert payload["point"]["coeffs"] == [["-2", "1"], ["12", "1"], ["20", "1"]]
     assert payload["t"] == ["30", "1"]
+
+
+def _evaluate(expr, **values):
+    """The value of a table cell such as "2n + 4" or "2(a + b)": the cells
+    write products by juxtaposition, so a '*' is put in before evaluating."""
+    return eval(re.sub(r"(\d)([A-Za-z(])", r"\1*\2", expr), {"__builtins__": {}}, values)
+
+
+def test_vogel_table_rows_match_the_family_tables(capsys):
+    """Each hand-written row of `vogel-table` agrees with `plane`: its point
+    at N (or n) = 0, 1 and 5 is `vogel_point`'s, coordinate for coordinate,
+    its t is `vogel_point`'s t, and its line is `family_line`, which
+    vanishes on the point."""
+    code, payload = run_json(capsys, "vogel-table")
+    assert code == 0
+    families = []
+    for name, point, t, line in payload["rows"]:
+        family, var = re.fullmatch(r"(\w+)\(\d*([Nn])\)", name).groups()
+        families.append(family)
+        lhs, rhs = line.split(" = ")
+        form = lambda a, b, c: _evaluate(lhs, a=a, b=b, c=c) - _evaluate(rhs, a=a, b=b, c=c)
+        coeffs = (form(1, 0, 0), form(0, 1, 0), form(0, 0, 1))
+        assert LinearForm(coeffs).same_line(family_line(family)), name
+        for q in map(Fraction, (0, 1, 5)):
+            ap = vogel_point(family, q)
+            coords = tuple(_evaluate(cell, **{var: q}) for cell in point.strip("()").split(", "))
+            assert coords == ap.point.coords, (name, q)
+            assert _evaluate(t.removeprefix("t = "), **{var: q}) == ap.t, (name, q)
+            assert form(*coords) == 0, (name, q)
+    assert families == list(FAMILIES)
 
 
 def test_formula_json_round_trip_through_cli(tmp_path, capsys):

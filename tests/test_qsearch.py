@@ -545,6 +545,78 @@ def test_y_block_screen_is_exact_and_never_drops_a_family():
     assert kept and dropped
 
 
+def _nx_units_by_search(k, s, p, c, km):
+    """The (m, units) of `_nx_part` by a depth-first search of the signed
+    graph that the x and n relations of `_relation_terms` make on the 2k
+    unknowns (a relation ca u_a + cb u_b = 0 is the edge u_b = -(ca cb) u_a),
+    numbering the balanced components by least vertex."""
+    terms = qsearch._relation_terms(k, s, p, c, km)
+    del terms[1::3]  # the y relations
+    label, conditions = qsearch._signed_components(
+        2 * k, [(a, b, int(ca * cb > 0), 0) for (a, ca), (b, cb) in terms]
+    )
+    free = [root for root, conds in conditions.items() if (0, 1) not in conds]
+    units = [
+        (free.index(root), (-1) ** parity) if root in free else None for root, parity, _ in label
+    ]
+    return len(free), units
+
+
+def test_nx_part_from_cycles_matches_a_graph_search():
+    """`_nx_part` reads the balanced components off the cycles of p s^-1
+    and of p; they equal the graph search's, numbering and signs included,
+    on both line sets for every class with k <= 4 and every 5th k = 5
+    class.  Unbalanced n cycles and unbalanced x cycles both occur."""
+    unbalanced = Counter()
+    for k, classes in [(k, _stage1_classes(k)) for k in (1, 2, 3, 4)] + [
+        (5, list(_stage1_classes(5))[::5])
+    ]:
+        for _, s, p, c, km, _ in classes:
+            expected = _nx_units_by_search(k, s, p, c, km)
+            for four in (False, True):
+                m, units = qsearch._nx_part(k, s, p, c, km, four)[:2]
+                assert (m, units) == expected, (k, s, p, c, km, four)
+            unbalanced["n"] += None in units[:k]
+            unbalanced["x"] += None in units[k:]
+    assert unbalanced["n"] and unbalanced["x"]
+
+
+def test_three_line_shortcuts_agree_with_elimination():
+    """On the three-line cases of `_screen_cases()` with a nonzero y part,
+    `_case_columns` builds the columns that `int_nullspace` of no rows
+    gives, and every case that `_pattern_degenerate` keeps passes
+    `_degeneracy`, so `_survives` need not run it; cases of both verdicts
+    occur."""
+    kept = rejected = 0
+    for k, s, p, c, km, v, r in _screen_cases():
+        if v is not None:
+            continue
+        y_columns = qsearch._y_columns(k, s, km, None)
+        if (None, None) not in y_columns:
+            continue
+        y_nonzero, y = y_columns[None, None]
+        nx = qsearch._nx_part(k, s, p, c, km, False)
+        m, units = nx[0], nx[1]
+        null = int_nullspace([], m)
+        expected = None
+        if null:
+            zero, pad = (0,) * len(null), (0,) * len(y[0])
+            nx_cols = [
+                zero if unit is None else tuple(unit[1] * t[unit[0]] for t in null)
+                for unit in units
+            ]
+            expected = [col + pad for col in nx_cols] + [zero + col for col in y]
+        cols = qsearch._case_columns(k, nx, y, None, None)
+        assert cols == expected
+        if qsearch._pattern_degenerate(k, s, tuple(map(bool, units)) + y_nonzero):
+            rejected += 1
+            continue
+        kept += 1
+        maps = qsearch._factor_maps(k, s, km, cols)
+        assert qsearch._degeneracy(maps, False) is None
+    assert kept and rejected
+
+
 def test_mixed_row_pruning_keeps_the_nullspace():
     """Dropping one mixed row per balanced cycle of sigma = v p^-1 leaves
     `int_nullspace` unchanged, exactly; cycles of both kinds occur."""
