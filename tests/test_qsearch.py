@@ -524,6 +524,15 @@ def _screen_cases():
             yield 4, s, p, c, km, v, r
 
 
+def _survives_in_full(k, s, km, space, four):
+    """Whether the family spanned by `space` passes both `_degeneracy` and
+    `_keeps_a_factor`.  `_survives` skips the first on three lines, where
+    the zero-pattern screen has decided it, so cases that have not passed
+    the screen are judged here."""
+    maps = qsearch._factor_maps(k, s, km, qsearch._columns(k, space))
+    return qsearch._degeneracy(maps, four) is None and qsearch._keeps_a_factor(maps)
+
+
 def test_y_block_screen_is_exact_and_never_drops_a_family():
     kept = dropped = 0
     y_columns = {}
@@ -540,7 +549,7 @@ def test_y_block_screen_is_exact_and_never_drops_a_family():
             assert space
             kept += 1
         else:
-            assert not qsearch._survives(k, s, km, qsearch._columns(k, space), v is not None)
+            assert not _survives_in_full(k, s, km, space, v is not None)
             dropped += 1
     assert kept and dropped
 
@@ -664,7 +673,7 @@ def test_zero_pattern_screen_rejects_only_cases_without_a_surviving_family():
         rows = qsearch._dense_rows(k, qsearch._relation_terms(k, s, p, c, km, v, r))
         space = int_nullspace(rows, 3 * k)
         if rejected:
-            assert not space or not qsearch._survives(k, s, km, qsearch._columns(k, space), four)
+            assert not space or not _survives_in_full(k, s, km, space, four)
         if not four:
             maps = qsearch._factor_maps(k, s, km, qsearch._columns(k, space))
             assert rejected == (qsearch._degeneracy(maps, False) is not None)
