@@ -97,7 +97,14 @@ class FactorProduct:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FactorProduct":
-        """Inverse of to_json: `quantum` must be a bool and `sign` an int."""
+        """Inverse of to_json: `obj` must be an object with every key that
+        to_json writes, `quantum` a bool and `sign` an int."""
+        keys = ("quantum", "sign", "scalar", "basis", "num", "den")
+        if not isinstance(obj, dict):
+            raise ValueError(f"formula JSON must be an object with the keys {', '.join(keys)}")
+        missing = [key for key in keys if key not in obj]
+        if missing:
+            raise ValueError(f'formula JSON has no "{missing[0]}" key')
         if not isinstance(obj["quantum"], bool):
             raise ValueError(f"quantum must be true or false, got {obj['quantum']!r}")
         if type(obj["sign"]) is not int:

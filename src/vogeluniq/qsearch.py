@@ -27,14 +27,11 @@ mixed fourth-line rows over them, by fraction-free integer elimination.
 Only the cases with a nonzero y part are decided, and of those only the
 ones whose forced zeros alone make no factor vanish on a system line
 (`_pattern_degenerate`); on three lines that screen is the whole
-degeneracy test (`_survives`).
-With z = n + 3x the mixed rows are signed edges along the cycles of
-v p^-1, so one row per balanced cycle is implied by the others and left
-out (`_case_columns`).  Each case is decided by
-exact tests (degeneracy, and nontriviality by pairing the factors' linear
-maps up to sign), so the search draws no random numbers and its result
-does not depend on a seed; Fraction vectors are built only for the
-families it returns.  The classical multipliers form a continuum; they are verified
+degeneracy test (`_survives`).  Each case is decided by exact tests
+(degeneracy, and nontriviality by pairing the factors' linear maps up to
+sign), so the search draws no random numbers and its result does not
+depend on a seed; Fraction vectors are built only for the families it
+returns.  The classical multipliers form a continuum; they are verified
 rather than searched, except for the dedicated k = 3 survey which decides
 nontriviality stratum by stratum, exactly, at one point with distinct prime
 coordinates.
@@ -191,8 +188,15 @@ def _relation_terms(k: int, s, p, c, km, v=None, r=None) -> list[tuple]:
     if v is not None:
         for i in range(k):
             rows.append(((2 * k + i, 1), (2 * k + v[i], -r[i])))
-            rows.append(((p[i], c[i]), (k + i, 3), (v[i], -r[i]), (k + v[i], -3 * r[i])))
+            rows.append(_mixed_terms(k, p, c, i, v[i], r[i]))
     return rows
+
+
+def _mixed_terms(k: int, p, c, i: int, j: int, sign) -> tuple:
+    """The terms of factor i's mixed relation
+    c_i n_{p(i)} + 3 x_i = r_i (n_{v(i)} + 3 x_{v(i)}) for v(i) = j and
+    r_i = sign."""
+    return (p[i], c[i]), (k + i, 3), (j, -sign), (k + j, -3 * sign)
 
 
 def _dense_rows(k: int, terms: list[tuple]) -> list[list]:
@@ -757,14 +761,13 @@ def _y_columns(k, s, km, rel: _Relabelings | None) -> dict:
     return out
 
 
-def _nx_part(k, s, p, c, km, four: bool) -> tuple[int, list, dict, Perm | None, tuple]:
-    """(m, units, rows, p_inv, c) over the m balanced cycles of the signed
+def _nx_part(k, s, p, c, km, four: bool) -> tuple[int, list, dict]:
+    """(m, units, rows) over the m balanced cycles of the signed
     permutations that the x and n relations of `_relation_terms` make on the
     2k unknowns n and x: units[u] is the (component, sign) carrying unknown
-    u, or None if u is zero, and on four lines rows[i, j, sign] is factor
-    i's mixed row c_i n_{p(i)} + 3 x_i - r_i (n_{v(i)} + 3 x_{v(i)}) for
-    v(i) = j and r_i = sign.  p_inv (None on three lines) and c are for
-    `_mixed_rows`.
+    u, or None if u is zero, and rows[i, j, sign] is
+    `_mixed_terms(k, p, c, i, j, sign)` as a row over the m parameters.
+    Three lines have no mixed relation, so there rows is empty.
 
     The x relations say x_{p(i)} = c_i x_i, so the x graph is the cycles of
     p, vertex i carrying the sign c_i.  The n relations say
@@ -797,29 +800,12 @@ def _nx_part(k, s, p, c, km, four: bool) -> tuple[int, list, dict, Perm | None, 
         return out
 
     if not four:
-        return m, units, {}, None, c
+        return m, units, {}
     rows = {
-        (i, j, sign): row((p[i], c[i]), (k + i, 3), (j, -sign), (k + j, -3 * sign))
+        (i, j, sign): row(*_mixed_terms(k, p, c, i, j, sign))
         for i, j, sign in itertools.product(range(k), range(k), (1, -1))
     }
-    return m, units, rows, perm_inverse(p), c
-
-
-def _mixed_rows(k, nx, v, r) -> list[list[int]]:
-    """The mixed rows of choice (v, r) that `_case_columns` eliminates: all
-    k of them but one per balanced cycle of sigma = v p^-1."""
-    _, _, rows, p_inv, c = nx
-    kept = []
-    seen = [False] * k
-    for start in range(k):
-        i, sign, cycle = start, 1, []
-        while not seen[i]:
-            seen[i] = True
-            cycle.append(rows[i, v[i], r[i]])
-            sign *= c[i] * r[i]
-            i = p_inv[v[i]]
-        kept += cycle[:-1] if sign > 0 else cycle
-    return kept
+    return m, units, rows
 
 
 def _case_columns(k, nx, y, v, r) -> list[tuple] | None:
@@ -832,28 +818,10 @@ def _case_columns(k, nx, y, v, r) -> list[tuple] | None:
     m balanced components, one parameter each, so each n or x column is its
     unit's sign at its component, a signed unit vector, or zero.  That is
     what `int_nullspace` returns for no rows, so nothing is eliminated.
-
-    On four lines only `_mixed_rows` are eliminated.  Over `_nx_part` the
-    relation x_i = c_i x_{p(i)} holds as linear forms, so with
-    z_j = n_j + 3 x_j mixed row i is c_i z_{p(i)} - r_i z_{v(i)}: a signed
-    edge from p(i) to v(i), and the k rows run along the cycles of
-    sigma = v p^-1.  On a cycle j_0 -> j_1 -> ... -> j_{L-1} -> j_0 let
-    row t be the row of the factor i with p(i) = j_t, and e_t = c_i r_i its
-    sign, so r_i times row t is e_t z_{j_t} - z_{j_{t+1}}.  With weights
-    w_0 = 1 and w_t = e_1 e_2 ... e_t, the sum of w_t r_i row t cancels
-    z_{j_t} for t >= 1 and leaves e_0 (1 - e_0 e_1 ... e_{L-1}) z_{j_0}.
-
-    On a balanced cycle, product +1 (Harary's balance), the rows therefore
-    satisfy a relation whose coefficients are all +-1: each is implied by
-    the others, and dropping one leaves the row space, and so the reduced
-    row echelon form and the primitive basis of `int_nullspace`,
-    unchanged.  On an unbalanced cycle, product -1, the L rows as forms in
-    the L values z_j have determinant +-(1 - product) = +-2, so no one of
-    them is implied by the others and together they say z_j = 0 at every
-    j on the cycle.  Putting the L rows z_j = 0 in their place leaves the
-    row space unchanged too, but measured no faster, so they are kept."""
-    m, units = nx[0], nx[1]
-    null = None if v is None else int_nullspace(_mixed_rows(k, nx, v, r), m)
+    On four lines the k mixed rows of the choice, rows[i, v(i), r_i] of
+    `_nx_part`, are eliminated as written."""
+    m, units, rows = nx
+    null = None if v is None else int_nullspace([rows[i, v[i], r[i]] for i in range(k)], m)
     size = m if null is None else len(null)
     if not size:
         return None

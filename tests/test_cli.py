@@ -442,13 +442,24 @@ def test_formula_json_round_trip_through_cli(tmp_path, capsys):
     assert FactorProduct.from_json(F.to_json()) == F
 
 
-@pytest.mark.parametrize("body", [[1, 2], {"quantum": True, "num": 5}])
-def test_check_identity_rejects_malformed_formula_json(tmp_path, capsys, body):
+@pytest.mark.parametrize(
+    "body,named",
+    [
+        ([1, 2], "must be an object with the keys quantum, sign, scalar, basis, num, den"),
+        ({"quantum": True, "num": 5}, 'has no "sign" key'),
+        ({"quantum": True, "sign": 1, "scalar": [1, 1], "basis": "primed", "num": []},
+         'has no "den" key'),
+    ],
+    ids=["body0", "body1", "body2"],
+)
+def test_check_identity_rejects_malformed_formula_json(tmp_path, capsys, body, named):
     path = tmp_path / "formula.json"
     path.write_text(json.dumps(body))
     code = main(["check-identity", "--formula-json", str(path)])
     assert code == 2
-    assert "error: cannot read formula JSON" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: cannot read formula JSON" in err
+    assert named in err
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import pytest
 
 from vogeluniq.formula import cancel, eval_classical, ratio
 from vogeluniq.identity import InternalConsistencyError, check_on_lines
-from vogeluniq.plane import Basis, ProjPoint
+from vogeluniq.plane import Basis, ProjPoint, span_points
 from vogeluniq import qsearch
 from vogeluniq.qsearch import (
     FOUR_LINE_PERMS,
@@ -231,6 +231,73 @@ def test_is_nontrivial_on_forced_equal_family():
     outcome = solve_quantum(system)
     assert outcome.status == "trivial"
     assert not is_nontrivial(outcome.family)
+
+
+def _small_systems():
+    """Every quantum system with k <= 2 on both line sets, and the P4
+    system (FOUR_LINE_PERMS with r = -1)."""
+    for k in (1, 2):
+        perms = list(itertools.permutations(range(k)))
+        signs = sign_vectors(k)
+        for s, p, c, km in itertools.product(perms, perms, signs, signs):
+            mult = MultiplierAssignment(c, km, quantum=True)
+            yield build_system(k, "three", PermTriple(s, p), mult)
+            for v, r in itertools.product(perms, signs):
+                mult = MultiplierAssignment(c, km, r, quantum=True)
+                yield build_system(k, "four", PermTriple(s, p, v), mult)
+    mult = MultiplierAssignment(ONES, ONES, NEGS, quantum=True)
+    yield build_system(4, "four", FOUR_LINE_PERMS, mult)
+
+
+def test_family_degeneracy_agrees_with_solve_quantum():
+    """`family_degeneracy` of a solved family is the reason `solve_quantum`
+    gives for calling it infeasible, and None for a trivial or nontrivial
+    one; both kinds of verdict occur."""
+    verdicts = Counter()
+    for system in _small_systems():
+        outcome = solve_quantum(system)
+        if outcome.family is None:
+            continue
+        reason = qsearch.family_degeneracy(outcome.family)
+        assert reason == (outcome.reason if outcome.status == "infeasible" else None)
+        verdicts[reason is None] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_degeneracy_rule_matches_the_span_points_of_the_primed_lines():
+    """`_degeneracy` hard-codes what each primed line keeps of a factor
+    (3a' - b' = 0 keeps n + 3x and y).  On every one- and two-column map
+    with entries in {-3, -1, 0, 1, 3} it names the zero factor, or else the
+    first line of `PRIMED_LINES` whose two `span_points` zero every column
+    of the factor, on both line sets; every line is named."""
+    points = {
+        lines: [[pt.coords for pt in span_points(form)] for form in forms]
+        for lines, forms in PRIMED_LINES.items()
+    }
+    named = Counter()
+    for width in (1, 2):
+        for flat in itertools.product((-3, -1, 0, 1, 3), repeat=3 * width):
+            factor = (flat[:width], flat[width : 2 * width], flat[2 * width :])
+            for lines, spans in points.items():
+                if not any(flat):
+                    expected = "num[0] is identically zero"
+                else:
+                    cols = list(zip(*factor))
+                    vanishing = [
+                        not any(sum(map(Fraction.__mul__, pt, col)) for pt in pair for col in cols)
+                        for pair in spans
+                    ]
+                    expected = (
+                        f"num[0] vanishes identically on system line {vanishing.index(True)}"
+                        if any(vanishing)
+                        else None
+                    )
+                assert qsearch._degeneracy(([factor], []), lines == "four") == expected
+                named[lines, expected] += 1
+    for lines, spans in points.items():
+        for line in range(len(spans)):
+            assert named[lines, f"num[0] vanishes identically on system line {line}"]
+        assert named[lines, None]
 
 
 # --- enumeration ---------------------------------------------------------------------
@@ -624,29 +691,6 @@ def test_three_line_shortcuts_agree_with_elimination():
         maps = qsearch._factor_maps(k, s, km, cols)
         assert qsearch._degeneracy(maps, False) is None
     assert kept and rejected
-
-
-def test_mixed_row_pruning_keeps_the_nullspace():
-    """Dropping one mixed row per balanced cycle of sigma = v p^-1 leaves
-    `int_nullspace` unchanged, exactly; cycles of both kinds occur."""
-    balanced = unbalanced = 0
-    for k, s, p, c, km, v, r in _screen_cases():
-        if v is None:
-            continue
-        nx = qsearch._nx_part(k, s, p, c, km, True)
-        m, rows = nx[0], nx[2]
-        full = [rows[i, v[i], r[i]] for i in range(k)]
-        pruned = qsearch._mixed_rows(k, nx, v, r)
-        assert int_nullspace(pruned, m) == int_nullspace(full, m)
-        p_inv = qsearch.perm_inverse(p)
-        sigma = tuple(v[p_inv[j]] for j in range(k))
-        signs = [
-            math.prod(c[p_inv[j]] * r[p_inv[j]] for j in cycle) for cycle in qsearch._cycles(sigma)
-        ]
-        assert len(pruned) == k - signs.count(1)
-        balanced += signs.count(1)
-        unbalanced += signs.count(-1)
-    assert balanced and unbalanced
 
 
 def test_zero_pattern_screen_rejects_only_cases_without_a_surviving_family():
