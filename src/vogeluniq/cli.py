@@ -41,6 +41,7 @@ from .qsearch import (
     FOUR_LINE_PERMS,
     PRIMED_LINES,
     MultiplierAssignment,
+    SurveyStats,
     build_system,
     builtin_q33,
     builtin_q_prop4,
@@ -366,9 +367,11 @@ def cmd_reproduce(args) -> int:
     """Run a target's checks.  A check's seconds run from the previous check
     (or the start) to it, so they include the work its verdict rests on;
     they go to the JSON payload, or to stderr as each check completes, so
-    the text on stdout does not depend on timing."""
+    the text on stdout does not depend on timing.  P1-remark's JSON payload
+    also holds the survey's `SurveyStats` under "stats"."""
     target = args.target
     checks: list[dict] = []
+    extra: dict = {}
     last = time.perf_counter()
 
     def check(name: str, ok: bool) -> None:
@@ -380,7 +383,9 @@ def cmd_reproduce(args) -> int:
         last = now
 
     if target == "P1-remark":
-        entries = survey_k3_classical()
+        stats = SurveyStats()
+        entries = survey_k3_classical(stats)
+        extra["stats"] = asdict(stats)
         nontrivial = [e for e in entries if e.nontrivial]
         fpf = {((1, 2, 0), (2, 0, 1)), ((2, 0, 1), (1, 2, 0))}
         check("k=3 classical survey covers 36 pairings", len(entries) == 36)
@@ -456,7 +461,7 @@ def cmd_reproduce(args) -> int:
     ok = all(c["ok"] for c in checks)
     rows = [f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']}" for c in checks]
     rows.append(f"{'PASS' if ok else 'FAIL'}  {target}: {sum(c['ok'] for c in checks)}/{len(checks)} checks")
-    _emit(args, {"target": target, "ok": ok, "checks": checks}, "\n".join(rows))
+    _emit(args, {"target": target, "ok": ok, "checks": checks, **extra}, "\n".join(rows))
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 

@@ -98,7 +98,9 @@ class FactorProduct:
     @classmethod
     def from_json(cls, obj: dict) -> "FactorProduct":
         """Inverse of to_json: `obj` must be an object with every key that
-        to_json writes, `quantum` a bool and `sign` an int."""
+        to_json writes, `quantum` a bool, `sign` an int, and `num` and `den`
+        lists of `LinearForm.to_json` objects; a malformed factor is named
+        by its side and index."""
         keys = ("quantum", "sign", "scalar", "basis", "num", "den")
         if not isinstance(obj, dict):
             raise ValueError(f"formula JSON must be an object with the keys {', '.join(keys)}")
@@ -110,13 +112,28 @@ class FactorProduct:
         if type(obj["sign"]) is not int:
             raise ValueError(f"sign must be the integer 1 or -1, got {obj['sign']!r}")
         return cls(
-            num=tuple(LinearForm.from_json(f) for f in obj["num"]),
-            den=tuple(LinearForm.from_json(f) for f in obj["den"]),
+            num=_forms_from_json(obj, "num"),
+            den=_forms_from_json(obj, "den"),
             quantum=obj["quantum"],
             sign=obj["sign"],
             scalar=rat_from_json(obj["scalar"]),
             basis=Basis(obj["basis"]),
         )
+
+
+def _forms_from_json(obj: dict, side: str) -> tuple[LinearForm, ...]:
+    """The factors of one side of a formula JSON object, each read by
+    `LinearForm.from_json`; an error names the side and the factor."""
+    factors = obj[side]
+    if not isinstance(factors, list):
+        raise ValueError(f"{side} must be a list of linear forms, got {factors!r}")
+    forms = []
+    for i, factor in enumerate(factors):
+        try:
+            forms.append(LinearForm.from_json(factor))
+        except ValueError as err:
+            raise ValueError(f"{side}[{i}]: {err}") from None
+    return tuple(forms)
 
 
 def empty_product(quantum: bool = False, basis: Basis = Basis.UNPRIMED) -> FactorProduct:

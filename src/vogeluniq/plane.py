@@ -116,7 +116,7 @@ class ProjPoint:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProjPoint":
-        return cls([rat_from_json(p) for p in obj["coeffs"]], Basis(obj["basis"]))
+        return cls(*_coords_from_json(obj, "a point"))
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,22 @@ class LinearForm:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LinearForm":
-        return cls([rat_from_json(p) for p in obj["coeffs"]], Basis(obj["basis"]))
+        return cls(*_coords_from_json(obj, "a linear form"))
+
+
+def _coords_from_json(obj, what: str) -> tuple[list[Fraction], Basis]:
+    """The coordinates and basis of what `to_json` wrote: an object with a
+    "coeffs" list of three rationals and a "basis".  Anything else raises
+    ValueError with a message that starts with `what`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object with the keys coeffs, basis, got {obj!r}")
+    for key in ("coeffs", "basis"):
+        if key not in obj:
+            raise ValueError(f'{what} has no "{key}" key')
+    coeffs = obj["coeffs"]
+    if not isinstance(coeffs, list) or len(coeffs) != 3:
+        raise ValueError(f"{what} needs coeffs as a list of three rationals, got {coeffs!r}")
+    return [rat_from_json(q) for q in coeffs], Basis(obj["basis"])
 
 
 def to_primed(obj):

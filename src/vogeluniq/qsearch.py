@@ -671,6 +671,45 @@ def _pattern_degenerate(k, s, nonzero) -> bool:
     return _degeneracy(_factor_maps(k, s, (1,) * k, cols), False) is not None
 
 
+def _pattern_cancels(k, s, p, nonzero) -> tuple[int, ...] | None:
+    """A pairing that the zero pattern alone forces on a three-line
+    product, or None: `nonzero` holds, for each of the 3k unknowns n, x, y,
+    False if it is zero throughout the stratum.  The pairing sends each
+    denominator factor i to a distinct numerator factor pairing[i].
+
+    Under the three-line relations x_i = c_i x_{p(i)}, y_i = k_i y_{s(i)}
+    and k_i n_{s(i)} = c_i n_{p(i)}, denominator factor i,
+    (k_i n_{s(i)}, x_i, y_i), equals a numerator factor times a multiplier
+    whenever one of three pairs of unknowns is zero:
+
+        den_i = num_i              when n_i = n_{s(i)} = 0,
+        den_i = c_i num_{p(i)}     when y_i = y_{p(i)} = 0,
+        den_i = k_i num_{s(i)}     when x_i = x_{s(i)} = 0.
+
+    The first is immediate; the second substitutes c_i n_{p(i)} for
+    k_i n_{s(i)} and c_i x_{p(i)} for x_i; the third substitutes
+    k_i y_{s(i)} for y_i.  A pairing is returned when these options give
+    every denominator factor a distinct numerator factor.  Then at every
+    point of the stratum, for every multiplier value, each denominator
+    factor is a nonzero multiple of its numerator factor, so the product
+    is constant and, on a stratum that is not degenerate (no factor zero),
+    `formula.pair_factors` pairs every factor: the classes are as common on
+    both sides, and its greedy pairing is then complete.  Such a stratum is
+    trivial at every sign pattern.  The test is sufficient only: None
+    decides nothing."""
+    zero = [not bit for bit in nonzero]
+    options = [
+        {j for j, a, b in ((i, i, s[i]), (p[i], 2 * k + i, 2 * k + p[i]), (s[i], k + i, k + s[i]))
+         if zero[a] and zero[b]}
+        for i in range(k)
+    ]
+    return next(
+        (pairing for pairing in itertools.permutations(range(k))
+         if all(pairing[i] in options[i] for i in range(k))),
+        None,
+    )
+
+
 def _signed_components(n, edges) -> tuple[list, dict]:
     """The components of a signed graph on the vertices 0..n-1, whose edge
     (i, j, parity, mask) says value_j = value_i times (-1)^parity times the
@@ -992,13 +1031,17 @@ class SurveyStats:
     """What one `survey_k3_classical` call did.
 
     `pairings_surveyed` counts the pairings whose strata were walked,
-    `strata_screened` the strata given the degeneracy screen, `strata_decided`
-    those that passed it and were decided sign pattern by sign pattern, and
-    `sign_patterns` the admissible sign patterns instantiated and verified.
+    `strata_screened` the strata given the degeneracy screen,
+    `strata_cancelled` those that passed it but whose zero pattern alone
+    pairs off every factor (`_pattern_cancels`), `strata_decided` the rest,
+    decided sign pattern by sign pattern, and `sign_patterns` the
+    admissible sign patterns instantiated and verified.  A full survey
+    counts 12 / 554 / 55 / 72 / 120.
     """
 
     pairings_surveyed: int = 0
     strata_screened: int = 0
+    strata_cancelled: int = 0
     strata_decided: int = 0
     sign_patterns: int = 0
 
@@ -1042,10 +1085,12 @@ def survey_k3_classical(stats: SurveyStats | None = None) -> list[SurveyEntry]:
     nontrivial one is surveyed for its own witness.  The one nontrivial
     orbit holds the two fixed-point-free pairings with s != p: 12 surveys.
     Inside a pairing the same argument, for the tau that fix s and p,
-    decides one stratum per orbit (see `_survey_pair`): the 12 surveys
-    screen 554 strata for degeneracy, decide 127 of them and verify 262
-    sign patterns, where a walk over every stratum would take 1,090, 195
-    and 358.
+    decides one stratum per orbit (see `_survey_pair`), and a stratum whose
+    zero pattern alone pairs off every factor (`_pattern_cancels`) is
+    trivial without being instantiated: the 12 surveys screen 554 strata
+    for degeneracy, find 55 of the rest trivial by their zero pattern,
+    decide the other 72 and verify 120 sign patterns, where a walk over
+    every stratum without either shortcut would take 1,090, 0, 195 and 358.
     """
     perms = list(itertools.permutations(range(3)))
     entries = []
@@ -1075,8 +1120,12 @@ def _survey_pair(s: Perm, p: Perm, stats: SurveyStats | None = None):
     screened and decided.  The walk still returns the same stratum: the
     first nontrivial stratum in order is the first of its orbit, since an
     earlier member would be nontrivial too, and a stratum skipped before it
-    has an earlier orbit member that was degenerate or trivial.  That
-    stratum is decided as before, so its witness and data are unchanged.
+    has an earlier orbit member that was degenerate or trivial.  A stratum
+    that passes the degeneracy screen but whose zero pattern forces a
+    pairing of every factor (`_pattern_cancels`) is trivial at every sign
+    pattern, so it is skipped without being instantiated; deciding it would
+    have found no witness.  The first nontrivial stratum is decided as
+    before, so its witness and data are unchanged.
     """
     k = 3
     stats = SurveyStats() if stats is None else stats
@@ -1100,8 +1149,11 @@ def _survey_pair(s: Perm, p: Perm, stats: SurveyStats | None = None):
     images = lambda zeros: [tuple(frozenset(tau[i] for i in z) for z in zeros) for tau in stab]
     for (zn, zx, zy), _ in _orbit_minima(strata, images):
         stats.strata_screened += 1
-        cols = [(int(i not in zeros),) for zeros in (zn, zx, zy) for i in range(k)]
-        if _degeneracy(_factor_maps(k, s, (1, 1, 1), cols), False) is not None:
+        nonzero = [i not in zeros for zeros in (zn, zx, zy) for i in range(k)]
+        if _pattern_degenerate(k, s, nonzero):
+            continue
+        if _pattern_cancels(k, s, p, nonzero) is not None:
+            stats.strata_cancelled += 1
             continue
         stats.strata_decided += 1
         witness = _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles, stats)

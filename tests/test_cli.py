@@ -442,6 +442,10 @@ def test_formula_json_round_trip_through_cli(tmp_path, capsys):
     assert FactorProduct.from_json(F.to_json()) == F
 
 
+# A formula JSON object's keys with well-formed values and no factors.
+_FORMULA_KEYS = {"quantum": False, "sign": 1, "scalar": [1, 1], "basis": "primed", "num": [], "den": []}
+
+
 @pytest.mark.parametrize(
     "body,named",
     [
@@ -449,8 +453,12 @@ def test_formula_json_round_trip_through_cli(tmp_path, capsys):
         ({"quantum": True, "num": 5}, 'has no "sign" key'),
         ({"quantum": True, "sign": 1, "scalar": [1, 1], "basis": "primed", "num": []},
          'has no "den" key'),
+        ({**_FORMULA_KEYS, "num": 5}, "num must be a list of linear forms, got 5"),
+        ({**_FORMULA_KEYS, "num": [[1, 2]]},
+         "num[0]: a linear form must be an object with the keys coeffs, basis, got [1, 2]"),
+        ({**_FORMULA_KEYS, "num": [{"a": 1}]}, 'num[0]: a linear form has no "coeffs" key'),
     ],
-    ids=["body0", "body1", "body2"],
+    ids=["body0", "body1", "body2", "body3", "body4", "body5"],
 )
 def test_check_identity_rejects_malformed_formula_json(tmp_path, capsys, body, named):
     path = tmp_path / "formula.json"
@@ -556,6 +564,16 @@ def test_reproduce_json_reports_every_check(capsys):
     timings = [line.split(" s  ", 1) for line in captured.err.splitlines()]
     assert [name for _, name in timings] == names
     assert all(float(seconds) >= 0 for seconds, _ in timings)
+
+
+def test_reproduce_p1_remark_json_reports_the_survey_stats(capsys):
+    code, payload = run_json(capsys, "reproduce", "P1-remark")
+    assert code == 0 and payload["ok"] is True and len(payload["checks"]) == 4
+    assert payload["stats"] == {
+        "pairings_surveyed": 12, "strata_screened": 554, "strata_cancelled": 55,
+        "strata_decided": 72, "sign_patterns": 120,
+    }
+    assert "stats" not in run_json(capsys, "reproduce", "P2-k3")[1]
 
 
 def test_seed_does_not_leak_into_the_environment(capsys, monkeypatch):

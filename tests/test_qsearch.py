@@ -906,7 +906,8 @@ def test_survey_stats_count_the_orbit_walk(monkeypatch):
     stats = qsearch.SurveyStats()
     survey_k3_classical(stats)
     assert stats == qsearch.SurveyStats(
-        pairings_surveyed=12, strata_screened=554, strata_decided=127, sign_patterns=262
+        pairings_surveyed=12, strata_screened=554, strata_cancelled=55, strata_decided=72,
+        sign_patterns=120,
     )
     assert len(verified) == stats.sign_patterns  # every instantiated pattern is verified
 
@@ -954,23 +955,17 @@ def _orbit(perm, start):
     return orbit
 
 
-def _oracle_stratum(s, p, zn, zx, zy):
-    """('degenerate' | 'trivial' | 'nontrivial', first witness) of one stratum,
-    with every one of the 64 sign patterns checked against the constraints
-    directly and every admissible one instantiated and decided."""
+def _oracle_points(s, p, zn, zx, zy):
+    """(c, k, n, x, y) of one stratum at the prime point, for each of the 64
+    sign patterns that meets the constraints, checked against them directly."""
     rows = [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]]
     rows += [[int(j == i) - int(j == 3 + i) for j in range(6)] for i in range(3) if s[i] not in zn]
     p_cycles = {frozenset(_orbit(p, {i})) for i in range(3)}
     s_cycles = {frozenset(_orbit(s, {i})) for i in range(3)}
     rows += [[int(j in cyc) for j in range(3)] + [0] * 3 for cyc in p_cycles if not cyc <= zx]
     rows += [[0] * 3 + [int(j in cyc) for j in range(3)] for cyc in s_cycles if not cyc <= zy]
-    num_zero = [(i in zn, i in zx, i in zy) for i in range(3)]
-    den_zero = [(s[i] in zn, i in zx, i in zy) for i in range(3)]
-    if any(sum(zero) >= 2 for zero in num_zero + den_zero):
-        return "degenerate", None
     torus = _oracle_torus(rows)
     n = tuple(Fraction(int(i not in zn)) for i in range(3))
-    witness = None
     for signs in itertools.product((1, -1), repeat=6):
         if any(math.prod(sign**e for sign, e in zip(signs, row)) != 1 for row in rows):
             continue
@@ -981,17 +976,33 @@ def _oracle_stratum(s, p, zn, zx, zy):
         for i in range(3):
             assert x[i] == c[i] * x[p[i]] and y[i] == km[i] * y[s[i]]
             assert km[i] * n[s[i]] == c[i] * n[p[i]]
+        yield c, km, n, tuple(x), tuple(y)
+
+
+def _parallel(a, b):
+    return all(a[i] * b[j] == a[j] * b[i] for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+def _oracle_stratum(s, p, zn, zx, zy):
+    """('degenerate' | 'trivial' | 'nontrivial', first witness) of one stratum,
+    with every one of the 64 sign patterns checked against the constraints
+    directly and every admissible one instantiated and decided."""
+    num_zero = [(i in zn, i in zx, i in zy) for i in range(3)]
+    den_zero = [(s[i] in zn, i in zx, i in zy) for i in range(3)]
+    if any(sum(zero) >= 2 for zero in num_zero + den_zero):
+        return "degenerate", None
+    witness = None
+    for c, km, n, x, y in _oracle_points(s, p, zn, zx, zy):
         num = [(n[i], x[i], y[i]) for i in range(3)]
         den = [(km[i] * n[s[i]], x[i], y[i]) for i in range(3)]
-        parallel = lambda a, b: all(a[i] * b[j] == a[j] * b[i] for i, j in ((0, 1), (0, 2), (1, 2)))
         if witness is None and not any(
-            all(parallel(num[i], den[pi[i]]) for i in range(3))
+            all(_parallel(num[i], den[pi[i]]) for i in range(3))
             for pi in itertools.permutations(range(3))
         ):
             system = build_system(3, "three", PermTriple(s, p), MultiplierAssignment(c, km))
             data = {"zn": sorted(zn), "zx": sorted(zx), "zy": sorted(zy), "c": c, "k": km,
-                    "n": n, "x": tuple(x), "y": tuple(y)}
-            witness = product_from_assignment(system, n, tuple(x), tuple(y)), data
+                    "n": n, "x": x, "y": y}
+            witness = product_from_assignment(system, n, x, y), data
     return ("trivial" if witness is None else "nontrivial"), witness
 
 
@@ -1020,3 +1031,35 @@ def test_survey_pairs_match_an_oracle_that_decides_every_stratum():
         if first[0] is not None:
             nontrivial.add((s, p))
     assert nontrivial == {((1, 2, 0), (2, 0, 1)), ((2, 0, 1), (1, 2, 0))}
+
+
+def test_cancelling_patterns_are_trivial_by_the_oracle():
+    """Over every stratum of all 36 pairings, without dedup,
+    `_pattern_cancels` finds a pairing only where the oracle finds the
+    stratum trivial or degenerate, and on a stratum that is not degenerate
+    each denominator factor is parallel to its paired numerator factor at
+    every admissible sign pattern (all factors there are nonzero).  Both
+    strata with an all-zero n, x or y part and strata that need a mixed
+    pairing occur."""
+    perms = list(itertools.permutations(range(3)))
+    invariant = lambda perm: [
+        frozenset(z) for size in range(4) for z in itertools.combinations(range(3), size)
+        if {perm[i] for i in z} == set(z)
+    ]
+    trivial = Counter()
+    for s, p in itertools.product(perms, repeat=2):
+        u = tuple(s[p.index(j)] for j in range(3))
+        for zeros in itertools.product(invariant(u), invariant(p), invariant(s)):
+            pairing = qsearch._pattern_cancels(3, s, p, [i not in z for z in zeros for i in range(3)])
+            if pairing is None:
+                continue
+            verdict, _ = _oracle_stratum(s, p, *zeros)
+            assert verdict in ("trivial", "degenerate"), (s, p, zeros)
+            if verdict == "degenerate":
+                continue
+            trivial["all-zero part" if 3 in map(len, zeros) else "mixed"] += 1
+            for c, km, n, x, y in _oracle_points(s, p, *zeros):
+                for i in range(3):
+                    j = pairing[i]
+                    assert _parallel((km[i] * n[s[i]], x[i], y[i]), (n[j], x[j], y[j])), (s, p, zeros)
+    assert trivial == {"all-zero part": 108, "mixed": 78}
