@@ -666,7 +666,8 @@ def _pattern_degenerate(k, s, nonzero) -> bool:
     sets.  The maps take km = all ones, since a sign does not change
     whether a value is zero.  A class with no balanced n or x component,
     m = 0 in `_nx_part`, makes every factor vanish on c' = 0, so all its
-    cases are rejected here."""
+    cases are rejected here.  The k = 3 survey screens its strata with it
+    too, a stratum's zero sets giving the pattern."""
     cols = [(bit,) for bit in nonzero]
     return _degeneracy(_factor_maps(k, s, (1,) * k, cols), False) is not None
 

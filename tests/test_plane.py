@@ -283,6 +283,23 @@ def test_json_round_trip(rng):
         assert LinearForm.from_json(f.to_json()).coeffs == f.coeffs
 
 
+@pytest.mark.parametrize("cls,what", [(ProjPoint, "a point"), (LinearForm, "a linear form")])
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        ([1, 2], "must be an object with the keys coeffs, basis, got [1, 2]"),
+        ({"basis": "primed"}, 'has no "coeffs" key'),
+        ({"coeffs": [[1, 1]] * 3}, 'has no "basis" key'),
+        ({"coeffs": 5, "basis": "primed"}, "needs coeffs as a list of three rationals, got 5"),
+        ({"coeffs": [[1, 1]] * 2, "basis": "primed"}, "needs coeffs as a list of three rationals"),
+    ],
+)
+def test_from_json_names_what_is_malformed(cls, what, obj, message):
+    with pytest.raises(ValueError) as err:
+        cls.from_json(obj)
+    assert str(err.value).startswith(f"{what} {message}")
+
+
 def test_convert_is_identity_on_matching_basis(rng):
     p = rand_point(rng)
     assert convert(p, Basis.UNPRIMED) is p
