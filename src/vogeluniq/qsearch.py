@@ -26,15 +26,18 @@ needs no elimination at all; on four lines it is the nullspace of the
 mixed fourth-line rows over them, by fraction-free integer elimination.
 Only the cases with a nonzero y part are decided, and of those only the
 ones whose forced zeros alone make no factor vanish on a system line
-(`_pattern_degenerate`); on three lines that screen is the whole
-degeneracy test (`_survives`).  Each case is decided by exact tests
-(degeneracy, and nontriviality by pairing the factors' linear maps up to
-sign), so the search draws no random numbers and its result does not
-depend on a seed; Fraction vectors are built only for the families it
-returns.  The classical multipliers form a continuum; they are verified
-rather than searched, except for the dedicated k = 3 survey which decides
-nontriviality stratum by stratum, exactly, at one point with distinct prime
-coordinates.
+(`_pattern_degenerate`).  On three lines that screen is the whole
+degeneracy test, and every unknown is +-1 times one parameter or zero, so
+a kept case is decided on those signed units without building a column
+(`_units_keep_a_factor`); a four-line case builds the columns of its
+family (`_case_columns`) and runs both tests on them (`_survives`).  Each
+case is decided by exact tests (degeneracy, and nontriviality by pairing
+the factors' linear maps up to sign), so the search draws no random
+numbers and its result does not depend on a seed; Fraction vectors are
+built only for the families it returns.  The classical multipliers form
+a continuum; they are verified rather than searched, except for the
+dedicated k = 3 survey which decides nontriviality stratum by stratum,
+exactly, at one point with distinct prime coordinates.
 """
 
 from __future__ import annotations
@@ -602,10 +605,11 @@ def _enumerate_chunk(args):
     system, family) triples.  A three-line class is one case, with
     v = r = None; a four-line class has one case per fourth-line choice
     (v, r).  Cases are counted in index order, up to `budget`, but only
-    those whose choice is a key of the class's `_y_columns` are decided,
-    on `_case_columns`: every other case has a zero y part and is trivial.
-    A case whose zero pattern is degenerate (`_pattern_degenerate`, memoised
-    per pattern) is rejected before `_case_columns`."""
+    those whose choice is a key of the class's `_y_columns` are decided:
+    every other case has a zero y part and is trivial.  A case whose zero
+    pattern is degenerate (`_pattern_degenerate`, memoised per pattern) is
+    rejected; any other is decided on its units (`_units_keep_a_factor`)
+    on three lines, and on `_case_columns` on four."""
     k, lines, entries, budget, rel = args
     four = lines == "four"
     per_class = len(rel.perms) * len(rel.signs) if four else 1
@@ -613,6 +617,7 @@ def _enumerate_chunk(args):
     cases = 0
     stage2_of = {}  # trivial stabilizers are all one tuple, so they share an entry
     y_columns_of = {}  # the y block involves only s, km, v and r
+    cycles_of = {}  # (s, p) -> `_pair_cycles`, shared by the pairing's sign classes
     degenerate = {}  # (s, n and x pattern, y pattern) -> `_pattern_degenerate`
     for flat, s, p, c, km, stab in entries:
         if stab not in stage2_of:
@@ -625,7 +630,9 @@ def _enumerate_chunk(args):
         y_columns = y_columns_of[s, km]
         nonzero_y = sorted(i for i in map(local_of.get, y_columns) if i is not None and i < todo)
         if nonzero_y:
-            nx = _nx_part(k, s, p, c, km, four)
+            if (s, p) not in cycles_of:
+                cycles_of[s, p] = _pair_cycles(s, p)
+            nx = _nx_part(k, p, c, km, cycles_of[s, p], four)
             nx_nonzero = tuple(map(bool, nx[1]))
         for local_index in nonzero_y:
             v, r = stage2[local_index]
@@ -636,8 +643,12 @@ def _enumerate_chunk(args):
                 rejected = degenerate[key] = _pattern_degenerate(k, s, nx_nonzero + y_nonzero)
             if rejected:
                 continue
-            cols = _case_columns(k, nx, y, v, r)
-            if cols and _survives(k, s, km, cols, four):
+            if four:
+                cols = _case_columns(k, nx, y, v, r)
+                survives = cols is not None and _survives(k, s, km, cols)
+            else:
+                survives = _units_keep_a_factor(k, s, km, nx[1], y)
+            if survives:
                 mult = MultiplierAssignment(c, km, r, quantum=True)
                 system = build_system(k, lines, PermTriple(s, p, v), mult)
                 found.append((flat * per_class + local_index, system, solve_quantum(system).family))
@@ -659,12 +670,12 @@ def _pattern_degenerate(k, s, nonzero) -> bool:
     turns out to be, so the family's zero maps include the pattern's.  Each
     rule of `_degeneracy` asks only that some maps of one factor be zero,
     so a rule that the pattern meets the family meets too: the family is
-    degenerate and `_survives` is False.  If its (n, x) part is empty the
-    case is rejected anyway.  On one-column 0/1 maps n + 3x is zero only
-    when n and x both are, so the rule of 3a' - b' = 0 meets a pattern only
-    where that of c' = 0 does, and the three-line rules decide both line
-    sets.  The maps take km = all ones, since a sign does not change
-    whether a value is zero.  A class with no balanced n or x component,
+    degenerate, and the case holds no surviving family.  If its (n, x)
+    part is empty the case is rejected anyway.  On one-column 0/1 maps
+    n + 3x is zero only when n and x both are, so the rule of 3a' - b' = 0
+    meets a pattern only where that of c' = 0 does, and the three-line
+    rules decide both line sets.  The maps take km = all ones, since a sign
+    does not change whether a value is zero.  A class with no balanced n or x component,
     m = 0 in `_nx_part`, makes every factor vanish on c' = 0, so all its
     cases are rejected here.  The k = 3 survey screens its strata with it
     too, a stratum's zero sets giving the pattern."""
@@ -801,13 +812,21 @@ def _y_columns(k, s, km, rel: _Relabelings | None) -> dict:
     return out
 
 
-def _nx_part(k, s, p, c, km, four: bool) -> tuple[int, list, dict]:
+def _pair_cycles(s: Perm, p: Perm) -> tuple[Perm, list, list]:
+    """(s^-1, the cycles of p s^-1, the cycles of p): what `_nx_part` needs
+    of a pairing, the same for all its sign classes."""
+    s_inv = perm_inverse(s)
+    return s_inv, _cycles(tuple(p[i] for i in s_inv)), _cycles(p)
+
+
+def _nx_part(k, p, c, km, pair_cycles, four: bool) -> tuple[int, list, dict]:
     """(m, units, rows) over the m balanced cycles of the signed
     permutations that the x and n relations of `_relation_terms` make on the
-    2k unknowns n and x: units[u] is the (component, sign) carrying unknown
-    u, or None if u is zero, and rows[i, j, sign] is
-    `_mixed_terms(k, p, c, i, j, sign)` as a row over the m parameters.
-    Three lines have no mixed relation, so there rows is empty.
+    2k unknowns n and x, given `_pair_cycles(s, p)`: units[u] is the
+    (component, sign) carrying unknown u, or None if u is zero, and
+    rows[i, j, sign] is `_mixed_terms(k, p, c, i, j, sign)` as a row over
+    the m parameters.  Three lines have no mixed relation, so there rows is
+    empty.
 
     The x relations say x_{p(i)} = c_i x_i, so the x graph is the cycles of
     p, vertex i carrying the sign c_i.  The n relations say
@@ -817,12 +836,12 @@ def _nx_part(k, s, p, c, km, four: bool) -> tuple[int, list, dict]:
     (Harary's balance); its unknowns are then their sign relative to its
     least vertex times one parameter, and otherwise all zero.  Components
     are numbered by least vertex, n before x."""
-    s_inv = perm_inverse(s)
-    sigma = tuple(p[i] for i in s_inv)
+    s_inv, sigma_cycles, p_cycles = pair_cycles
     units = [None] * (2 * k)
     m = 0
-    for base, perm, signs in ((0, sigma, [c[i] * km[i] for i in s_inv]), (k, p, c)):
-        for cycle in _cycles(perm):
+    n_signs = [c[i] * km[i] for i in s_inv]
+    for base, cycles, signs in ((0, sigma_cycles, n_signs), (k, p_cycles, c)):
+        for cycle in cycles:
             value, values = 1, []
             for j in cycle:
                 values.append(value)
@@ -849,27 +868,18 @@ def _nx_part(k, s, p, c, km, four: bool) -> tuple[int, list, dict]:
 
 
 def _case_columns(k, nx, y, v, r) -> list[tuple] | None:
-    """`_columns` of a case with the nonzero y columns `y` from
+    """`_columns` of a four-line case with the nonzero y columns `y` from
     `_y_columns`: the direct sum of its (n, x) part, the nullspace of its
     mixed rows over `_nx_part`, and its y part.  None when the (n, x) part
-    is zero: with n = x = 0 every factor vanishes on c' = 0.
-
-    A three-line case, v = None, has no mixed rows: its (n, x) part is all
-    m balanced components, one parameter each, so each n or x column is its
-    unit's sign at its component, a signed unit vector, or zero.  That is
-    what `int_nullspace` returns for no rows, so nothing is eliminated.
-    On four lines the k mixed rows of the choice, rows[i, v(i), r_i] of
-    `_nx_part`, are eliminated as written."""
+    is zero: with n = x = 0 every factor vanishes on c' = 0.  The k mixed
+    rows of the choice, rows[i, v(i), r_i] of `_nx_part`, are eliminated as
+    written."""
     m, units, rows = nx
-    null = None if v is None else int_nullspace([rows[i, v[i], r[i]] for i in range(k)], m)
-    size = m if null is None else len(null)
-    if not size:
+    null = int_nullspace([rows[i, v[i], r[i]] for i in range(k)], m)
+    if not null:
         return None
-    zero, pad = (0,) * size, (0,) * len(y[0])
-    if null is None:
-        cols = [zero if u is None else zero[: u[0]] + (u[1],) + zero[u[0] + 1 :] for u in units]
-    else:
-        cols = [zero if u is None else tuple(u[1] * t[u[0]] for t in null) for u in units]
+    zero, pad = (0,) * len(null), (0,) * len(y[0])
+    cols = [zero if u is None else tuple(u[1] * t[u[0]] for t in null) for u in units]
     return [col + pad for col in cols] + [zero + col for col in y]
 
 
@@ -884,23 +894,52 @@ def _stage2_cases(rel: _Relabelings, stab) -> list[tuple[Perm, tuple]]:
     return [(rel.perms[vr // n_s], rel.signs[vr % n_s]) for vr in minima]
 
 
-def _survives(k, s, km, cols, four: bool) -> bool:
-    """Whether the family of `_case_columns` `cols`, of a case that
-    `_pattern_degenerate` keeps, passes `_degeneracy` and `_keeps_a_factor`,
-    neither of which depends on the family's basis.
-
-    On three lines `_keeps_a_factor` alone decides.  There the n and x
-    columns are signed unit vectors or zero, as `_case_columns` builds
-    them, so an n or x map is zero exactly where the case's zero pattern
-    says, and so is a y map, whose `_y_columns` pattern is read off its
-    column.  A denominator map km_i n_{s(i)} is zero exactly when n_{s(i)}
-    is.  `_degeneracy(maps, False)` reads only which maps are zero, so it
-    gives the verdict it gives on the pattern, which `_pattern_degenerate`
-    has already found None.  On four lines the mixed rows can force more
-    maps to zero than the pattern holds, and the rule of 3a' - b' = 0 reads
-    n + 3x, so `_degeneracy` runs."""
+def _survives(k, s, km, cols) -> bool:
+    """Whether the family of a four-line case's `_case_columns` `cols`
+    passes `_degeneracy` and `_keeps_a_factor`, neither of which depends on
+    the family's basis.  The mixed rows can force more maps to zero than
+    the case's zero pattern holds, and the rule of 3a' - b' = 0 reads
+    n + 3x, so `_degeneracy` runs even on a case that
+    `_pattern_degenerate` keeps."""
     maps = _factor_maps(k, s, km, cols)
-    return (not four or _degeneracy(maps, True) is None) and _keeps_a_factor(maps)
+    return _degeneracy(maps, True) is None and _keeps_a_factor(maps)
+
+
+def _units_keep_a_factor(k, s, km, units, y) -> bool:
+    """Whether a three-line case that `_pattern_degenerate` keeps holds a
+    surviving family, decided on its units: `units` of `_nx_part` and the
+    nonzero y columns `y` of `_y_columns`.  No column is built.
+
+    A three-line case has no mixed rows, so its family is every balanced
+    (n, x) component and every nonzero y orbit, one parameter each, and
+    the n, x and y parameters are all different.  Each n or x unknown is
+    its unit's sign times its component's parameter, or zero, and each y
+    unknown is +-1 times its orbit's parameter (its column has one +-1
+    entry), or zero.  Code each unknown's map as 0, or as +-(j + 1) for +-1
+    times parameter j, the n and x components in one range and the y
+    orbits in another.  A factor map (n, x, y) is then its triple of codes,
+    and two factor maps are equal up to sign exactly when their triples
+    are, that is when they agree after each is flipped by the sign of its
+    first nonzero code.  Denominator factor i, (km_i n_{s(i)}, x_i, y_i),
+    takes the n code of s(i) times km_i.  So, by `formula.pair_factors`,
+    `_keeps_a_factor` on the family's maps is True exactly when the sorted
+    flipped triples of the numerators and of the denominators differ, and
+    that is what is returned; it does not depend on the family's basis.
+
+    `_degeneracy` need not run.  A map here is zero exactly where the zero
+    pattern says (km_i n_{s(i)} exactly when n_{s(i)} is), and
+    `_degeneracy(maps, False)` reads only which maps are zero, so it gives
+    the verdict it gives on the pattern, which `_pattern_degenerate` has
+    already found None."""
+    code = [0 if u is None else u[1] * (u[0] + 1) for u in units]
+    y_code = [next((e * (j + 1) for j, e in enumerate(col) if e), 0) for col in y]
+
+    def key(a, b, g):  # the (alpha, beta, gamma) codes flipped by the first nonzero one
+        return (a, b, g) if (a or b or g) > 0 else (-a, -b, -g)
+
+    num = sorted(key(code[i], code[k + i], y_code[i]) for i in range(k))
+    den = sorted(key(km[i] * code[s[i]], code[k + i], y_code[i]) for i in range(k))
+    return num != den
 
 
 # --- built-in closed-form factors --------------------------------------------

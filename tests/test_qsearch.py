@@ -593,9 +593,9 @@ def _screen_cases():
 
 def _survives_in_full(k, s, km, space, four):
     """Whether the family spanned by `space` passes both `_degeneracy` and
-    `_keeps_a_factor`.  `_survives` skips the first on three lines, where
-    the zero-pattern screen has decided it, so cases that have not passed
-    the screen are judged here."""
+    `_keeps_a_factor`.  The three-line decision skips the first, which the
+    zero-pattern screen has decided, so cases that have not passed the
+    screen are judged here."""
     maps = qsearch._factor_maps(k, s, km, qsearch._columns(k, space))
     return qsearch._degeneracy(maps, four) is None and qsearch._keeps_a_factor(maps)
 
@@ -650,7 +650,7 @@ def test_nx_part_from_cycles_matches_a_graph_search():
         for _, s, p, c, km, _ in classes:
             expected = _nx_units_by_search(k, s, p, c, km)
             for four in (False, True):
-                m, units = qsearch._nx_part(k, s, p, c, km, four)[:2]
+                m, units = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), four)[:2]
                 assert (m, units) == expected, (k, s, p, c, km, four)
             unbalanced["n"] += None in units[:k]
             unbalanced["x"] += None in units[k:]
@@ -658,39 +658,30 @@ def test_nx_part_from_cycles_matches_a_graph_search():
 
 
 def test_three_line_shortcuts_agree_with_elimination():
-    """On the three-line cases of `_screen_cases()` with a nonzero y part,
-    `_case_columns` builds the columns that `int_nullspace` of no rows
-    gives, and every case that `_pattern_degenerate` keeps passes
-    `_degeneracy`, so `_survives` need not run it; cases of both verdicts
-    occur."""
-    kept = rejected = 0
-    for k, s, p, c, km, v, r in _screen_cases():
-        if v is not None:
-            continue
+    """On every three-line case of `_screen_cases()`, and of the k = 4
+    classes (k <= 3 has no nontrivial one), with a nonzero y part that
+    `_pattern_degenerate` keeps, `_units_keep_a_factor` gives the verdict
+    of `_keeps_a_factor` on the columns of the full system's
+    `int_nullspace`, and that family passes `_degeneracy`, so the decision
+    need not run it; cases of both verdicts occur."""
+    verdicts = Counter()
+    cases = [case[:5] for case in _screen_cases() if case[5] is None]
+    cases += [(4, s, p, c, km) for _, s, p, c, km, _ in _stage1_classes(4)]
+    for k, s, p, c, km in cases:
         y_columns = qsearch._y_columns(k, s, km, None)
         if (None, None) not in y_columns:
             continue
         y_nonzero, y = y_columns[None, None]
-        nx = qsearch._nx_part(k, s, p, c, km, False)
-        m, units = nx[0], nx[1]
-        null = int_nullspace([], m)
-        expected = None
-        if null:
-            zero, pad = (0,) * len(null), (0,) * len(y[0])
-            nx_cols = [
-                zero if unit is None else tuple(unit[1] * t[unit[0]] for t in null)
-                for unit in units
-            ]
-            expected = [col + pad for col in nx_cols] + [zero + col for col in y]
-        cols = qsearch._case_columns(k, nx, y, None, None)
-        assert cols == expected
+        units = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), False)[1]
         if qsearch._pattern_degenerate(k, s, tuple(map(bool, units)) + y_nonzero):
-            rejected += 1
             continue
-        kept += 1
-        maps = qsearch._factor_maps(k, s, km, cols)
+        rows = qsearch._dense_rows(k, qsearch._relation_terms(k, s, p, c, km))
+        maps = qsearch._factor_maps(k, s, km, qsearch._columns(k, int_nullspace(rows, 3 * k)))
         assert qsearch._degeneracy(maps, False) is None
-    assert kept and rejected
+        verdict = qsearch._units_keep_a_factor(k, s, km, units, y)
+        assert verdict == qsearch._keeps_a_factor(maps), (k, s, p, c, km)
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_zero_pattern_screen_rejects_only_cases_without_a_surviving_family():
@@ -709,7 +700,8 @@ def test_zero_pattern_screen_rejects_only_cases_without_a_surviving_family():
         if (v, r) not in y_columns[k, s, km, four]:
             continue
         y_nonzero = y_columns[k, s, km, four][v, r][0]
-        nx_nonzero = tuple(map(bool, qsearch._nx_part(k, s, p, c, km, four)[1]))
+        units = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), four)[1]
+        nx_nonzero = tuple(map(bool, units))
         rejected = qsearch._pattern_degenerate(k, s, nx_nonzero + y_nonzero)
         outcomes[four, rejected] += 1
         if not rejected and four:
@@ -726,16 +718,18 @@ def test_zero_pattern_screen_rejects_only_cases_without_a_surviving_family():
 
 @pytest.mark.parametrize("lines,budget,calls", [("four", 1000, 89), ("three", None, 905)])
 def test_zero_pattern_screen_leaves_few_cases_to_eliminate(monkeypatch, lines, budget, calls):
-    """The cases that reach `_case_columns` at k = 4; without the screen
+    """The cases that pass the screen at k = 4 and reach `_case_columns`
+    on four lines, `_units_keep_a_factor` on three; without the screen
     they are 359 and 1,364."""
     count = Counter()
-    case_columns = qsearch._case_columns
+    name = "_case_columns" if lines == "four" else "_units_keep_a_factor"
+    decide = getattr(qsearch, name)
 
     def counting(*args):
         count["calls"] += 1
-        return case_columns(*args)
+        return decide(*args)
 
-    monkeypatch.setattr(qsearch, "_case_columns", counting)
+    monkeypatch.setattr(qsearch, name, counting)
     enumerate_families(4, lines, budget=budget)
     assert count["calls"] == calls
 
