@@ -84,13 +84,21 @@ def int_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
+# The quotients 0, 1 and -1, shared: a Fraction is immutable, so one object
+# serves every such entry, and building one per entry would be most of the
+# cost of converting a 0/+-1 basis.
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
+
 def rref_basis(vectors: list[list[int]]) -> list[list[Fraction]]:
     """The rref parametrization of a primitive basis from `int_nullspace`:
-    each vector divided by its entry at its free column, its last nonzero one."""
+    each vector divided by its entry at its free column, its last nonzero one.
+    Entries whose quotient is 0 or +-1 are the shared Fractions above."""
     out = []
     for vec in vectors:
         lead = next(a for a in reversed(vec) if a)
-        out.append([Fraction(a, lead) for a in vec])
+        units = {0: _ZERO, lead: _ONE, -lead: _MINUS_ONE}
+        out.append([units[a] if a in units else Fraction(a, lead) for a in vec])
     return out
 
 

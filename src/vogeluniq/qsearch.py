@@ -33,11 +33,16 @@ a kept case is decided on those signed units without building a column
 family (`_case_columns`) and runs both tests on them (`_survives`).  Each
 case is decided by exact tests (degeneracy, and nontriviality by pairing
 the factors' linear maps up to sign), so the search draws no random
-numbers and its result does not depend on a seed; Fraction vectors are
-built only for the families it returns.  The classical multipliers form
-a continuum; they are verified rather than searched, except for the
-dedicated k = 3 survey which decides nontriviality stratum by stratum,
-exactly, at one point with distinct prime coordinates.
+numbers and its result does not depend on a seed.  A found case leaves
+the search as a record of plain integers with its family's integer basis:
+on three lines its signed unit vectors, already in rref (`_unit_basis`),
+on four lines the primitive nullspace of its relations.  Only the process
+that returns the result turns each record into a `FoundFamily` with
+Fraction vectors (`_found_family`), so a process pool pickles no Fraction.
+The classical multipliers form a continuum; they are verified rather than
+searched, except for the dedicated k = 3 survey which decides
+nontriviality stratum by stratum, exactly, at one point with distinct
+prime coordinates.
 """
 
 from __future__ import annotations
@@ -414,6 +419,11 @@ def solve_quantum(system: ConstraintSystem) -> SolveOutcome:
     factor or a factor vanishing identically on a system line are reported
     infeasible; the rest are split by the exact triviality test of
     `is_nontrivial`.  Nothing is sampled, so the outcome is deterministic.
+
+    `reproduce P4` solves its extracted system here, and the tests use it as
+    the oracle of the search's verdicts and families; the search itself
+    decides its cases without it and builds its families in
+    `_found_family`.
     """
     if not system.mult.quantum:
         raise ValueError("solve_quantum needs +-1 multipliers (quantum assignment)")
@@ -556,8 +566,9 @@ def enumerate_families(
     under simultaneous factor relabeling (`_stage1_classes`), and within a
     surviving three-line class the fourth-line choices are deduplicated by
     the class stabilizer; dedup off iterates every raw tuple.  Every case
-    is decided exactly, as `_enumerate_chunk` describes, and a found family
-    is built by `solve_quantum`.  Nothing is sampled, so `seed` is accepted
+    is decided exactly, as `_enumerate_chunk` describes, and each found
+    family is built here from its worker's integer record (`_found_family`),
+    equal to `solve_quantum`'s.  Nothing is sampled, so `seed` is accepted
     but changes nothing.  Iteration order, and therefore the output, is
     deterministic.  `budget` caps the number of examined cases, counted in
     index order whether screened or solved, and flags the result incomplete
@@ -593,7 +604,7 @@ def enumerate_families(
         parts = [_enumerate_chunk((k, lines, stage1, budget, rel))]
     found = sorted((item for part in parts for item in part[0]), key=lambda item: item[0])
     return EnumerationResult(
-        tuple(FoundFamily(*item) for item in found),
+        tuple(_found_family(k, lines, *item) for item in found),
         complete=all(part[2] for part in parts),
         cases_examined=sum(part[1] for part in parts),
     )
@@ -601,15 +612,20 @@ def enumerate_families(
 
 def _enumerate_chunk(args):
     """Worker: process three-line classes with the relabeling tables `rel`;
-    returns (found, cases, complete) where found holds (global_case_index,
-    system, family) triples.  A three-line class is one case, with
-    v = r = None; a four-line class has one case per fourth-line choice
-    (v, r).  Cases are counted in index order, up to `budget`, but only
-    those whose choice is a key of the class's `_y_columns` are decided:
-    every other case has a zero y part and is trivial.  A case whose zero
-    pattern is degenerate (`_pattern_degenerate`, memoised per pattern) is
-    rejected; any other is decided on its units (`_units_keep_a_factor`)
-    on three lines, and on `_case_columns` on four."""
+    returns (found, cases, complete), where found holds one record
+    (case_index, s, p, c, km, v, r, basis) of plain integers per found case:
+    its global index, its pairings and sign vectors, and its family's
+    integer basis, `_unit_basis` on three lines and the `int_nullspace` of
+    its relations on four (the basis `solve_quantum` eliminates; found
+    four-line cases are rare, 23 at k = 4).  A three-line class is one
+    case, with v = r = None; a four-line class has one case per
+    fourth-line choice (v, r).  Cases are counted in index order, up to
+    `budget`, but only those whose choice is a key of the class's
+    `_y_columns` are decided: every other case has a zero y part and is
+    trivial.  A case whose zero pattern is degenerate
+    (`_pattern_degenerate`, memoised per pattern) is rejected; any other is
+    decided on its units (`_units_keep_a_factor`) on three lines, and on
+    `_case_columns` on four."""
     k, lines, entries, budget, rel = args
     four = lines == "four"
     per_class = len(rel.perms) * len(rel.signs) if four else 1
@@ -649,13 +665,26 @@ def _enumerate_chunk(args):
             else:
                 survives = _units_keep_a_factor(k, s, km, nx[1], y)
             if survives:
-                mult = MultiplierAssignment(c, km, r, quantum=True)
-                system = build_system(k, lines, PermTriple(s, p, v), mult)
-                found.append((flat * per_class + local_index, system, solve_quantum(system).family))
+                if four:
+                    rows = _dense_rows(k, _relation_terms(k, s, p, c, km, v, r))
+                    basis = tuple(map(tuple, int_nullspace(rows, 3 * k)))
+                else:
+                    basis = _unit_basis(k, nx, y)
+                found.append((flat * per_class + local_index, s, p, c, km, v, r, basis))
         cases += todo
         if todo < len(stage2):
             return found, cases, False
     return found, cases, True
+
+
+def _found_family(k, lines, case_index, s, p, c, km, v, r, basis) -> FoundFamily:
+    """The `FoundFamily` of a record of `_enumerate_chunk`: its system, and
+    the rref parametrization of its integer `basis`, which is what
+    `solve_quantum` returns for that system."""
+    mult = MultiplierAssignment(c, km, r, quantum=True)
+    system = build_system(k, lines, PermTriple(s, p, v), mult)
+    vectors = tuple(map(tuple, rref_basis(basis)))
+    return FoundFamily(case_index, system, SolutionFamily(system, vectors))
 
 
 def _pattern_degenerate(k, s, nonzero) -> bool:
@@ -940,6 +969,44 @@ def _units_keep_a_factor(k, s, km, units, y) -> bool:
     num = sorted(key(code[i], code[k + i], y_code[i]) for i in range(k))
     den = sorted(key(km[i] * code[s[i]], code[k + i], y_code[i]) for i in range(k))
     return num != den
+
+
+def _unit_basis(k, nx, y) -> tuple[tuple[int, ...], ...]:
+    """The integer basis of a three-line case's family, from `nx` of
+    `_nx_part` and the nonzero y columns `y` of `_y_columns`: one vector per
+    balanced n or x component and per nonzero y orbit, holding its unknowns'
+    signs, each times the sign of its last nonzero entry so that entry is
+    +1, in order of that entry's coordinate.
+
+    This is the unique rref basis, the one `solve_quantum` returns.  A
+    three-line case has no mixed rows, so the family is spanned by these
+    vectors, and their supports are disjoint: every unknown belongs to at
+    most one component or orbit.  Let l_j be the last coordinate of vector
+    b_j; the l_j are distinct.  A nonzero sum of t_j b_j has its last
+    nonzero entry at the largest l_j with t_j nonzero, so the coordinates
+    at which some family vector has its last nonzero entry are exactly the
+    l_j.  Those are the free columns of the rref of the system's rows: a
+    column is a pivot exactly when no solution has its last nonzero entry
+    there.  The rref basis vector of free column l_j is the solution that
+    is 1 at l_j and 0 at the other free columns; b_j is 1 at l_j and, its
+    support being disjoint from the others', 0 at every other l_i, and a
+    solution is fixed by its values at the free columns.  So it is b_j, and
+    the rref basis lists these in order of l_j.  `rref_basis` divides each
+    vector by its last nonzero entry, here 1, so it leaves them as they
+    are."""
+    m, units, _ = nx
+    vectors = [[0] * (3 * k) for _ in range(m + len(y[0]))]
+    for u, unit in enumerate(units):
+        if unit is not None:
+            vectors[unit[0]][u] = unit[1]
+    for i, col in enumerate(y):
+        for t, sign in enumerate(col):
+            if sign:
+                vectors[m + t][2 * k + i] = sign
+    last = [max(u for u, a in enumerate(vec) if a) for vec in vectors]
+    return tuple(
+        tuple(a * vec[u] for a in vec) for u, vec in sorted(zip(last, vectors))
+    )
 
 
 # --- built-in closed-form factors --------------------------------------------

@@ -4,12 +4,13 @@ import itertools
 import json
 import math
 import os
+import pickle
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from vogeluniq.formula import cancel, eval_classical, ratio
+from vogeluniq.formula import cancel, eval_classical, is_identically_one, ratio
 from vogeluniq.identity import InternalConsistencyError, check_on_lines
 from vogeluniq.plane import Basis, ProjPoint, span_points
 from vogeluniq import qsearch
@@ -503,6 +504,95 @@ def test_k4_three_line_search_finds_every_family_for_every_seed(seed):
         assert [ff.case_index for ff in result.families] == K4_THREE_LINE_CASES
 
 
+@pytest.fixture(scope="module")
+def k4_four_line():
+    """The serial k = 4 four-line search, shared: it takes about 0.5 s."""
+    return enumerate_families(4, "four")
+
+
+@pytest.fixture(scope="module")
+def k5_three_line():
+    return enumerate_families(5, "three", threads=2)
+
+
+def _case_system(k, lines, case_index, rel, stabilizers):
+    """The system of a search case, read off its index as `_enumerate_chunk`
+    numbers it: the flat index of its class's (s, p, c, kmul) and, on four
+    lines, the position of its (v, r) among the class's `_stage2_cases`;
+    `stabilizers` maps a class's flat index to its stabilizer."""
+    n_p, n_s = len(rel.perms), len(rel.signs)
+    flat, local = divmod(case_index, n_p * n_s) if lines == "four" else (case_index, 0)
+    pair, sp = divmod(flat, n_s * n_s)
+    v = r = None
+    if lines == "four":
+        v, r = qsearch._stage2_cases(rel, stabilizers[flat])[local]
+    mult = MultiplierAssignment(rel.signs[sp // n_s], rel.signs[sp % n_s], r, quantum=True)
+    perms = PermTriple(rel.perms[pair // n_p], rel.perms[pair % n_p], v)
+    return build_system(k, lines, perms, mult)
+
+
+def _assert_families_are_the_oracles(k, lines, result, count):
+    """Each found family has the system its case index names and equals
+    `solve_quantum`'s family of that system, vector for vector."""
+    rel = qsearch._relabelings(k)
+    stabilizers = {}
+    if lines == "four":
+        stabilizers = {flat: stab for flat, *_, stab in _stage1_classes(k, rel=rel)}
+    assert result.complete and len(result.families) == count
+    for ff in result.families:
+        system = _case_system(k, lines, ff.case_index, rel, stabilizers)
+        assert ff.system == system and ff.family.system == system, ff.case_index
+        assert ff.family == solve_quantum(system).family, ff.case_index
+
+
+@pytest.mark.parametrize("lines,threads,count", [
+    ("three", 1, 53), ("three", 2, 53), ("four", 1, 23), ("four", 2, 23),
+])
+def test_found_families_equal_the_oracles(lines, threads, count, request):
+    """The search builds each family from its case's own integer basis
+    (k <= 3 finds none, so k = 4 is the least that checks anything)."""
+    if (lines, threads) == ("four", 1):
+        result = request.getfixturevalue("k4_four_line")
+    else:
+        result = enumerate_families(4, lines, threads=threads)
+    _assert_families_are_the_oracles(4, lines, result, count)
+
+
+def test_k5_three_line_families_equal_the_oracles(k5_three_line):
+    _assert_families_are_the_oracles(5, "three", k5_three_line, 1253)
+
+
+def _assert_sound(result):
+    """Each family, instantiated at its first primes, is identically one on
+    every line of its system and is not identically one on the plane."""
+    for ff in result.families:
+        product = ff.family.factor_product(ff.family.first_primes())
+        reports = check_on_lines(product, ff.system.line_forms())
+        assert all(r.identically_one for r in reports), ff.case_index
+        assert not is_identically_one(product), ff.case_index
+
+
+def test_k4_found_families_are_sound(k4_four_line):
+    _assert_sound(enumerate_families(4, "three"))
+    _assert_sound(k4_four_line)
+
+
+def test_k5_three_line_found_families_are_sound(k5_three_line):
+    _assert_sound(k5_three_line)
+
+
+def test_search_workers_send_only_integers():
+    """A worker's result is plain integers, so the pool pickles no Fraction
+    and the parent builds every family itself (`_found_family`).  A
+    three-line basis is already in rref: each vector's last nonzero entry
+    is 1."""
+    rel = qsearch._relabelings(4)
+    part = qsearch._enumerate_chunk((4, "three", list(_stage1_classes(4, rel=rel)), None, rel))
+    assert len(part[0]) == 53
+    assert b"fractions" not in pickle.dumps(part)
+    assert all(next(filter(None, reversed(vec))) == 1 for *_, basis in part[0] for vec in basis)
+
+
 def _brute_force_classes(k):
     """Orbit minima of (s, p, c, kmul) under simultaneous relabeling, with
     their flat indices and stabilizers, by conjugating every tuple."""
@@ -547,13 +637,12 @@ def test_stage1_k4_class_count_and_stabilizers():
     assert sizes == {1: 1408, 2: 168, 3: 16, 4: 148, 8: 12, 24: 4}
 
 
-@pytest.mark.parametrize("k,count", [(3, 107), (4, 1756), (5, 31757)])
-def test_stage1_class_count_is_burnside_count(k, count):
-    """Burnside's count of relabeling orbits, (1/k!) sum over tau of
-    |C(tau)|^2 f(tau)^2 with C(tau) the centralizer of tau and f(tau) the
-    number of product-one sign vectors tau fixes, equals the number of
-    classes; and the orbit sizes k!/|stabilizer| cover every tuple.  This
-    reaches k = 5, where the brute-force orbit test cannot go."""
+def _burnside(k, power):
+    """Burnside's count of the orbits of the relabelings on `power`
+    pairings and `power` product-one sign vectors:
+    (1/k!) sum over tau of |C(tau)|^power f(tau)^power, with C(tau) the
+    centralizer of tau and f(tau) the number of product-one sign vectors
+    tau fixes."""
     perms = list(itertools.permutations(range(k)))
     burnside = 0
     for tau in perms:
@@ -569,10 +658,46 @@ def test_stage1_class_count_is_burnside_count(k, count):
             if length:
                 lengths.append(length)
         fixed_signs = 2 ** (len(lengths) - any(n % 2 for n in lengths))
-        burnside += centralizer ** 2 * fixed_signs ** 2
+        burnside += centralizer ** power * fixed_signs ** power
+    assert burnside % len(perms) == 0
+    return burnside // len(perms)
+
+
+@pytest.mark.parametrize("k,count", [(3, 107), (4, 1756), (5, 31757)])
+def test_stage1_class_count_is_burnside_count(k, count):
+    """Burnside's count of relabeling orbits of (s, p, c, kmul), exponent 2
+    in `_burnside`, equals the number of classes; and the orbit sizes
+    k!/|stabilizer| cover every tuple.  This reaches k = 5, where the
+    brute-force orbit test cannot go."""
+    perms = list(itertools.permutations(range(k)))
     classes = list(_stage1_classes(k))
-    assert burnside % len(perms) == 0 and burnside // len(perms) == len(classes) == count
+    assert _burnside(k, 2) == len(classes) == count
     assert sum(len(perms) // len(cls[5]) for cls in classes) == len(perms) ** 2 * 4 ** (k - 1)
+
+
+@pytest.mark.parametrize("k,count", [(1, 1), (2, 64), (3, 2345), (4, 300232), (5, 59062969)])
+def test_four_line_case_count_is_burnside_count(k, count, request):
+    """The relabelings act on (s, p, c, kmul, v, r), and stage 2 takes one
+    choice (v, r) per orbit of each stage-1 class's stabilizer, so the
+    four-line cases are the orbits of the six-tuples: Burnside's count with
+    exponent 3.  It equals `cases_examined` of the four-line search for
+    k <= 4 and, at k = 5, the stage-2 case count summed over the stage-1
+    classes, which is what the `slow` gate's search examines."""
+    assert _burnside(k, 3) == count
+    if k < 4:
+        examined = enumerate_families(k, "four").cases_examined
+    elif k == 4:
+        examined = request.getfixturevalue("k4_four_line").cases_examined
+    else:
+        rel = qsearch._relabelings(k)
+        stage2_sizes = {}
+        examined = 0
+        for *_, stab in _stage1_classes(k, rel=rel):
+            if stab not in stage2_sizes:
+                stage2_sizes[stab] = len(qsearch._stage2_cases(rel, stab))
+            examined += stage2_sizes[stab]
+        assert len(stage2_sizes) == 26
+    assert examined == count
 
 
 def _screen_cases():
