@@ -41,8 +41,8 @@ that returns the result turns each record into a `FoundFamily` with
 Fraction vectors (`_found_family`), so a process pool pickles no Fraction.
 The classical multipliers form a continuum; they are verified rather than
 searched, except for the dedicated k = 3 survey which decides
-nontriviality stratum by stratum, exactly, at one point with distinct
-prime coordinates.
+nontriviality on each pairing's all-nonzero stratum, the only one that
+can be nontrivial, exactly, at one point with distinct prime coordinates.
 """
 
 from __future__ import annotations
@@ -706,49 +706,9 @@ def _pattern_degenerate(k, s, nonzero) -> bool:
     rules decide both line sets.  The maps take km = all ones, since a sign
     does not change whether a value is zero.  A class with no balanced n or x component,
     m = 0 in `_nx_part`, makes every factor vanish on c' = 0, so all its
-    cases are rejected here.  The k = 3 survey screens its strata with it
-    too, a stratum's zero sets giving the pattern."""
+    cases are rejected here."""
     cols = [(bit,) for bit in nonzero]
     return _degeneracy(_factor_maps(k, s, (1,) * k, cols), False) is not None
-
-
-def _pattern_cancels(k, s, p, nonzero) -> tuple[int, ...] | None:
-    """A pairing that the zero pattern alone forces on a three-line
-    product, or None: `nonzero` holds, for each of the 3k unknowns n, x, y,
-    False if it is zero throughout the stratum.  The pairing sends each
-    denominator factor i to a distinct numerator factor pairing[i].
-
-    Under the three-line relations x_i = c_i x_{p(i)}, y_i = k_i y_{s(i)}
-    and k_i n_{s(i)} = c_i n_{p(i)}, denominator factor i,
-    (k_i n_{s(i)}, x_i, y_i), equals a numerator factor times a multiplier
-    whenever one of three pairs of unknowns is zero:
-
-        den_i = num_i              when n_i = n_{s(i)} = 0,
-        den_i = c_i num_{p(i)}     when y_i = y_{p(i)} = 0,
-        den_i = k_i num_{s(i)}     when x_i = x_{s(i)} = 0.
-
-    The first is immediate; the second substitutes c_i n_{p(i)} for
-    k_i n_{s(i)} and c_i x_{p(i)} for x_i; the third substitutes
-    k_i y_{s(i)} for y_i.  A pairing is returned when these options give
-    every denominator factor a distinct numerator factor.  Then at every
-    point of the stratum, for every multiplier value, each denominator
-    factor is a nonzero multiple of its numerator factor, so the product
-    is constant and, on a stratum that is not degenerate (no factor zero),
-    `formula.pair_factors` pairs every factor: the classes are as common on
-    both sides, and its greedy pairing is then complete.  Such a stratum is
-    trivial at every sign pattern.  The test is sufficient only: None
-    decides nothing."""
-    zero = [not bit for bit in nonzero]
-    options = [
-        {j for j, a, b in ((i, i, s[i]), (p[i], 2 * k + i, 2 * k + p[i]), (s[i], k + i, k + s[i]))
-         if zero[a] and zero[b]}
-        for i in range(k)
-    ]
-    return next(
-        (pairing for pairing in itertools.permutations(range(k))
-         if all(pairing[i] in options[i] for i in range(k))),
-        None,
-    )
 
 
 def _signed_components(n, edges) -> tuple[list, dict]:
@@ -1135,25 +1095,17 @@ class SurveyEntry:
 
 @dataclass
 class SurveyStats:
-    """What one `survey_k3_classical` call did.
-
-    `pairings_surveyed` counts the pairings whose strata were walked,
-    `strata_screened` the strata given the degeneracy screen,
-    `strata_cancelled` those that passed it but whose zero pattern alone
-    pairs off every factor (`_pattern_cancels`), `strata_decided` the rest,
-    decided sign pattern by sign pattern, and `sign_patterns` the
-    admissible sign patterns instantiated and verified.  A full survey
-    counts 12 / 554 / 55 / 72 / 120.
+    """What one `survey_k3_classical` call did: `pairings_surveyed` counts
+    the pairings whose all-nonzero stratum was decided, and `sign_patterns`
+    the admissible sign patterns instantiated and verified.  A full survey
+    counts 12 / 18.
     """
 
     pairings_surveyed: int = 0
-    strata_screened: int = 0
-    strata_cancelled: int = 0
-    strata_decided: int = 0
     sign_patterns: int = 0
 
 
-# Distinct primes for the stratum variables: the torus generators, then the
+# Distinct primes for the survey's variables: the torus generators, then the
 # free x value of each p-cycle, then the free y value of each s-cycle.
 # `SolutionFamily.first_primes` instantiates families at the same primes.
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -1171,16 +1123,31 @@ def survey_k3_classical(stats: SurveyStats | None = None) -> list[SurveyEntry]:
     `stats`, when given, is filled in.
 
     For each pairing (s, p) the solution set splits into finitely many strata
-    by the zero patterns of n, x and y (unions of cycles of the relevant
-    permutations, with numerator factors normalized to alpha-coefficient one
-    off the zero set).  On each stratum the admissible multipliers form a
-    subtorus times a sign lattice, and every coefficient of every factor is
-    zero or a signed monomial in the torus parameters and the free x and y
-    values.  Each sign pattern is instantiated once, with a distinct prime
-    for each variable: by unique factorization two factors are proportional
-    there exactly when they are proportional for every parameter value, so
+    by the zero patterns of n, x and y (unions of cycles of p s^-1, p and s,
+    with numerator factors normalized to alpha-coefficient one off the zero
+    set).  On each stratum the admissible multipliers form a subtorus times
+    a sign lattice, and every coefficient of every factor is zero or a
+    signed monomial in the torus parameters and the free x and y values.
+    Each sign pattern is instantiated once, with a distinct prime for each
+    variable: by unique factorization two factors are proportional there
+    exactly when they are proportional for every parameter value, so
     cancellation at that one point decides the stratum.  A witness is an
     exact certificate of nontriviality, and its absence proves triviality.
+
+    Only a pairing's all-nonzero stratum is decided (`_survey_pair`), by a
+    lemma: at k = 3 every stratum with a zero in n, x or y is degenerate (a
+    factor vanishes on a system line) or trivial at every sign pattern.
+    Where a whole part is zero it is structural, since then each
+    denominator factor is a nonzero multiple of a distinct numerator factor:
+    den_i = num_i if n = 0, c_i num_{p(i)} if y = 0 and k_i num_{s(i)} if
+    x = 0.  The rest of the proof is by exhaustion.  The test oracle
+    `_oracle_stratum` in tests/test_qsearch.py takes the torus from sympy,
+    checks each of the 64 sign patterns against the constraints directly,
+    and decides all 2,448 strata of the 36 pairings without dedup: 1,938
+    are degenerate, and so have a zero; the other 474 with a zero are
+    trivial; of the 36 all-nonzero strata, 34 are trivial and 2 nontrivial.
+    `test_survey_pairs_match_an_oracle_that_decides_every_stratum` pins
+    these counts.
 
     Relabeling the factors by tau maps a solution (n, x, y) of (s, p, c, k)
     to the solution (n, x, y) o tau^-1 of (tau s tau^-1, tau p tau^-1,
@@ -1190,14 +1157,8 @@ def survey_k3_classical(stats: SurveyStats | None = None) -> list[SurveyEntry]:
     order, so an orbit's minimum comes first and is surveyed; a later member
     of a trivial orbit is trivial without a survey, and a member of a
     nontrivial one is surveyed for its own witness.  The one nontrivial
-    orbit holds the two fixed-point-free pairings with s != p: 12 surveys.
-    Inside a pairing the same argument, for the tau that fix s and p,
-    decides one stratum per orbit (see `_survey_pair`), and a stratum whose
-    zero pattern alone pairs off every factor (`_pattern_cancels`) is
-    trivial without being instantiated: the 12 surveys screen 554 strata
-    for degeneracy, find 55 of the rest trivial by their zero pattern,
-    decide the other 72 and verify 120 sign patterns, where a walk over
-    every stratum without either shortcut would take 1,090, 0, 195 and 358.
+    orbit holds the two fixed-point-free pairings with s != p: 12 surveys,
+    which verify 18 sign patterns.
     """
     perms = list(itertools.permutations(range(3)))
     entries = []
@@ -1215,76 +1176,27 @@ def survey_k3_classical(stats: SurveyStats | None = None) -> list[SurveyEntry]:
 
 
 def _survey_pair(s: Perm, p: Perm, stats: SurveyStats | None = None):
-    """(witness, witness_data) of the first nontrivial stratum of (s, p), in
-    order of zero count and then of the sorted zero sets, or (None, {}).
-
-    A tau in Stab(s, p), the relabelings with tau s tau^-1 = s and
-    tau p tau^-1 = p, maps a solution on stratum (zn, zx, zy) with
-    multipliers (c, k) to one on (tau zn, tau zx, tau zy) with
-    (c o tau^-1, k o tau^-1), and only reorders the factors.  So whether a
-    stratum is degenerate, and whether it is nontrivial, is constant on its
-    orbit, and only the first stratum of each orbit (`_orbit_minima`) is
-    screened and decided.  The walk still returns the same stratum: the
-    first nontrivial stratum in order is the first of its orbit, since an
-    earlier member would be nontrivial too, and a stratum skipped before it
-    has an earlier orbit member that was degenerate or trivial.  A stratum
-    that passes the degeneracy screen but whose zero pattern forces a
-    pairing of every factor (`_pattern_cancels`) is trivial at every sign
-    pattern, so it is skipped without being instantiated; deciding it would
-    have found no witness.  The first nontrivial stratum is decided as
-    before, so its witness and data are unchanged.
-    """
+    """(witness, witness_data) of the all-nonzero stratum of (s, p), the one
+    stratum that can be nontrivial (see `survey_k3_classical`), or
+    (None, {}).  The witness is the product at the prime point of the first
+    sign pattern that keeps a factor after `formula.pair_factors`.  With n
+    all ones, k_i n_{s(i)} = c_i n_{p(i)} says k = c; a sign pattern is
+    admissible when every multiplicative constraint has an even number of
+    negative signs at its odd exponents."""
     k = 3
     stats = SurveyStats() if stats is None else stats
     stats.pairings_surveyed += 1
-    p_inv = perm_inverse(p)
-    u = tuple(s[p_inv[j]] for j in range(k))
-    u_cycles, p_cycles, s_cycles = _cycles(u), _cycles(p), _cycles(s)
-    unions = lambda cycles: [
-        frozenset(i for cyc in pick for i in cyc)
-        for size in range(len(cycles) + 1)
-        for pick in itertools.combinations(cycles, size)
-    ]
-    strata = sorted(
-        itertools.product(unions(u_cycles), unions(p_cycles), unions(s_cycles)),
-        key=lambda zeros: (sum(map(len, zeros)), *map(sorted, zeros)),
-    )
-    stab = [
-        tau for tau in itertools.permutations(range(k))
-        if _conj_perm(tau, s) == s and _conj_perm(tau, p) == p
-    ]
-    images = lambda zeros: [tuple(frozenset(tau[i] for i in z) for z in zeros) for tau in stab]
-    for (zn, zx, zy), _ in _orbit_minima(strata, images):
-        stats.strata_screened += 1
-        nonzero = [i not in zeros for zeros in (zn, zx, zy) for i in range(k)]
-        if _pattern_degenerate(k, s, nonzero):
-            continue
-        if _pattern_cancels(k, s, p, nonzero) is not None:
-            stats.strata_cancelled += 1
-            continue
-        stats.strata_decided += 1
-        witness = _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles, stats)
-        if witness is not None:
-            return witness
-    return None, {}
-
-
-def _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles, stats: SurveyStats):
-    """(product, data) for the first sign pattern of the stratum whose
-    product at the prime point keeps a factor after `formula.pair_factors`,
-    or None.  A sign pattern is admissible when every multiplicative
-    constraint has an even number of negative signs at its odd exponents."""
-    k = 3
+    p_cycles, s_cycles = _cycles(p), _cycles(s)
     # Multiplicative constraints on (c0, c1, c2, k0, k1, k2) as exponent rows.
     rows = [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]]
-    rows += [[int(j == i) - int(j == 3 + i) for j in range(6)] for i in range(k) if s[i] not in zn]
-    rows += [[int(j in cyc) for j in range(3)] + [0] * 3 for cyc in p_cycles if not set(cyc) <= zx]
-    rows += [[0] * 3 + [int(j in cyc) for j in range(3)] for cyc in s_cycles if not set(cyc) <= zy]
+    rows += [[int(j == i) - int(j == 3 + i) for j in range(6)] for i in range(k)]
+    rows += [[int(j in cyc) for j in range(3)] + [0] * 3 for cyc in p_cycles]
+    rows += [[0] * 3 + [int(j in cyc) for j in range(3)] for cyc in s_cycles]
     torus = [Fraction(1)] * 6
     for prime, gen in zip(_PRIMES, int_nullspace(rows, 6)):
         for j in range(6):
             torus[j] *= Fraction(prime) ** gen[j]
-    n = tuple(Fraction(0) if i in zn else Fraction(1) for i in range(k))
+    n = (Fraction(1),) * k
     odd = [sum(1 << j for j, e in enumerate(row) if e % 2) for row in rows]
     for signs, negatives in _SIGN_PATTERNS:
         if any((negatives & mask).bit_count() & 1 for mask in odd):
@@ -1292,8 +1204,8 @@ def _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles, stats: SurveyStats):
         stats.sign_patterns += 1
         c = tuple(signs[j] * torus[j] for j in range(3))
         km = tuple(signs[3 + j] * torus[3 + j] for j in range(3))
-        x = _cycle_values(p, p_cycles, zx, c, _PRIMES[6:9])
-        y = _cycle_values(s, s_cycles, zy, km, _PRIMES[9:12])
+        x = _cycle_values(p, p_cycles, c, _PRIMES[6:9])
+        y = _cycle_values(s, s_cycles, km, _PRIMES[9:12])
         system = build_system(k, "three", PermTriple(s, p), MultiplierAssignment(c, km))
         report = verify_solution(system, n, x, y)
         if not report.ok:
@@ -1303,19 +1215,16 @@ def _stratum_witness(s, p, zn, zx, zy, p_cycles, s_cycles, stats: SurveyStats):
         num = [(n[i], x[i], y[i]) for i in range(k)]
         den = [(km[i] * n[s[i]], x[i], y[i]) for i in range(k)]
         if None in pair_factors(num, den, up_to_sign=False)[0]:
-            data = {"zn": sorted(zn), "zx": sorted(zx), "zy": sorted(zy), "c": c, "k": km,
-                    "n": n, "x": x, "y": y}
+            data = {"zn": [], "zx": [], "zy": [], "c": c, "k": km, "n": n, "x": x, "y": y}
             return product_from_assignment(system, n, x, y), data
-    return None
+    return None, {}
 
 
-def _cycle_values(perm, cycles, zeros, mult, primes) -> tuple[Fraction, ...]:
-    """Values on the cycles of perm outside `zeros`: the cycle's prime at its
-    first index, then value[perm(i)] = value[i] / mult[i] along the cycle."""
+def _cycle_values(perm, cycles, mult, primes) -> tuple[Fraction, ...]:
+    """Values on the cycles of perm: the cycle's prime at its first index,
+    then value[perm(i)] = value[i] / mult[i] along the cycle."""
     values = [Fraction(0)] * len(perm)
     for cyc, prime in zip(cycles, primes):
-        if set(cyc) <= zeros:
-            continue
         i = cyc[0]
         values[i] = Fraction(prime)
         for _ in range(len(cyc) - 1):

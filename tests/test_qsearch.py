@@ -921,11 +921,14 @@ def test_four_line_decision_matches_full_elimination():
 ])
 def test_k5_search_gate(lines, cases, families, digest):
     """The full k = 5 search on two processes: its case count, family count
-    and the SHA-256 of `json.dumps` of its `case_index` list."""
+    and the SHA-256 of `json.dumps` of its `case_index` list; every family
+    is sound at its first primes and equals `solve_quantum`'s."""
     result = enumerate_families(5, lines, threads=2)
     found = [ff.case_index for ff in result.families]
     assert result.complete and result.cases_examined == cases and len(found) == families
     assert hashlib.sha256(json.dumps(found).encode()).hexdigest().startswith(digest)
+    _assert_sound(result)
+    _assert_families_are_the_oracles(5, lines, result, families)
 
 
 # --- the classical k = 3 survey -----------------------------------------------------
@@ -1024,10 +1027,7 @@ def test_survey_stats_count_the_orbit_walk(monkeypatch):
     monkeypatch.setattr(qsearch, "verify_solution", counting)
     stats = qsearch.SurveyStats()
     survey_k3_classical(stats)
-    assert stats == qsearch.SurveyStats(
-        pairings_surveyed=12, strata_screened=554, strata_cancelled=55, strata_decided=72,
-        sign_patterns=120,
-    )
+    assert stats == qsearch.SurveyStats(pairings_surveyed=12, sign_patterns=18)
     assert len(verified) == stats.sign_patterns  # every instantiated pattern is verified
 
 
@@ -1126,59 +1126,34 @@ def _oracle_stratum(s, p, zn, zx, zy):
 
 
 def test_survey_pairs_match_an_oracle_that_decides_every_stratum():
+    """The lemma `survey_k3_classical` rests on, by exhaustion: over every
+    stratum of all 36 pairings, without dedup, a stratum with a zero in n, x
+    or y is degenerate or trivial, so the survey decides only the
+    all-nonzero one.  Its witness is the oracle's first in stratum order."""
     perms = list(itertools.permutations(range(3)))
-    compose = lambda a, b: tuple(a[b[i]] for i in range(3))
     stratum_key = lambda zeros: (sum(map(len, zeros)), *map(sorted, zeros))
-    nontrivial = set()
-    for s, p in itertools.product(perms, repeat=2):
-        u = tuple(s[p.index(j)] for j in range(3))
-        invariant = lambda perm: [
-            frozenset(z) for size in range(4) for z in itertools.combinations(range(3), size)
-            if {perm[i] for i in z} == set(z)
-        ]
-        strata = sorted(
-            itertools.product(invariant(u), invariant(p), invariant(s)), key=stratum_key
-        )
-        commute = lambda t, a: compose(t, a) == compose(a, t)
-        stab = [t for t in perms if commute(t, s) and commute(t, p)]
-        verdicts = {zeros: _oracle_stratum(s, p, *zeros) for zeros in strata}
-        for zeros, (verdict, _) in verdicts.items():
-            orbit = [tuple(frozenset(t[i] for i in z) for z in zeros) for t in stab]
-            assert verdicts[min(orbit, key=stratum_key)][0] == verdict, (s, p, zeros)
-        first = next((w for _, w in verdicts.values() if w is not None), (None, {}))
-        assert qsearch._survey_pair(s, p) == first, (s, p)
-        if first[0] is not None:
-            nontrivial.add((s, p))
-    assert nontrivial == {((1, 2, 0), (2, 0, 1)), ((2, 0, 1), (1, 2, 0))}
-
-
-def test_cancelling_patterns_are_trivial_by_the_oracle():
-    """Over every stratum of all 36 pairings, without dedup,
-    `_pattern_cancels` finds a pairing only where the oracle finds the
-    stratum trivial or degenerate, and on a stratum that is not degenerate
-    each denominator factor is parallel to its paired numerator factor at
-    every admissible sign pattern (all factors there are nonzero).  Both
-    strata with an all-zero n, x or y part and strata that need a mixed
-    pairing occur."""
-    perms = list(itertools.permutations(range(3)))
     invariant = lambda perm: [
         frozenset(z) for size in range(4) for z in itertools.combinations(range(3), size)
         if {perm[i] for i in z} == set(z)
     ]
-    trivial = Counter()
+    verdicts = Counter()
+    nontrivial = set()
     for s, p in itertools.product(perms, repeat=2):
         u = tuple(s[p.index(j)] for j in range(3))
-        for zeros in itertools.product(invariant(u), invariant(p), invariant(s)):
-            pairing = qsearch._pattern_cancels(3, s, p, [i not in z for z in zeros for i in range(3)])
-            if pairing is None:
-                continue
-            verdict, _ = _oracle_stratum(s, p, *zeros)
-            assert verdict in ("trivial", "degenerate"), (s, p, zeros)
-            if verdict == "degenerate":
-                continue
-            trivial["all-zero part" if 3 in map(len, zeros) else "mixed"] += 1
-            for c, km, n, x, y in _oracle_points(s, p, *zeros):
-                for i in range(3):
-                    j = pairing[i]
-                    assert _parallel((km[i] * n[s[i]], x[i], y[i]), (n[j], x[j], y[j])), (s, p, zeros)
-    assert trivial == {"all-zero part": 108, "mixed": 78}
+        strata = sorted(
+            itertools.product(invariant(u), invariant(p), invariant(s)), key=stratum_key
+        )
+        decided = [_oracle_stratum(s, p, *zeros) for zeros in strata]
+        verdicts.update(
+            (verdict, "zero" if any(strata[i]) else "no zero")
+            for i, (verdict, _) in enumerate(decided)
+        )
+        first = next((w for _, w in decided if w is not None), (None, {}))
+        assert qsearch._survey_pair(s, p) == first, (s, p)
+        if first[0] is not None:
+            nontrivial.add((s, p))
+    assert verdicts == {
+        ("degenerate", "zero"): 1938, ("trivial", "zero"): 474,
+        ("trivial", "no zero"): 34, ("nontrivial", "no zero"): 2,
+    }
+    assert nontrivial == {((1, 2, 0), (2, 0, 1)), ((2, 0, 1), (1, 2, 0))}
