@@ -1145,8 +1145,8 @@ def test_survey_pairs_match_an_oracle_that_decides_every_stratum():
         )
         decided = [_oracle_stratum(s, p, *zeros) for zeros in strata]
         verdicts.update(
-            (verdict, "zero" if any(strata[i]) else "no zero")
-            for i, (verdict, _) in enumerate(decided)
+            (verdict, "zero" if any(zeros) else "no zero")
+            for zeros, (verdict, _) in zip(strata, decided)
         )
         first = next((w for _, w in decided if w is not None), (None, {}))
         assert qsearch._survey_pair(s, p) == first, (s, p)
