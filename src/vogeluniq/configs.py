@@ -127,12 +127,6 @@ def validate_table(table: ConfigurationTable) -> list[str]:
         shared = set(table.columns[i]) & set(table.columns[j])
         if len(shared) > 1:
             violations.append(f"columns {i} and {j} share points {sorted(shared)}")
-    if not violations:
-        if table.p * table.gamma != table.l * table.pi:
-            violations.append(
-                f"incidence count mismatch: p*gamma = {table.p * table.gamma}, "
-                f"l*pi = {table.l * table.pi}"
-            )
     return violations
 
 

@@ -243,12 +243,10 @@ def check_on_lines(F: FactorProduct, lines) -> list[IdentityReport]:
     return [is_one_on_line(F, line) for line in lines]
 
 
-def numeric_crosscheck(
-    F: FactorProduct,
-    line: LinearForm,
-    samples: int = 8,
-    rel_tol: float = 1e-9,
-) -> bool:
+_REL_TOL = 1e-9
+
+
+def numeric_crosscheck(F: FactorProduct, line: LinearForm, samples: int = 8) -> bool:
     """Confirm the symbolic verdict at the first `samples` points of
     `_line_points` where the product has a value (plus several x values for
     quantum products): no factor is zero there, except numerator factors
@@ -256,8 +254,10 @@ def numeric_crosscheck(
     not vanish on the line is zero at one of them at most, so the first
     samples + 2k points hold that many.  A not_constant verdict also needs
     a sample that deviates from 1; the walk goes on past `samples` until
-    one does, up to `_witness_bound` points, which hold one.  A
-    disagreement raises InternalConsistencyError; agreement returns True."""
+    one does, up to `_witness_bound` points, which hold one.  Quantum
+    values are floats and agree within the relative tolerance `_REL_TOL`.
+    A disagreement raises InternalConsistencyError; agreement returns
+    True."""
     report = is_one_on_line(F, line)
     lp = LineParam.from_line(convert(line, F.basis))
     if report.verdict == "vanishing_factor":
@@ -266,7 +266,7 @@ def numeric_crosscheck(
     limit = samples + 2 * F.k
     if not_constant:
         limit = max(limit, _witness_bound(F.k, F.quantum))
-    tol = rel_tol if F.quantum else 0  # classical values are exact
+    tol = _REL_TOL if F.quantum else 0  # classical values are exact
     checked = 0
     saw_deviation = False
     for pt, values in _values(F, lp, (1e-2, 0.11, 0.57, 1.3, 2.7), limit):
@@ -279,7 +279,7 @@ def numeric_crosscheck(
             )
         if report.verdict == "identically_constant":
             target = float(report.constant)
-            if any(abs(v - target) > rel_tol * max(1.0, abs(target)) for v in values):
+            if any(abs(v - target) > _REL_TOL * max(1.0, abs(target)) for v in values):
                 raise InternalConsistencyError(
                     f"symbolic constant {report.constant} but sampled {values}"
                 )

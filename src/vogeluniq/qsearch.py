@@ -12,42 +12,47 @@ with multiplier products equal to one; requiring 1 on the fourth line
     y_i = r_i y_{v(i)},   c_i n_{p(i)} + 3 x_i = r_i (n_{v(i)} + 3 x_{v(i)}).
 
 In the quantum case every multiplier is +-1, which turns the search into a
-finite enumeration over permutation tuples and sign vectors.  All its
-coefficients are then integers in {0, +-1, +-3}.  Each three-line relation,
-and y_i = r_i y_{v(i)}, has two +-1 terms, a signed edge between two
-unknowns, so those spaces are read off the components of signed graphs
-with no elimination: the n and x graphs are the cycles of p s^-1 and of p
-(`_nx_part`), the y graph the orbits of <s, v>.  The y relations never mix
-with the (n, x) relations, so on both line sets a case's space is the
-direct sum of a y part, zero (and the case trivial) unless a sign check on
-the orbits of <s, v> passes, and an (n, x) part.  On three lines that is
-every balanced n and x cycle, one parameter each, so a three-line case
-needs no elimination at all; on four lines it is the nullspace of the
-mixed fourth-line rows over them, by fraction-free integer elimination.
-Only the cases with a nonzero y part are decided, and of those only the
-ones whose forced zeros alone make no factor vanish on a system line
-(`_pattern_degenerate`).  On three lines that screen is the whole
-degeneracy test, and every unknown is +-1 times one parameter or zero, so
-a kept case is decided on those signed units without building a column
-(`_units_keep_a_factor`); a four-line case builds the columns of its
+finite enumeration over permutation tuples and sign vectors.  A quantum
+`MultiplierAssignment` holds its signs as the ints +-1, and all the
+relations' coefficients are then integers in {0, +-1, +-3}; the relations
+of a whole system are eliminated in one place, `_relation_basis`.  Each
+three-line relation, and y_i = r_i y_{v(i)}, has two +-1 terms, a signed
+edge between two unknowns, so those spaces are read off the components of
+signed graphs with no elimination: the n and x graphs are the cycles of
+p s^-1 and of p (`_nx_part`), the y graph the orbits of <s, v>.  The y
+relations never mix with the (n, x) relations, so on both line sets a
+case's space is the direct sum of a y part, zero (and the case trivial)
+unless a sign check on the orbits of <s, v> passes, and an (n, x) part.  On
+three lines that is every balanced n and x cycle, one parameter each, so a
+three-line case needs no elimination at all; on four lines it is the
+nullspace of the mixed fourth-line rows over them, by fraction-free integer
+elimination.  Only the cases with a nonzero y part are decided, and of
+those only the ones whose forced zeros alone make no factor vanish on a
+system line (`_pattern_degenerate`).  On three lines that screen is the
+whole degeneracy test, and every unknown is +-1 times one parameter or
+zero, so a kept case is decided on those signed units without building a
+column (`_units_keep_a_factor`); a four-line case builds the columns of its
 family (`_case_columns`) and runs both tests on them (`_survives`).  Each
 case is decided by exact tests (degeneracy, and nontriviality by pairing
-the factors' linear maps up to sign), so the search draws no random
-numbers and its result does not depend on a seed.  A found case leaves
-the search as a record of plain integers with its family's integer basis:
-on three lines its signed unit vectors, already in rref (`_unit_basis`),
-on four lines the primitive nullspace of its relations.  Only the process
-that returns the result turns each record into a `FoundFamily` with
-Fraction vectors (`_found_family`), so a process pool pickles no Fraction.
-The classical multipliers form a continuum; they are verified rather than
-searched, except for the dedicated k = 3 survey which decides
-nontriviality on each pairing's all-nonzero stratum, the only one that
-can be nontrivial, exactly, at one point with distinct prime coordinates.
+the factors' linear maps up to sign), so the search draws no random numbers
+and its result does not depend on a seed.  A found case leaves the search
+as a record of plain integers with its family's integer basis: on three
+lines its signed unit vectors, already in rref (`_unit_basis`), on four
+lines `_relation_basis`.  Only the process that returns the result turns
+each record into a `FoundFamily` (`_found_family`), whose multipliers stay
+the record's ints and whose vectors are Fractions, so a process pool
+pickles no Fraction.  Relabelings are the index tables of `_relabelings`,
+for the search and the survey alike.  The classical multipliers form a
+continuum; they are verified rather than searched, except for the dedicated
+k = 3 survey which decides nontriviality on each pairing's all-nonzero
+stratum, the only one that can be nontrivial, exactly, at one point with
+distinct prime coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -120,31 +125,32 @@ class PermTriple:
 
 @dataclass(frozen=True)
 class MultiplierAssignment:
-    """Per-factor multipliers; classical entries are nonzero rationals,
-    quantum entries are +-1.  Each vector multiplies to one."""
+    """Per-factor multipliers; classical entries are nonzero rationals, held
+    as Fractions, and quantum entries are the ints +-1, so the search's
+    integer relations take them as they are.  Each vector multiplies to
+    one."""
 
-    c: tuple[Fraction, ...]
-    kmul: tuple[Fraction, ...]
-    r: tuple[Fraction, ...] | None = None
+    c: tuple[Fraction | int, ...]
+    kmul: tuple[Fraction | int, ...]
+    r: tuple[Fraction | int, ...] | None = None
     quantum: bool = False
 
     def __post_init__(self):
-        for attr in ("c", "kmul", "r"):
+        for attr, name in (("c", "c"), ("kmul", "k"), ("r", "r")):
             vec = getattr(self, attr)
-            if vec is not None:
-                object.__setattr__(self, attr, tuple(Fraction(q) for q in vec))
-        for name, vec in (("c", self.c), ("k", self.kmul), ("r", self.r)):
             if vec is None:
                 continue
-            prod = Fraction(1)
-            for entry in vec:
-                if entry == 0:
-                    raise InvalidMultiplierError(f"{name} contains a zero multiplier")
-                if self.quantum and entry not in (1, -1):
+            vec = tuple(vec) if self.quantum else tuple(map(Fraction, vec))
+            if 0 in vec:
+                raise InvalidMultiplierError(f"{name} contains a zero multiplier")
+            if self.quantum:
+                if not all(entry in (1, -1) for entry in vec):
                     raise InvalidMultiplierError(f"quantum {name} entries must be +-1")
-                prod *= entry
+                vec = tuple(map(int, vec))
+            prod = math.prod(vec)
             if prod != 1:
                 raise InvalidMultiplierError(f"product of {name} multipliers is {prod}, not 1")
+            object.__setattr__(self, attr, vec)
 
 
 @dataclass(frozen=True)
@@ -207,14 +213,17 @@ def _mixed_terms(k: int, p, c, i: int, j: int, sign) -> tuple:
     return (p[i], c[i]), (k + i, 3), (j, -sign), (k + j, -3 * sign)
 
 
-def _dense_rows(k: int, terms: list[tuple]) -> list[list]:
+def _relation_basis(k: int, s, p, c, km, v=None, r=None) -> list[list[int]]:
+    """The primitive integer basis, by `int_nullspace`, of the solutions of
+    the relations of `_relation_terms` for +-1 multipliers: the one place
+    where a system's 3k unknowns are eliminated together."""
     rows = []
-    for row_terms in terms:
+    for row_terms in _relation_terms(k, s, p, c, km, v, r):
         row = [0] * (3 * k)
         for idx, coef in row_terms:
             row[idx] += coef
         rows.append(row)
-    return rows
+    return int_nullspace(rows, 3 * k)
 
 
 def build_system(
@@ -348,6 +357,12 @@ def _factor_maps(k: int, s, km, cols) -> tuple[list, list]:
     return num, den
 
 
+def _system_maps(system: ConstraintSystem, vectors) -> tuple[list, list]:
+    """`_factor_maps` of the system's factors on the span of `vectors`."""
+    k = system.k
+    return _factor_maps(k, system.perms.s, system.mult.kmul, _columns(k, vectors))
+
+
 def _degeneracy(maps: tuple[list, list], four: bool) -> str | None:
     """The first factor, numerator factors before denominator factors, that
     is zero or restricts to zero on a system line for every parameter value;
@@ -382,10 +397,8 @@ def family_degeneracy(family: SolutionFamily) -> str | None:
     """Why every instantiation of the family fails to be a valid factor
     product equal to one on its lines: a factor forced to zero, or a factor
     whose restriction to a system line vanishes identically."""
-    system = family.system
-    k = system.k
-    maps = _factor_maps(k, system.perms.s, system.mult.kmul, _columns(k, family.vectors))
-    return _degeneracy(maps, system.lines == "four")
+    maps = _system_maps(family.system, family.vectors)
+    return _degeneracy(maps, family.system.lines == "four")
 
 
 def is_nontrivial(family: SolutionFamily) -> bool:
@@ -404,10 +417,7 @@ def is_nontrivial(family: SolutionFamily) -> bool:
     system = family.system
     if not system.mult.quantum:
         raise ValueError("is_nontrivial decides quantum cancellation; the family is classical")
-    k = system.k
-    return _keeps_a_factor(
-        _factor_maps(k, system.perms.s, system.mult.kmul, _columns(k, family.vectors))
-    )
+    return _keeps_a_factor(_system_maps(system, family.vectors))
 
 
 def solve_quantum(system: ConstraintSystem) -> SolveOutcome:
@@ -427,26 +437,18 @@ def solve_quantum(system: ConstraintSystem) -> SolveOutcome:
     """
     if not system.mult.quantum:
         raise ValueError("solve_quantum needs +-1 multipliers (quantum assignment)")
-    k, perms, mult = system.k, system.perms, system.mult
-    c, km = _ints(mult.c), _ints(mult.kmul)
-    r = None if mult.r is None else _ints(mult.r)
-    vectors = int_nullspace(
-        _dense_rows(k, _relation_terms(k, perms.s, perms.p, c, km, perms.v, r)), 3 * k
-    )
+    perms, mult = system.perms, system.mult
+    vectors = _relation_basis(system.k, perms.s, perms.p, mult.c, mult.kmul, perms.v, mult.r)
     if not vectors:
         return SolveOutcome("infeasible", reason="only the zero solution")
     family = SolutionFamily(system, tuple(map(tuple, rref_basis(vectors))))
-    maps = _factor_maps(k, perms.s, km, _columns(k, vectors))
+    maps = _system_maps(system, vectors)
     reason = _degeneracy(maps, system.lines == "four")
     if reason is not None:
         return SolveOutcome("infeasible", family=family, reason=reason)
     if _keeps_a_factor(maps):
         return SolveOutcome("nontrivial", family=family)
     return SolveOutcome("trivial", family=family)
-
-
-def _ints(signs: tuple[Fraction, ...]) -> tuple[int, ...]:
-    return tuple(int(q) for q in signs)
 
 
 def sign_vectors(k: int) -> list[tuple[int, ...]]:
@@ -477,11 +479,6 @@ class EnumerationResult:
     cases_examined: int
 
 
-def _conj_perm(tau: Perm, sigma: Perm) -> Perm:
-    inv = perm_inverse(tau)
-    return tuple(tau[sigma[inv[j]]] for j in range(len(tau)))
-
-
 @dataclass(frozen=True)
 class _Relabelings:
     """Index tables of the simultaneous relabelings tau of the k factors.
@@ -503,7 +500,7 @@ def _relabelings(k: int) -> _Relabelings:
     perm_index = {perm: i for i, perm in enumerate(perms)}
     sign_index = {vec: j for j, vec in enumerate(signs)}
     perm_image, sign_image = [], []
-    for tau in perms:  # tau sigma tau^-1 maps j to tau[sigma[tau^-1[j]]], as in `_conj_perm`
+    for tau in perms:  # tau sigma tau^-1 maps j to tau[sigma[tau^-1[j]]]
         inv = perm_inverse(tau)
         perm_image.append([perm_index[tuple(tau[sigma[i]] for i in inv)] for sigma in perms])
         sign_image.append([sign_index[tuple(vec[i] for i in inv)] for vec in signs])
@@ -531,11 +528,11 @@ def _stage1_classes(k: int, dedup: bool = True, rel: _Relabelings | None = None)
     for, so a caller that stops early builds only the orbits it reached.
 
     With dedup, each orbit under simultaneous relabeling gives one class:
-    its minimum in tuple order, with the relabelings that fix it, in
-    lexicographic order.  Its pairings (s, p) are the least of their
-    conjugation orbit, and its signs (c, kmul) the least of their orbit
-    under the stabilizer of (s, p), so each sweep takes only that group.
-    Without dedup the group is empty: every tuple is a class."""
+    its minimum in tuple order, with the relabelings that fix it as
+    increasing indices into `rel.perms`.  Its pairings (s, p) are the least
+    of their conjugation orbit, and its signs (c, kmul) the least of their
+    orbit under the stabilizer of (s, p), so each sweep takes only that
+    group.  Without dedup the group is empty: every tuple is a class."""
     rel = rel or _relabelings(k)
     perms, signs = rel.perms, rel.signs
     n_p, n_s = len(perms), len(signs)
@@ -547,7 +544,7 @@ def _stage1_classes(k: int, dedup: bool = True, rel: _Relabelings | None = None)
         sign_images = lambda sp: [si[sp // n_s] * n_s + si[sp % n_s] for si in tables]
         yield from sorted(
             (pair * n_s * n_s + sp, perms[pair // n_p], perms[pair % n_p], signs[sp // n_s],
-             signs[sp % n_s], tuple(perms[group[h]] for h in stab))
+             signs[sp % n_s], tuple(group[h] for h in stab))
             for sp, stab in _orbit_minima(sign_pairs, sign_images)
         )
 
@@ -615,11 +612,11 @@ def _enumerate_chunk(args):
     returns (found, cases, complete), where found holds one record
     (case_index, s, p, c, km, v, r, basis) of plain integers per found case:
     its global index, its pairings and sign vectors, and its family's
-    integer basis, `_unit_basis` on three lines and the `int_nullspace` of
-    its relations on four (the basis `solve_quantum` eliminates; found
-    four-line cases are rare, 23 at k = 4).  A three-line class is one
-    case, with v = r = None; a four-line class has one case per
-    fourth-line choice (v, r).  Cases are counted in index order, up to
+    integer basis, `_unit_basis` on three lines and `_relation_basis` on
+    four (the basis `solve_quantum` eliminates; found four-line cases are
+    rare, 23 at k = 4).  A three-line class is one case, with
+    v = r = None; a four-line class has one case per fourth-line choice
+    (v, r).  Cases are counted in index order, up to
     `budget`, but only those whose choice is a key of the class's
     `_y_columns` are decided: every other case has a zero y part and is
     trivial.  A case whose zero pattern is degenerate
@@ -666,8 +663,7 @@ def _enumerate_chunk(args):
                 survives = _units_keep_a_factor(k, s, km, nx[1], y)
             if survives:
                 if four:
-                    rows = _dense_rows(k, _relation_terms(k, s, p, c, km, v, r))
-                    basis = tuple(map(tuple, int_nullspace(rows, 3 * k)))
+                    basis = tuple(map(tuple, _relation_basis(k, s, p, c, km, v, r)))
                 else:
                     basis = _unit_basis(k, nx, y)
                 found.append((flat * per_class + local_index, s, p, c, km, v, r, basis))
@@ -874,9 +870,10 @@ def _case_columns(k, nx, y, v, r) -> list[tuple] | None:
 
 def _stage2_cases(rel: _Relabelings, stab) -> list[tuple[Perm, tuple]]:
     """Fourth-line choices (v, r) in flat order, one per orbit of the
-    stabilizer `stab`: its minimum in tuple order."""
+    stabilizer `stab` (indices into `rel.perms`): its minimum in tuple
+    order."""
     n_s = len(rel.signs)
-    tables = [(rel.perm_image[t], rel.sign_image[t]) for t in map(rel.perms.index, stab)]
+    tables = [(rel.perm_image[t], rel.sign_image[t]) for t in stab]
     choices = [i_v * n_s + j_r for i_v in range(len(rel.perms)) for j_r in rel.by_rank]
     images = lambda vr: [pi[vr // n_s] * n_s + si[vr % n_s] for pi, si in tables]
     minima = sorted(vr for vr, _ in _orbit_minima(choices, images))
@@ -1056,10 +1053,7 @@ def matches_builtin_four_line(family: SolutionFamily) -> bool:
     zero factor or one vanishing on a system line."""
     system = family.system
     n, x, y = family.instantiate(family.first_primes())
-    cols = [(value,) for value in (*n, *x, *y)]
-    reason = _degeneracy(
-        _factor_maps(system.k, system.perms.s, system.mult.kmul, cols), system.lines == "four"
-    )
+    reason = _degeneracy(_system_maps(system, [(*n, *x, *y)]), system.lines == "four")
     if reason is not None:
         raise ValueError(f"the instantiation at the first primes is degenerate: {reason}")
     F = product_from_assignment(system, n, x, y, quantum=True)
@@ -1152,21 +1146,21 @@ def survey_k3_classical(stats: SurveyStats | None = None) -> list[SurveyEntry]:
     Relabeling the factors by tau maps a solution (n, x, y) of (s, p, c, k)
     to the solution (n, x, y) o tau^-1 of (tau s tau^-1, tau p tau^-1,
     c o tau^-1, k o tau^-1) and only reorders the product's factors, so
-    nontriviality is constant on each orbit of `_conj_perm`: 11 orbits, by
-    Burnside (36 + 3 * 2^2 + 2 * 3^2) / 6.  Pairings are walked in lex
-    order, so an orbit's minimum comes first and is surveyed; a later member
-    of a trivial orbit is trivial without a survey, and a member of a
-    nontrivial one is surveyed for its own witness.  The one nontrivial
-    orbit holds the two fixed-point-free pairings with s != p: 12 surveys,
-    which verify 18 sign patterns.
+    nontriviality is constant on each orbit of `_relabelings(3).perm_image`:
+    11 orbits, by Burnside (36 + 3 * 2^2 + 2 * 3^2) / 6.  Pairings are
+    walked in lex order, so an orbit's minimum comes first and is surveyed;
+    a later member of a trivial orbit is trivial without a survey, and a
+    member of a nontrivial one is surveyed for its own witness.  The one
+    nontrivial orbit holds the two fixed-point-free pairings with s != p:
+    12 surveys, which verify 18 sign patterns.
     """
-    perms = list(itertools.permutations(range(3)))
+    rel = _relabelings(3)
     entries = []
     orbit_nontrivial = {}
-    for s in perms:
-        for p in perms:
-            least = min((_conj_perm(tau, s), _conj_perm(tau, p)) for tau in perms)
-            if least == (s, p) or orbit_nontrivial[least]:
+    for i_s, s in enumerate(rel.perms):
+        for i_p, p in enumerate(rel.perms):
+            least = min((image[i_s], image[i_p]) for image in rel.perm_image)
+            if least == (i_s, i_p) or orbit_nontrivial[least]:
                 witness, data = _survey_pair(s, p, stats)
                 orbit_nontrivial.setdefault(least, witness is not None)
             else:
@@ -1215,7 +1209,7 @@ def _survey_pair(s: Perm, p: Perm, stats: SurveyStats | None = None):
         num = [(n[i], x[i], y[i]) for i in range(k)]
         den = [(km[i] * n[s[i]], x[i], y[i]) for i in range(k)]
         if None in pair_factors(num, den, up_to_sign=False)[0]:
-            data = {"zn": [], "zx": [], "zy": [], "c": c, "k": km, "n": n, "x": x, "y": y}
+            data = {"c": c, "k": km, "n": n, "x": x, "y": y}
             return product_from_assignment(system, n, x, y), data
     return None, {}
 
@@ -1239,8 +1233,6 @@ def matches_builtin_q33(entry: SurveyEntry) -> bool:
     if not entry.nontrivial or entry.witness is None:
         return False
     data = entry.witness_data
-    if data.get("zn") or data.get("zx") or data.get("zy"):
-        return False
     c, x, y = data["c"], data["x"], data["y"]
     if entry.s == (1, 2, 0) and entry.p == (2, 0, 1):
         candidate = builtin_q33(c[0], c[1], x[0], y[0])
