@@ -19,14 +19,15 @@ of a whole system are eliminated in one place, `_relation_basis`.  Each
 three-line relation, and y_i = r_i y_{v(i)}, has two +-1 terms, a signed
 edge between two unknowns, so those spaces are read off the components of
 signed graphs with no elimination: the n and x graphs are the cycles of
-p s^-1 and of p (`_nx_part`), the y graph the orbits of <s, v>.  The y
-relations never mix with the (n, x) relations, so on both line sets a
-case's space is the direct sum of a y part, zero (and the case trivial)
-unless a sign check on the orbits of <s, v> passes, and an (n, x) part.  On
-three lines that is every balanced n and x cycle, one parameter each, so a
-three-line case needs no elimination at all; on four lines it is the
-nullspace of the mixed fourth-line rows over them, by fraction-free integer
-elimination.  Only the cases with a nonzero y part are decided, and of
+p s^-1 and of p (`_nx_part`), the y graph the orbits of <s, v>, built once
+per (s, v) for every km and r (`_y_orbits`).  The y relations never mix
+with the (n, x) relations, so on both line sets a case's space is the
+direct sum of a y part, zero (and the case trivial) unless a sign check on
+the orbits of <s, v> passes, and an (n, x) part.  On three lines that is
+every balanced n and x cycle, one parameter each, so a three-line case
+needs no elimination at all; on four lines it is the nullspace of the mixed
+fourth-line rows over them, by fraction-free integer elimination, done once
+per pairing for each set of mixed rows (`_case_columns`).  Only the cases with a nonzero y part are decided, and of
 those only the ones whose forced zeros alone make no factor vanish on a
 system line (`_pattern_degenerate`).  On three lines that screen is the
 whole degeneracy test, and every unknown is +-1 times one parameter or
@@ -485,12 +486,14 @@ class _Relabelings:
     Relabeling factor i as tau(i) maps a pairing sigma to tau sigma tau^-1
     and a sign vector to the one holding vec[i] at tau(i).  `perms` is in
     lexicographic order, so perm indices compare like the tuples; `signs` is
-    in sign_vectors order, and `by_rank` lists its indices in tuple order."""
+    in sign_vectors order, `negatives` holds each one's bit mask of its
+    negative entries, and `by_rank` lists its indices in tuple order."""
 
     perms: list[Perm]
     signs: list[tuple[int, ...]]
     perm_image: list[list[int]]  # [t][i]: index of the image of perms[i] under perms[t]
     sign_image: list[list[int]]  # [t][j]: index of the image of signs[j] under perms[t]
+    negatives: list[int]
     by_rank: list[int]
 
 
@@ -504,8 +507,14 @@ def _relabelings(k: int) -> _Relabelings:
         inv = perm_inverse(tau)
         perm_image.append([perm_index[tuple(tau[sigma[i]] for i in inv)] for sigma in perms])
         sign_image.append([sign_index[tuple(vec[i] for i in inv)] for vec in signs])
+    negatives = [_negative_mask(vec) for vec in signs]
     by_rank = sorted(range(len(signs)), key=signs.__getitem__)
-    return _Relabelings(perms, signs, perm_image, sign_image, by_rank)
+    return _Relabelings(perms, signs, perm_image, sign_image, negatives, by_rank)
+
+
+def _negative_mask(vec, shift: int = 0) -> int:
+    """The bit mask of the negative entries of vec, entry i at bit shift + i."""
+    return sum(1 << (shift + i) for i, sign in enumerate(vec) if sign < 0)
 
 
 def _orbit_minima(items, images):
@@ -571,8 +580,10 @@ def enumerate_families(
     index order whether screened or solved, and flags the result incomplete
     when exceeded.  Budgeted runs are serial and build only the stage-1
     classes they reach.  Unbudgeted runs with threads > 1 deal the classes
-    into `threads` chunks and run them on a process pool of at most
-    `os.cpu_count()` workers.
+    into min(threads, `os.cpu_count()`) chunks, in flat order within each,
+    and run them on a process pool of one worker per chunk; the found cases
+    are merged by `case_index`, so the result is the serial one whatever the
+    number of chunks.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -588,14 +599,16 @@ def enumerate_families(
     stage1 = _stage1_classes(k, dedup, rel)
     if threads > 1 and budget is None:
         stage1 = list(stage1)
-        chunks = [stage1[i::threads] for i in range(threads)]
+        # The pool starts all its workers at once, so it gets no more than
+        # the cores, and no more chunks than workers: each chunk pickles rel.
+        workers = min(threads, os.cpu_count() or 1)
+        chunks = [stage1[i::workers] for i in range(workers)]
         args = [(k, lines, chunk, None, rel) for chunk in chunks if chunk]
         # Imported here: it pulls in multiprocessing, which a serial run
         # never needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        # The pool starts all its workers at once: no more than the cores.
-        with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=len(args)) as pool:
             parts = list(pool.map(_enumerate_chunk, args))
     else:
         parts = [_enumerate_chunk((k, lines, stage1, budget, rel))]
@@ -616,40 +629,65 @@ def _enumerate_chunk(args):
     four (the basis `solve_quantum` eliminates; found four-line cases are
     rare, 23 at k = 4).  A three-line class is one case, with
     v = r = None; a four-line class has one case per fourth-line choice
-    (v, r).  Cases are counted in index order, up to
-    `budget`, but only those whose choice is a key of the class's
-    `_y_columns` are decided: every other case has a zero y part and is
-    trivial.  A case whose zero pattern is degenerate
+    (v, r).  Cases are counted in index order, up to `budget`, but only
+    those with a nonzero y part (`_y_columns`) are decided: every other
+    case is trivial.  A case whose zero pattern is degenerate
     (`_pattern_degenerate`, memoised per pattern) is rejected; any other is
     decided on its units (`_units_keep_a_factor`) on three lines, and on
-    `_case_columns` on four."""
+    `_case_columns` on four.
+
+    Work shared between cases is done once and kept only while it can be
+    reused.  Each stabilizer's stage-2 list comes with the first local
+    index of each v in it, so a class builds the y entries of a v, for all
+    r at once, only when some choice of that v is below its `todo`; they
+    are kept per (km, v), from `_y_orbits` kept per v, both until s
+    changes.  The pairing's cycles and the nullspaces of `_case_columns`
+    are kept until (s, p) changes.  Classes come in flat order, s and then
+    p outermost, in a dealt chunk too, so each is built once per chunk;
+    given classes in any other order the search only rebuilds more."""
     k, lines, entries, budget, rel = args
     four = lines == "four"
     per_class = len(rel.perms) * len(rel.signs) if four else 1
     found = []
     cases = 0
     stage2_of = {}  # trivial stabilizers are all one tuple, so they share an entry
-    y_columns_of = {}  # the y block involves only s, km, v and r
-    cycles_of = {}  # (s, p) -> `_pair_cycles`, shared by the pairing's sign classes
     degenerate = {}  # (s, n and x pattern, y pattern) -> `_pattern_degenerate`
+    pair = None
     for flat, s, p, c, km, stab in entries:
         if stab not in stage2_of:
             stage2 = _stage2_cases(rel, stab) if four else [(None, None)]
-            stage2_of[stab] = stage2, {choice: local for local, choice in enumerate(stage2)}
-        stage2, local_of = stage2_of[stab]
+            firsts = {}
+            for local, (v, _) in enumerate(stage2):
+                firsts.setdefault(v, local)
+            local_of = {choice: local for local, choice in enumerate(stage2)}
+            stage2_of[stab] = stage2, local_of, list(firsts.items())
+        stage2, local_of, firsts = stage2_of[stab]
         todo = len(stage2) if budget is None else min(len(stage2), budget - cases)
-        if (s, km) not in y_columns_of:
-            y_columns_of[s, km] = _y_columns(k, s, km, rel if four else None)
-        y_columns = y_columns_of[s, km]
-        nonzero_y = sorted(i for i in map(local_of.get, y_columns) if i is not None and i < todo)
+        if pair is None or pair[0] != s:
+            y_orbits_of = {}  # v -> `_y_orbits(k, s, v)`
+            y_columns_of = {}  # (km, v) -> `_y_columns`
+        if pair != (s, p):
+            pair = s, p
+            cycles = _pair_cycles(s, p)
+            nullspaces = {}  # the mixed-row nullspaces of `_case_columns`
+        nonzero_y = []
+        for v, first in firsts:
+            if first >= todo:
+                break
+            if (km, v) not in y_columns_of:
+                if v not in y_orbits_of:
+                    y_orbits_of[v] = _y_orbits(k, s, v)
+                y_columns_of[km, v] = _y_columns(k, y_orbits_of[v], km, rel if four else None)
+            for r in y_columns_of[km, v]:
+                local = local_of.get((v, r))
+                if local is not None and local < todo:
+                    nonzero_y.append(local)
         if nonzero_y:
-            if (s, p) not in cycles_of:
-                cycles_of[s, p] = _pair_cycles(s, p)
-            nx = _nx_part(k, p, c, km, cycles_of[s, p], four)
+            nx = _nx_part(k, p, c, km, cycles, four)
             nx_nonzero = tuple(map(bool, nx[1]))
-        for local_index in nonzero_y:
+        for local_index in sorted(nonzero_y):
             v, r = stage2[local_index]
-            y_nonzero, y = y_columns[v, r]
+            y_nonzero, y = y_columns_of[km, v][r]
             key = s, nx_nonzero, y_nonzero
             rejected = degenerate.get(key)
             if rejected is None:
@@ -657,7 +695,7 @@ def _enumerate_chunk(args):
             if rejected:
                 continue
             if four:
-                cols = _case_columns(k, nx, y, v, r)
+                cols = _case_columns(k, nx, y, v, r, nullspaces)
                 survives = cols is not None and _survives(k, s, km, cols)
             else:
                 survives = _units_keep_a_factor(k, s, km, nx[1], y)
@@ -710,8 +748,9 @@ def _pattern_degenerate(k, s, nonzero) -> bool:
 def _signed_components(n, edges) -> tuple[list, dict]:
     """The components of a signed graph on the vertices 0..n-1, whose edge
     (i, j, parity, mask) says value_j = value_i times (-1)^parity times the
-    product of the r_l with bit l set in mask.  It serves the y part
-    (`_y_columns`), whose components are the orbits of <s, v>, not the
+    product of the signs with bit l set in mask, sign variables that the
+    caller numbers (`_y_orbits`: r_l at bit l, km_l at bit k + l).  It
+    serves the y part, whose components are the orbits of <s, v>, not the
     cycles of one permutation; the n and x graphs are cycles (`_nx_part`).
 
     Returns (label, conditions).  label[i] = (root, parity, mask) gives the
@@ -719,8 +758,8 @@ def _signed_components(n, edges) -> tuple[list, dict]:
     the XOR of the edges on a spanning-tree path.  conditions maps each
     root, in increasing order, to the set of (mask, parity) conditions its
     edges impose: an edge is consistent with the labels exactly when its
-    condition holds, that is when the number of negative r_l with bit l set
-    in mask has that parity, and a tree edge's condition is (0, 0).  A
+    condition holds, that is when the number of negative signs with their
+    bit set in mask has that parity, and a tree edge's condition is (0, 0).  A
     component carries a nonzero solution exactly when all its conditions
     hold; with no masks that is when (0, 1), a cycle of odd sign, is not
     among them (Harary's balance).  A self-loop of sign -1 gives (0, 1), so
@@ -751,18 +790,48 @@ def _signed_components(n, edges) -> tuple[list, dict]:
     return label, conditions
 
 
-def _y_columns(k, s, km, rel: _Relabelings | None) -> dict:
-    """(nonzero, columns) of each fourth-line choice (v, r) of `rel` with a
-    nonzero y block: for each y unknown whether its column is nonzero, and
-    the y columns.  Without `rel` the one choice is (None, None), the
-    three-line case, whose masks are all 0.
+def _y_orbits(k, s, v) -> tuple[list, dict]:
+    """(label, orbits) of the y block of (s, v), for every km and r at once:
+    `_signed_components` of the edges y_i = km_i y_{s(i)}, mask bit k + i,
+    and, given v, y_i = r_i y_{v(i)}, mask bit i, all of parity 0.  orbits
+    maps each root, in increasing order, to the masks of the conditions
+    other than (0, 0) of its orbit of <s, v>, every parity being 0.  A
+    choice (km, r) is decided by popcount parities of its one 2k-bit
+    negative mask, the bits of r's negative entries and, above them, those
+    of km's (`_y_columns`).
+
+    This is the y block of each (km, r) with the sign of km folded into
+    the masks.  Built for one km, the s-edge i would have parity 1 exactly
+    when km_i < 0 and mask 0; here it has parity 0 and mask bit k + i, and
+    that bit counts towards the parity of a negative mask exactly when
+    km_i < 0: the s-edge parity was exactly km_i's bit.  Parities and
+    masks enter `_signed_components` only through XOR along paths and
+    cycles, and its spanning trees follow the edges alone, so for every
+    (km, r) the roots are the same, and each label and each condition
+    holds the same sign, parity XOR the parity of the negative mask on its
+    mask, as in the per-km construction.  So the y part of every (km, r)
+    comes out as it would if built for that km alone, and `_signed_components`
+    runs once per (s, v) in place of once per (s, km, v)."""
+    edges = [(i, s[i], 0, 1 << (k + i)) for i in range(k)]
+    if v is not None:
+        edges += [(i, v[i], 0, 1 << i) for i in range(k)]
+    label, conditions = _signed_components(k, edges)
+    return label, {root: sorted(m for m, _ in conds if m) for root, conds in conditions.items()}
+
+
+def _y_columns(k, y_orbits, km, rel: _Relabelings | None) -> dict:
+    """r -> (nonzero, columns) for each fourth-line sign vector r of `rel`
+    with a nonzero y block, given `_y_orbits(k, s, v)`: for each y unknown
+    whether its column is nonzero, and the y columns.  Without `rel` the
+    one sign vector is r = None, with no negative entry: the three-line
+    case, given the orbits of v = None.
 
     The y block is y_i = km_i y_{s(i)}, plus y_i = r_i y_{v(i)} given v.
-    `_signed_components` gives each y unknown its sign relative to the root
-    of its orbit of <s, v>, and an orbit carries a nonzero solution exactly
-    when the signs around each of its cycles multiply to one: when r meets
-    each of its conditions (mask, parity), that is when the bits of mask
-    among r's negative entries have that parity (a popcount, as in
+    `_y_orbits` gives each y unknown its sign relative to the root of its
+    orbit of <s, v>, and an orbit carries a nonzero solution exactly when
+    the signs around each of its cycles multiply to one: when (km, r) meets
+    each of its condition masks, that is when the bits of the mask among
+    the negative entries of r and km have even parity (a popcount, as in
     `_SIGN_PATTERNS`).  y_i is its sign times its orbit's parameter, or 0
     if the orbit is zero.
 
@@ -774,26 +843,21 @@ def _y_columns(k, s, km, rel: _Relabelings | None) -> dict:
     n = x = 0 always solves the system: a case the screen keeps has a
     nonempty solution space.
 
-    The dict is empty exactly when no s-orbit is balanced.  A balanced
-    s-orbit stays balanced for v = identity and r = all +1, and an
+    The dicts of all v are empty exactly when no s-orbit is balanced.  A
+    balanced s-orbit stays balanced for v = identity and r = all +1, and an
     unbalanced cycle stays in whatever component v merges it into."""
+    label, orbits = y_orbits
+    km_neg = _negative_mask(km, k)
     out = {}
-    negatives = [
-        (r, sum(1 << i for i, sign in enumerate(r) if sign < 0)) for r in rel.signs
-    ] if rel else [(None, 0)]
-    s_edges = [(i, s[i], int(km[i] < 0), 0) for i in range(k)]
-    for v in rel.perms if rel else [None]:
-        v_edges = [(i, v[i], 0, 1 << i) for i in range(k)] if v is not None else []
-        label, conditions = _signed_components(k, s_edges + v_edges)
-        orbits = {root: sorted(c - {(0, 0)}) for root, c in conditions.items() if (0, 1) not in c}
-        for r, neg in negatives:
-            odd = lambda mask: (neg & mask).bit_count() & 1
-            roots = [root for root, conds in orbits.items() if all(odd(m) == q for m, q in conds)]
-            if roots:
-                out[v, r] = tuple(root in roots for root, _, _ in label), [
-                    tuple((-1) ** (parity ^ odd(mask)) * (root == other) for other in roots)
-                    for root, parity, mask in label
-                ]
+    for r, r_neg in zip(rel.signs, rel.negatives) if rel else [(None, 0)]:
+        neg = km_neg | r_neg
+        odd = lambda mask: (neg & mask).bit_count() & 1
+        roots = [root for root, masks in orbits.items() if not any(map(odd, masks))]
+        if roots:
+            out[r] = tuple(root in roots for root, _, _ in label), [
+                tuple((-1) ** odd(mask) * (root == other) for other in roots)
+                for root, _, mask in label
+            ]
     return out
 
 
@@ -841,7 +905,7 @@ def _nx_part(k, p, c, km, pair_cycles, four: bool) -> tuple[int, list, dict]:
         for u, coef in terms:
             if units[u]:
                 out[units[u][0]] += coef * units[u][1]
-        return out
+        return tuple(out)
 
     if not four:
         return m, units, {}
@@ -852,15 +916,29 @@ def _nx_part(k, p, c, km, pair_cycles, four: bool) -> tuple[int, list, dict]:
     return m, units, rows
 
 
-def _case_columns(k, nx, y, v, r) -> list[tuple] | None:
+def _case_columns(k, nx, y, v, r, nullspaces) -> list[tuple] | None:
     """`_columns` of a four-line case with the nonzero y columns `y` from
     `_y_columns`: the direct sum of its (n, x) part, the nullspace of its
     mixed rows over `_nx_part`, and its y part.  None when the (n, x) part
     is zero: with n = x = 0 every factor vanishes on c' = 0.  The k mixed
     rows of the choice, rows[i, v(i), r_i] of `_nx_part`, are eliminated as
-    written."""
+    written, unless `nullspaces` holds their nullspace already.
+
+    `nullspaces` maps (m, the sorted mixed rows) to `int_nullspace` of
+    those rows over m parameters, and a miss is stored in it.  The key is
+    sound because the primitive basis depends only on the row space: the
+    rref of the rows, and so its pivot and free columns, is the same for
+    every matrix with that row space, and `int_nullspace` returns for each
+    free column the rref basis vector scaled to the primitive integer
+    vector that is positive there, which is unique.  Rows that differ only
+    in order span the same space, so any case with the same key, of any
+    sign class of the pairing, has the same nullspace."""
     m, units, rows = nx
-    null = int_nullspace([rows[i, v[i], r[i]] for i in range(k)], m)
+    mixed = [rows[i, v[i], r[i]] for i in range(k)]
+    key = m, tuple(sorted(mixed))
+    null = nullspaces.get(key)
+    if null is None:
+        null = nullspaces[key] = int_nullspace(mixed, m)
     if not null:
         return None
     zero, pad = (0,) * len(null), (0,) * len(y[0])
@@ -1107,8 +1185,7 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # The 64 sign patterns of the multipliers (c0, c1, c2, k0, k1, k2), in
 # itertools.product order, each with the bit mask of its negative entries.
 _SIGN_PATTERNS = tuple(
-    (signs, sum(1 << j for j, sign in enumerate(signs) if sign < 0))
-    for signs in itertools.product((1, -1), repeat=6)
+    (signs, _negative_mask(signs)) for signs in itertools.product((1, -1), repeat=6)
 )
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import hashlib
 import itertools
 import json
@@ -458,15 +459,16 @@ def test_threaded_enumeration_matches_serial(k, lines):
     assert serial.complete and threaded.complete
 
 
-@pytest.mark.parametrize("threads,cpus,workers", [(5000, 3, 3), (5000, None, 1), (2, 3, 2)])
-def test_pool_starts_no_more_workers_than_cores(monkeypatch, threads, cpus, workers):
-    sizes = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replaces `ProcessPoolExecutor` by a pool that maps in this process,
+    so no worker starts, and returns the record of each pool's size and of
+    the items mapped."""
+    record = {"sizes": [], "items": []}
 
     class InProcessPool:
-        """Records the pool size and maps in this process: no worker starts."""
-
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            record["sizes"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -475,13 +477,33 @@ def test_pool_starts_no_more_workers_than_cores(monkeypatch, threads, cpus, work
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            record["items"] += items
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return record
+
+
+@pytest.mark.parametrize("threads,cpus,workers", [(5000, 3, 3), (5000, None, 1), (2, 3, 2)])
+def test_pool_starts_no_more_workers_than_cores(
+    monkeypatch, in_process_pool, threads, cpus, workers
+):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     result = enumerate_families(3, "three", threads=threads)
-    assert sizes == [workers]
+    assert in_process_pool["sizes"] == [workers]
     assert result == enumerate_families(3, "three", threads=1)
+
+
+def test_threads_beyond_the_cores_deal_no_more_chunks_than_workers(in_process_pool):
+    """With 64 threads asked for, the classes are dealt into no more chunks
+    than `os.cpu_count()`, each sent to the pool once, and the merged result
+    is the serial one."""
+    result = enumerate_families(4, "three", threads=64)
+    chunks = in_process_pool["items"]
+    assert 1 <= len(chunks) <= (os.cpu_count() or 1)
+    assert in_process_pool["sizes"] == [len(chunks)]
+    assert result == enumerate_families(4, "three")
 
 
 # The nontrivial k = 4 three-line families, one case per stage-1 class, as
@@ -721,6 +743,9 @@ def test_four_line_case_count_is_burnside_count(k, count, request):
     assert examined == count
 
 
+_relabelings = functools.cache(qsearch._relabelings)
+
+
 def _screen_cases():
     """Every case for k <= 3 on both line sets without dedup (a three-line
     case has v = r = None), and the stage-2 cases of the first 20 k = 4
@@ -746,15 +771,23 @@ def _survives_in_full(k, s, km, space, four):
     return qsearch._degeneracy(maps, four) is None and qsearch._keeps_a_factor(maps)
 
 
+@functools.cache
+def _y_columns_of(k, s, km, v):
+    """The search's `_y_columns` of (s, km, v), v = None on three lines."""
+    rel = _relabelings(k) if v is not None else None
+    return qsearch._y_columns(k, qsearch._y_orbits(k, s, v), km, rel)
+
+
+def _y_entry(k, s, km, v, r):
+    """The search's y entry (nonzero, columns) of one case, or None when its
+    y part is zero."""
+    return _y_columns_of(k, s, km, v).get(r)
+
+
 def test_y_block_screen_is_exact_and_never_drops_a_family():
     kept = dropped = 0
-    y_columns = {}
     for k, s, p, c, km, v, r in _screen_cases():
-        four = v is not None
-        if (k, s, km, four) not in y_columns:
-            rel = qsearch._relabelings(k) if four else None
-            y_columns[k, s, km, four] = qsearch._y_columns(k, s, km, rel)
-        keeps = (v, r) in y_columns[k, s, km, four]
+        keeps = _y_entry(k, s, km, v, r) is not None
         space = qsearch._relation_basis(k, s, p, c, km, v, r)
         assert keeps == any(any(vec[2 * k :]) for vec in space)
         if keeps:
@@ -813,10 +846,10 @@ def test_three_line_shortcuts_agree_with_elimination():
     cases = [case[:5] for case in _screen_cases() if case[5] is None]
     cases += [(4, s, p, c, km) for _, s, p, c, km, _ in _stage1_classes(4)]
     for k, s, p, c, km in cases:
-        y_columns = qsearch._y_columns(k, s, km, None)
-        if (None, None) not in y_columns:
+        y_entry = _y_entry(k, s, km, None, None)
+        if y_entry is None:
             continue
-        y_nonzero, y = y_columns[None, None]
+        y_nonzero, y = y_entry
         units = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), False)[1]
         if qsearch._pattern_degenerate(k, s, tuple(map(bool, units)) + y_nonzero):
             continue
@@ -836,15 +869,12 @@ def test_zero_pattern_screen_rejects_only_cases_without_a_surviving_family():
     exactly the cases whose family is degenerate.  Both outcomes occur on
     both line sets."""
     outcomes = Counter()
-    y_columns = {}
     for k, s, p, c, km, v, r in _screen_cases():
         four = v is not None
-        if (k, s, km, four) not in y_columns:
-            rel = qsearch._relabelings(k) if four else None
-            y_columns[k, s, km, four] = qsearch._y_columns(k, s, km, rel)
-        if (v, r) not in y_columns[k, s, km, four]:
+        y_entry = _y_entry(k, s, km, v, r)
+        if y_entry is None:
             continue
-        y_nonzero = y_columns[k, s, km, four][v, r][0]
+        y_nonzero = y_entry[0]
         units = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), four)[1]
         nx_nonzero = tuple(map(bool, units))
         rejected = qsearch._pattern_degenerate(k, s, nx_nonzero + y_nonzero)
@@ -876,6 +906,91 @@ def test_zero_pattern_screen_leaves_few_cases_to_eliminate(monkeypatch, lines, b
     monkeypatch.setattr(qsearch, name, counting)
     enumerate_families(4, lines, budget=budget)
     assert count["calls"] == calls
+
+
+def _y_columns_per_km(k, s, km, rel):
+    """The y entries {(v, r): (nonzero, columns)} of every fourth-line
+    choice of `rel` with a nonzero y block, or of (None, None) without
+    `rel`, built as the search built them before km was folded into the
+    masks: one `_signed_components` call per (km, v), whose s-edge i has
+    parity 1 exactly when km_i < 0 and mask 0."""
+    out = {}
+    negatives = [
+        (r, sum(1 << i for i, sign in enumerate(r) if sign < 0)) for r in rel.signs
+    ] if rel else [(None, 0)]
+    s_edges = [(i, s[i], int(km[i] < 0), 0) for i in range(k)]
+    for v in rel.perms if rel else [None]:
+        v_edges = [(i, v[i], 0, 1 << i) for i in range(k)] if v is not None else []
+        label, conditions = qsearch._signed_components(k, s_edges + v_edges)
+        orbits = {root: sorted(c - {(0, 0)}) for root, c in conditions.items() if (0, 1) not in c}
+        for r, neg in negatives:
+            odd = lambda mask: (neg & mask).bit_count() & 1
+            roots = [root for root, conds in orbits.items() if all(odd(m) == q for m, q in conds)]
+            if roots:
+                out[v, r] = tuple(root in roots for root, _, _ in label), [
+                    tuple((-1) ** (parity ^ odd(mask)) * (root == other) for other in roots)
+                    for root, parity, mask in label
+                ]
+    return out
+
+
+def test_y_entries_per_s_and_v_equal_the_per_km_construction():
+    """Folding km into the masks of `_y_orbits` changes no y entry: on both
+    line sets, `_y_columns` of `_y_orbits(k, s, v)` equals the per-km
+    construction for every (s, km, v, r) at k <= 4, and for every s with a
+    sample of km at k = 5.  Zero and nonzero y parts both occur."""
+    kinds = Counter()
+    for k in (1, 2, 3, 4, 5):
+        rel = _relabelings(k)
+        kms = rel.signs if k < 5 else [rel.signs[3], rel.signs[-1]]  # 2 and 4 negatives
+        for s in rel.perms:
+            y_orbits = {v: qsearch._y_orbits(k, s, v) for v in [None, *rel.perms]}
+            for km in kms:
+                for line_rel, vs in ((None, [None]), (rel, rel.perms)):
+                    got = {
+                        (v, r): entry
+                        for v in vs
+                        for r, entry in qsearch._y_columns(k, y_orbits[v], km, line_rel).items()
+                    }
+                    assert got == _y_columns_per_km(k, s, km, line_rel), (k, s, km, line_rel)
+                    kinds["nonzero"] += len(got)
+                    kinds["zero"] += len(vs) * (len(rel.signs) if line_rel else 1) - len(got)
+    assert kinds["nonzero"] and kinds["zero"]
+
+
+@pytest.mark.parametrize("budget,calls", [(1000, 65), (None, 9377)])
+def test_nullspace_reuse_within_a_pairing_is_exact(monkeypatch, budget, calls):
+    """In the k = 4 four-line search, `_case_columns` reuses a nullspace
+    exactly when one is held under the case's key (m, sorted mixed rows),
+    and every reused nullspace equals a fresh `int_nullspace` of the case's
+    own rows.  The search eliminates `calls` times in all, 89 and 31,580
+    without reuse (the full search's count includes the 23 `_relation_basis`
+    calls of its found cases), and holds at most 502 nullspaces at once."""
+    count = Counter()
+    eliminate, case_columns = qsearch.int_nullspace, qsearch._case_columns
+
+    def counting(rows, ncols):
+        count["calls"] += 1
+        return eliminate(rows, ncols)
+
+    def checking(k, nx, y, v, r, nullspaces):
+        m, _, rows = nx
+        own = [rows[i, v[i], r[i]] for i in range(k)]
+        key = m, tuple(sorted(own))
+        hit, before = key in nullspaces, count["calls"]
+        if hit:
+            assert nullspaces[key] == eliminate(own, m)
+            count["hits"] += 1
+        cols = case_columns(k, nx, y, v, r, nullspaces)
+        assert (count["calls"] == before) == hit
+        count["live"] = max(count["live"], len(nullspaces))
+        return cols
+
+    monkeypatch.setattr(qsearch, "int_nullspace", counting)
+    monkeypatch.setattr(qsearch, "_case_columns", checking)
+    enumerate_families(4, "four", budget=budget)
+    assert count["calls"] == calls and count["hits"] > 0
+    assert count["live"] <= 502
 
 
 # The stage-1 classes of the 23 nontrivial k = 4 four-line families.
