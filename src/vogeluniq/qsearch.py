@@ -18,36 +18,36 @@ relations' coefficients are then integers in {0, +-1, +-3}; the relations
 of a whole system are eliminated in one place, `_relation_basis`.  Each
 three-line relation, and y_i = r_i y_{v(i)}, has two +-1 terms, a signed
 edge between two unknowns, so those spaces are read off the components of
-signed graphs with no elimination: the n and x graphs are the cycles of
-p s^-1 and of p (`_nx_part`), the y graph the orbits of <s, v>, built once
-per (s, v) for every km and r (`_y_orbits`).  The y relations never mix
+signed graphs with no elimination: the n and x graphs are the cycles
+of p s^-1 and of p (`_nx_part`), the y graph the orbits of <s, v>, built
+once per (s, v) for every km and r (`_y_orbits`).  The y relations never mix
 with the (n, x) relations, so on both line sets a case's space is the
 direct sum of a y part, zero (and the case trivial) unless a sign check on
 the orbits of <s, v> passes, and an (n, x) part.  On three lines that is
 every balanced n and x cycle, one parameter each, so a three-line case
 needs no elimination at all; on four lines it is the nullspace of the mixed
 fourth-line rows over them, by fraction-free integer elimination, done once
-per pairing for each set of mixed rows (`_case_columns`).  Only the cases with a nonzero y part are decided, and of
-those only the ones whose forced zeros alone make no factor vanish on a
-system line (`_pattern_degenerate`).  On three lines that screen is the
-whole degeneracy test, and every unknown is +-1 times one parameter or
-zero, so a kept case is decided on those signed units without building a
-column (`_units_keep_a_factor`); a four-line case builds the columns of its
-family (`_case_columns`) and runs both tests on them (`_survives`).  Each
-case is decided by exact tests (degeneracy, and nontriviality by pairing
-the factors' linear maps up to sign), so the search draws no random numbers
-and its result does not depend on a seed.  A found case leaves the search
-as a record of plain integers with its family's integer basis: on three
-lines its signed unit vectors, already in rref (`_unit_basis`), on four
-lines `_relation_basis`.  Only the process that returns the result turns
-each record into a `FoundFamily` (`_found_family`), whose multipliers stay
-the record's ints and whose vectors are Fractions, so a process pool
-pickles no Fraction.  Relabelings are the index tables of `_relabelings`,
-for the search and the survey alike.  The classical multipliers form a
-continuum; they are verified rather than searched, except for the dedicated
-k = 3 survey which decides nontriviality on each pairing's all-nonzero
-stratum, the only one that can be nontrivial, exactly, at one point with
-distinct prime coordinates.
+per pairing for each set of mixed rows (`_case_columns`).  Only the cases
+with a nonzero y part are decided, and of those only the ones whose forced
+zeros alone make no factor vanish on a system line (`_pattern_degenerate`).
+On three lines that screen is the whole degeneracy test, and every unknown
+is +-1 times one parameter or zero, so a kept case is decided on those
+signed units without building a column (`_units_keep_a_factor`); a
+four-line case builds the columns of its family (`_case_columns`) and runs
+both tests on them (`_survives`).  Each case is decided by exact tests
+(degeneracy, and nontriviality by pairing the factors' linear maps up to
+sign), so the search draws no random numbers and its result does not depend
+on a seed.  A found case leaves the search as a record of plain integers
+with its family's integer basis: on three lines its signed unit vectors,
+already in rref (`_unit_basis`), on four lines `_relation_basis`.  Only the
+process that returns the result turns each record into a `FoundFamily`
+(`_found_family`), whose multipliers stay the record's ints and whose
+vectors are Fractions, so a process pool pickles no Fraction.  Relabelings
+are the index tables of `_relabelings`, for the search and the survey
+alike.  The classical multipliers form a continuum; they are verified
+rather than searched, except for the dedicated k = 3 survey which decides
+nontriviality on each pairing's all-nonzero stratum, the only one that can
+be nontrivial, exactly, at one point with distinct prime coordinates.
 """
 
 from __future__ import annotations
