@@ -27,27 +27,32 @@ the orbits of <s, v> passes, and an (n, x) part.  On three lines that is
 every balanced n and x cycle, one parameter each, so a three-line case
 needs no elimination at all; on four lines it is the nullspace of the mixed
 fourth-line rows over them, by fraction-free integer elimination, done once
-per pairing for each set of mixed rows (`_case_columns`).  Only the cases
-with a nonzero y part are decided, and of those only the ones whose forced
-zeros alone make no factor vanish on a system line (`_pattern_degenerate`).
-On three lines that screen is the whole degeneracy test, and every unknown
-is +-1 times one parameter or zero, so a kept case is decided on those
-signed units without building a column (`_units_keep_a_factor`); a
-four-line case builds the columns of its family (`_case_columns`) and runs
-both tests on them (`_survives`).  Each case is decided by exact tests
+per pairing for each set of mixed rows (`_case_columns`).  Every unknown of
+a case is +-1 times one parameter of its part or zero, and it is held as
+one int, its code: 0, or +-(j + 1) for +-1 times parameter j, the (n, x)
+components and the y orbits each numbered within their part.  Only the
+cases with a nonzero y part are decided, and of those only the ones whose
+forced zeros alone make no factor vanish on a system line
+(`_pattern_degenerate`).  On three lines that screen is the whole
+degeneracy test, and a kept case is decided on its 3k codes without
+building a column (`_codes_keep_a_factor`); a four-line case builds the
+maps of its family, the (n, x) maps over its nullspace and each y map as
+its one code, with no padding between the parts (`_case_columns`), and
+runs both tests on them (`_survives`).  Each case is decided by exact tests
 (degeneracy, and nontriviality by pairing the factors' linear maps up to
 sign), so the search draws no random numbers and its result does not depend
 on a seed.  A found case leaves the search as a record of plain integers
-with its family's integer basis: on three lines its signed unit vectors,
-already in rref (`_unit_basis`), on four lines `_relation_basis`.  Only the
-process that returns the result turns each record into a `FoundFamily`
-(`_found_family`), whose multipliers stay the record's ints and whose
-vectors are Fractions, so a process pool pickles no Fraction.  Relabelings
-are the index tables of `_relabelings`, for the search and the survey
-alike.  The classical multipliers form a continuum; they are verified
-rather than searched, except for the dedicated k = 3 survey which decides
-nontriviality on each pairing's all-nonzero stratum, the only one that can
-be nontrivial, exactly, at one point with distinct prime coordinates.
+with its family's integer basis: on three lines the signed unit vectors of
+its codes, already in rref (`_code_basis`), on four lines `_relation_basis`.
+Only the process that returns the result turns each record into a
+`FoundFamily` (`_found_family`), whose multipliers stay the record's ints
+and whose vectors are Fractions, so a process pool pickles no Fraction.
+Relabelings are the index tables of `_relabelings`, for the search and the
+survey alike.  The classical multipliers form a continuum; they are
+verified rather than searched, except for the dedicated k = 3 survey which
+decides nontriviality on each pairing's all-nonzero stratum, the only one
+that can be nontrivial, exactly, at one point with distinct prime
+coordinates.
 """
 
 from __future__ import annotations
@@ -303,7 +308,7 @@ class SolutionFamily:
 
     def factor_product(self, params: tuple[Fraction, ...]) -> FactorProduct:
         n, x, y = self.instantiate(params)
-        return product_from_assignment(self.system, n, x, y, self.system.mult.quantum)
+        return product_from_assignment(self.system, n, x, y)
 
     def first_primes(self) -> tuple[Fraction, ...]:
         """The parameters of the family's sample instantiation: the first
@@ -318,15 +323,15 @@ def product_from_assignment(
     n: tuple[Fraction, ...],
     x: tuple[Fraction, ...],
     y: tuple[Fraction, ...],
-    quantum: bool = False,
 ) -> FactorProduct:
-    """The factor product encoded by an assignment, in the primed basis.
-    Denominator alpha-coefficients are m_i = k_i * n_{s(i)}."""
+    """The factor product encoded by an assignment, in the primed basis,
+    quantum when the system's multipliers are.  Denominator
+    alpha-coefficients are m_i = k_i * n_{s(i)}."""
     k = system.k
     s, km = system.perms.s, system.mult.kmul
     num = tuple(LinearForm((n[i], x[i], y[i]), Basis.PRIMED) for i in range(k))
     den = tuple(LinearForm((km[i] * n[s[i]], x[i], y[i]), Basis.PRIMED) for i in range(k))
-    return FactorProduct(num, den, quantum=quantum, basis=Basis.PRIMED)
+    return FactorProduct(num, den, quantum=system.mult.quantum, basis=Basis.PRIMED)
 
 
 @dataclass(frozen=True)
@@ -469,8 +474,11 @@ def sign_vectors(k: int) -> list[tuple[int, ...]]:
 @dataclass(frozen=True)
 class FoundFamily:
     case_index: int
-    system: ConstraintSystem
     family: SolutionFamily
+
+    @property
+    def system(self) -> ConstraintSystem:
+        return self.family.system
 
 
 @dataclass(frozen=True)
@@ -625,15 +633,15 @@ def _enumerate_chunk(args):
     returns (found, cases, complete), where found holds one record
     (case_index, s, p, c, km, v, r, basis) of plain integers per found case:
     its global index, its pairings and sign vectors, and its family's
-    integer basis, `_unit_basis` on three lines and `_relation_basis` on
+    integer basis, `_code_basis` on three lines and `_relation_basis` on
     four (the basis `solve_quantum` eliminates; found four-line cases are
     rare, 23 at k = 4).  A three-line class is one case, with
     v = r = None; a four-line class has one case per fourth-line choice
     (v, r).  Cases are counted in index order, up to `budget`, but only
-    those with a nonzero y part (`_y_columns`) are decided: every other
+    those with a nonzero y part (`_y_codes`) are decided: every other
     case is trivial.  A case whose zero pattern is degenerate
     (`_pattern_degenerate`, memoised per pattern) is rejected; any other is
-    decided on its units (`_units_keep_a_factor`) on three lines, and on
+    decided on its codes (`_codes_keep_a_factor`) on three lines, and on
     `_case_columns` on four.
 
     Work shared between cases is done once and kept only while it can be
@@ -665,7 +673,7 @@ def _enumerate_chunk(args):
         todo = len(stage2) if budget is None else min(len(stage2), budget - cases)
         if pair is None or pair[0] != s:
             y_orbits_of = {}  # v -> `_y_orbits(k, s, v)`
-            y_columns_of = {}  # (km, v) -> `_y_columns`
+            y_codes_of = {}  # (km, v) -> `_y_codes`
         if pair != (s, p):
             pair = s, p
             cycles = _pair_cycles(s, p)
@@ -674,11 +682,11 @@ def _enumerate_chunk(args):
         for v, first in firsts:
             if first >= todo:
                 break
-            if (km, v) not in y_columns_of:
+            if (km, v) not in y_codes_of:
                 if v not in y_orbits_of:
                     y_orbits_of[v] = _y_orbits(k, s, v)
-                y_columns_of[km, v] = _y_columns(k, y_orbits_of[v], km, rel if four else None)
-            for r in y_columns_of[km, v]:
+                y_codes_of[km, v] = _y_codes(k, y_orbits_of[v], km, rel if four else None)
+            for r in y_codes_of[km, v]:
                 local = local_of.get((v, r))
                 if local is not None and local < todo:
                     nonzero_y.append(local)
@@ -687,7 +695,7 @@ def _enumerate_chunk(args):
             nx_nonzero = tuple(map(bool, nx[1]))
         for local_index in sorted(nonzero_y):
             v, r = stage2[local_index]
-            y_nonzero, y = y_columns_of[km, v][r]
+            y_nonzero, y = y_codes_of[km, v][r]
             key = s, nx_nonzero, y_nonzero
             rejected = degenerate.get(key)
             if rejected is None:
@@ -698,12 +706,13 @@ def _enumerate_chunk(args):
                 cols = _case_columns(k, nx, y, v, r, nullspaces)
                 survives = cols is not None and _survives(k, s, km, cols)
             else:
-                survives = _units_keep_a_factor(k, s, km, nx[1], y)
+                codes = nx[1] + y
+                survives = _codes_keep_a_factor(k, s, km, codes)
             if survives:
                 if four:
                     basis = tuple(map(tuple, _relation_basis(k, s, p, c, km, v, r)))
                 else:
-                    basis = _unit_basis(k, nx, y)
+                    basis = _code_basis(k, codes)
                 found.append((flat * per_class + local_index, s, p, c, km, v, r, basis))
         cases += todo
         if todo < len(stage2):
@@ -718,15 +727,14 @@ def _found_family(k, lines, case_index, s, p, c, km, v, r, basis) -> FoundFamily
     mult = MultiplierAssignment(c, km, r, quantum=True)
     system = build_system(k, lines, PermTriple(s, p, v), mult)
     vectors = tuple(map(tuple, rref_basis(basis)))
-    return FoundFamily(case_index, system, SolutionFamily(system, vectors))
+    return FoundFamily(case_index, SolutionFamily(system, vectors))
 
 
 def _pattern_degenerate(k, s, nonzero) -> bool:
     """Whether a case fails `_degeneracy` by its zero pattern alone, on
     either line set: `nonzero` holds, for each of the 3k unknowns, False if
-    it is forced to zero (an n or x unknown that `_nx_part` gives no
-    balanced component, or a y unknown whose `_y_columns` column is zero)
-    and True otherwise.
+    it is forced to zero (an n or x unknown whose `_nx_part` code is 0, or a
+    y unknown whose `_y_codes` code is 0) and True otherwise.
 
     A degenerate pattern rejects the case soundly.  Every False of the
     pattern is a zero map of the case's family, whatever its (n, x) part
@@ -798,7 +806,7 @@ def _y_orbits(k, s, v) -> tuple[list, dict]:
     other than (0, 0) of its orbit of <s, v>, every parity being 0.  A
     choice (km, r) is decided by popcount parities of its one 2k-bit
     negative mask, the bits of r's negative entries and, above them, those
-    of km's (`_y_columns`).
+    of km's (`_y_codes`).
 
     This is the y block of each (km, r) with the sign of km folded into
     the masks.  Built for one km, the s-edge i would have parity 1 exactly
@@ -819,12 +827,12 @@ def _y_orbits(k, s, v) -> tuple[list, dict]:
     return label, {root: sorted(m for m, _ in conds if m) for root, conds in conditions.items()}
 
 
-def _y_columns(k, y_orbits, km, rel: _Relabelings | None) -> dict:
-    """r -> (nonzero, columns) for each fourth-line sign vector r of `rel`
-    with a nonzero y block, given `_y_orbits(k, s, v)`: for each y unknown
-    whether its column is nonzero, and the y columns.  Without `rel` the
-    one sign vector is r = None, with no negative entry: the three-line
-    case, given the orbits of v = None.
+def _y_codes(k, y_orbits, km, rel: _Relabelings | None) -> dict:
+    """r -> (nonzero, codes) for each fourth-line sign vector r of `rel`
+    with a nonzero y block, given `_y_orbits(k, s, v)`: the k codes of the
+    y unknowns, and their zero pattern, which keys the search's degeneracy
+    memo.  Without `rel` the one sign vector is r = None, with no negative
+    entry: the three-line case, given the orbits of v = None.
 
     The y block is y_i = km_i y_{s(i)}, plus y_i = r_i y_{v(i)} given v.
     `_y_orbits` gives each y unknown its sign relative to the root of its
@@ -832,8 +840,9 @@ def _y_columns(k, y_orbits, km, rel: _Relabelings | None) -> dict:
     the signs around each of its cycles multiply to one: when (km, r) meets
     each of its condition masks, that is when the bits of the mask among
     the negative entries of r and km have even parity (a popcount, as in
-    `_SIGN_PATTERNS`).  y_i is its sign times its orbit's parameter, or 0
-    if the orbit is zero.
+    `_SIGN_PATTERNS`).  The nonzero orbits, by increasing root, are the
+    parameters of the y part, and y_i is its sign times its orbit's
+    parameter, code +-(j + 1) for orbit j, or 0 if the orbit is zero.
 
     An empty y block decides a case without elimination.  If every y map
     of a family is zero, the relations x_i = c_i x_{p(i)} and
@@ -854,10 +863,9 @@ def _y_columns(k, y_orbits, km, rel: _Relabelings | None) -> dict:
         odd = lambda mask: (neg & mask).bit_count() & 1
         roots = [root for root, masks in orbits.items() if not any(map(odd, masks))]
         if roots:
-            out[r] = tuple(root in roots for root, _, _ in label), [
-                tuple((-1) ** odd(mask) * (root == other) for other in roots)
-                for root, _, mask in label
-            ]
+            number = {root: j + 1 for j, root in enumerate(roots)}
+            codes = tuple((-1) ** odd(mask) * number.get(root, 0) for root, _, mask in label)
+            out[r] = tuple(map(bool, codes)), codes
     return out
 
 
@@ -868,14 +876,14 @@ def _pair_cycles(s: Perm, p: Perm) -> tuple[Perm, list, list]:
     return s_inv, _cycles(tuple(p[i] for i in s_inv)), _cycles(p)
 
 
-def _nx_part(k, p, c, km, pair_cycles, four: bool) -> tuple[int, list, dict]:
-    """(m, units, rows) over the m balanced cycles of the signed
+def _nx_part(k, p, c, km, pair_cycles, four: bool) -> tuple[int, tuple, dict]:
+    """(m, codes, rows) over the m balanced cycles of the signed
     permutations that the x and n relations of `_relation_terms` make on the
-    2k unknowns n and x, given `_pair_cycles(s, p)`: units[u] is the
-    (component, sign) carrying unknown u, or None if u is zero, and
-    rows[i, j, sign] is `_mixed_terms(k, p, c, i, j, sign)` as a row over
-    the m parameters.  Three lines have no mixed relation, so there rows is
-    empty.
+    2k unknowns n and x, given `_pair_cycles(s, p)`: codes[u] is +-(j + 1)
+    when unknown u is +-1 times the parameter of component j, and 0 when u
+    is zero, and rows[i, j, sign] is `_mixed_terms(k, p, c, i, j, sign)` as
+    a row over the m parameters.  Three lines have no mixed relation, so
+    there rows is empty.
 
     The x relations say x_{p(i)} = c_i x_i, so the x graph is the cycles of
     p, vertex i carrying the sign c_i.  The n relations say
@@ -886,7 +894,7 @@ def _nx_part(k, p, c, km, pair_cycles, four: bool) -> tuple[int, list, dict]:
     least vertex times one parameter, and otherwise all zero.  Components
     are numbered by least vertex, n before x."""
     s_inv, sigma_cycles, p_cycles = pair_cycles
-    units = [None] * (2 * k)
+    codes = [0] * (2 * k)
     m = 0
     n_signs = [c[i] * km[i] for i in s_inv]
     for base, cycles, signs in ((0, sigma_cycles, n_signs), (k, p_cycles, c)):
@@ -896,33 +904,51 @@ def _nx_part(k, p, c, km, pair_cycles, four: bool) -> tuple[int, list, dict]:
                 values.append(value)
                 value *= signs[j]
             if value > 0:
-                for j, sign in zip(cycle, values):
-                    units[base + j] = (m, sign)
                 m += 1
+                for j, sign in zip(cycle, values):
+                    codes[base + j] = sign * m
 
     def row(*terms):
         out = [0] * m
         for u, coef in terms:
-            if units[u]:
-                out[units[u][0]] += coef * units[u][1]
+            code = codes[u]
+            if code:
+                out[abs(code) - 1] += coef if code > 0 else -coef
         return tuple(out)
 
     if not four:
-        return m, units, {}
+        return m, tuple(codes), {}
     rows = {
         (i, j, sign): row(*_mixed_terms(k, p, c, i, j, sign))
         for i, j, sign in itertools.product(range(k), range(k), (1, -1))
     }
-    return m, units, rows
+    return m, tuple(codes), rows
 
 
 def _case_columns(k, nx, y, v, r, nullspaces) -> list[tuple] | None:
-    """`_columns` of a four-line case with the nonzero y columns `y` from
-    `_y_columns`: the direct sum of its (n, x) part, the nullspace of its
-    mixed rows over `_nx_part`, and its y part.  None when the (n, x) part
-    is zero: with n = x = 0 every factor vanishes on c' = 0.  The k mixed
-    rows of the choice, rows[i, v(i), r_i] of `_nx_part`, are eliminated as
+    """The maps of a four-line case's 3k unknowns, given `nx` of `_nx_part`
+    and the y codes `y` of `_y_codes`: each n and x map over the
+    nullspace of the case's mixed rows over the (n, x) parameters, and each
+    y map as the one-entry tuple (code,).  None when the (n, x) part is
+    zero: with n = x = 0 every factor vanishes on c' = 0.  The k mixed rows
+    of the choice, rows[i, v(i), r_i] of `_nx_part`, are eliminated as
     written, unless `nullspaces` holds their nullspace already.
+
+    The family is the direct sum of the (n, x) nullspace and the y part,
+    and these maps are its columns with two changes, neither of which
+    changes a verdict of `_survives`: the coordinates that are zero in
+    every map of a part are dropped, the y ones from the n and x maps and
+    the (n, x) ones from the y maps, and a y column +-e_j becomes
+    (+-(j + 1),).  `_degeneracy` reads each factor's n, x and y maps apart,
+    and n + 3x pairs coordinates that n and x share; `_keeps_a_factor` keys
+    the concatenation n + x + y up to sign.  Dropping coordinates that are
+    zero in every map keeps whether a map is zero, whether two maps are
+    equal up to a common sign, and the sign of a map's first nonzero
+    entry; so does replacing +-e_j by (+-(j + 1),), and different j stay
+    different.  So each zero test gives the same answer, and each factor's
+    key changes by one injective map, the same for all factors, so the
+    `Counter`s of the numerators and of the denominators are equal exactly
+    when they were.
 
     `nullspaces` maps (m, the sorted mixed rows) to `int_nullspace` of
     those rows over m parameters, and a miss is stored in it.  The key is
@@ -933,7 +959,7 @@ def _case_columns(k, nx, y, v, r, nullspaces) -> list[tuple] | None:
     vector that is positive there, which is unique.  Rows that differ only
     in order span the same space, so any case with the same key, of any
     sign class of the pairing, has the same nullspace."""
-    m, units, rows = nx
+    m, codes, rows = nx
     mixed = [rows[i, v[i], r[i]] for i in range(k)]
     key = m, tuple(sorted(mixed))
     null = nullspaces.get(key)
@@ -941,9 +967,12 @@ def _case_columns(k, nx, y, v, r, nullspaces) -> list[tuple] | None:
         null = nullspaces[key] = int_nullspace(mixed, m)
     if not null:
         return None
-    zero, pad = (0,) * len(null), (0,) * len(y[0])
-    cols = [zero if u is None else tuple(u[1] * t[u[0]] for t in null) for u in units]
-    return [col + pad for col in cols] + [zero + col for col in y]
+    maps, zero = list(zip(*null)), (0,) * len(null)  # maps[j]: the map of code j + 1
+    cols = [
+        maps[code - 1] if code > 0 else tuple(-a for a in maps[-code - 1]) if code else zero
+        for code in codes
+    ]
+    return cols + [(code,) for code in y]
 
 
 def _stage2_cases(rel: _Relabelings, stab) -> list[tuple[Perm, tuple]]:
@@ -969,49 +998,45 @@ def _survives(k, s, km, cols) -> bool:
     return _degeneracy(maps, True) is None and _keeps_a_factor(maps)
 
 
-def _units_keep_a_factor(k, s, km, units, y) -> bool:
+def _codes_keep_a_factor(k, s, km, codes) -> bool:
     """Whether a three-line case that `_pattern_degenerate` keeps holds a
-    surviving family, decided on its units: `units` of `_nx_part` and the
-    nonzero y columns `y` of `_y_columns`.  No column is built.
+    surviving family, decided on its 3k codes: the n and x codes of
+    `_nx_part`, then the y codes of `_y_codes`.  No column is built.
 
     A three-line case has no mixed rows, so its family is every balanced
     (n, x) component and every nonzero y orbit, one parameter each, and
-    the n, x and y parameters are all different.  Each n or x unknown is
-    its unit's sign times its component's parameter, or zero, and each y
-    unknown is +-1 times its orbit's parameter (its column has one +-1
-    entry), or zero.  Code each unknown's map as 0, or as +-(j + 1) for +-1
-    times parameter j, the n and x components in one range and the y
-    orbits in another.  A factor map (n, x, y) is then its triple of codes,
-    and two factor maps are equal up to sign exactly when their triples
-    are, that is when they agree after each is flipped by the sign of its
-    first nonzero code.  Denominator factor i, (km_i n_{s(i)}, x_i, y_i),
-    takes the n code of s(i) times km_i.  So, by `formula.pair_factors`,
-    `_keeps_a_factor` on the family's maps is True exactly when the sorted
-    flipped triples of the numerators and of the denominators differ, and
-    that is what is returned; it does not depend on the family's basis.
+    the n, x and y parameters are all different.  Each unknown's map is
+    then its code: 0, or +-(j + 1) for +-1 times parameter j of its part.
+    A factor map (n, x, y) is its triple of codes, with n and x codes from
+    one part and y codes from the other, so two factor maps are equal up to
+    sign exactly when their triples are, that is when they agree after each
+    is flipped by the sign of its first nonzero code.  Denominator factor
+    i, (km_i n_{s(i)}, x_i, y_i), takes the n code of s(i) times km_i.  So,
+    by `formula.pair_factors`, `_keeps_a_factor` on the family's maps is
+    True exactly when the sorted flipped triples of the numerators and of
+    the denominators differ, and that is what is returned; it does not
+    depend on the family's basis.
 
     `_degeneracy` need not run.  A map here is zero exactly where the zero
     pattern says (km_i n_{s(i)} exactly when n_{s(i)} is), and
     `_degeneracy(maps, False)` reads only which maps are zero, so it gives
     the verdict it gives on the pattern, which `_pattern_degenerate` has
     already found None."""
-    code = [0 if u is None else u[1] * (u[0] + 1) for u in units]
-    y_code = [next((e * (j + 1) for j, e in enumerate(col) if e), 0) for col in y]
 
     def key(a, b, g):  # the (alpha, beta, gamma) codes flipped by the first nonzero one
         return (a, b, g) if (a or b or g) > 0 else (-a, -b, -g)
 
-    num = sorted(key(code[i], code[k + i], y_code[i]) for i in range(k))
-    den = sorted(key(km[i] * code[s[i]], code[k + i], y_code[i]) for i in range(k))
+    num = sorted(key(codes[i], codes[k + i], codes[2 * k + i]) for i in range(k))
+    den = sorted(key(km[i] * codes[s[i]], codes[k + i], codes[2 * k + i]) for i in range(k))
     return num != den
 
 
-def _unit_basis(k, nx, y) -> tuple[tuple[int, ...], ...]:
-    """The integer basis of a three-line case's family, from `nx` of
-    `_nx_part` and the nonzero y columns `y` of `_y_columns`: one vector per
-    balanced n or x component and per nonzero y orbit, holding its unknowns'
-    signs, each times the sign of its last nonzero entry so that entry is
-    +1, in order of that entry's coordinate.
+def _code_basis(k, codes) -> tuple[tuple[int, ...], ...]:
+    """The integer basis of a three-line case's family, from its 3k codes
+    as `_codes_keep_a_factor` takes them: one vector per balanced n or x
+    component and per nonzero y orbit, holding its unknowns' signs, each
+    times the sign of its last nonzero entry so that entry is +1, in order
+    of that entry's coordinate.
 
     This is the unique rref basis, the one `solve_quantum` returns.  A
     three-line case has no mixed rows, so the family is spanned by these
@@ -1029,18 +1054,13 @@ def _unit_basis(k, nx, y) -> tuple[tuple[int, ...], ...]:
     the rref basis lists these in order of l_j.  `rref_basis` divides each
     vector by its last nonzero entry, here 1, so it leaves them as they
     are."""
-    m, units, _ = nx
-    vectors = [[0] * (3 * k) for _ in range(m + len(y[0]))]
-    for u, unit in enumerate(units):
-        if unit is not None:
-            vectors[unit[0]][u] = unit[1]
-    for i, col in enumerate(y):
-        for t, sign in enumerate(col):
-            if sign:
-                vectors[m + t][2 * k + i] = sign
-    last = [max(u for u, a in enumerate(vec) if a) for vec in vectors]
+    vectors = {}  # (in the y part, abs(code)) of a parameter -> its vector
+    for u, code in enumerate(codes):
+        if code:
+            vectors.setdefault((u >= 2 * k, abs(code)), [0] * (3 * k))[u] = 1 if code > 0 else -1
+    last = [max(u for u, a in enumerate(vec) if a) for vec in vectors.values()]
     return tuple(
-        tuple(a * vec[u] for a in vec) for u, vec in sorted(zip(last, vectors))
+        tuple(a * vec[u] for a in vec) for u, vec in sorted(zip(last, vectors.values()))
     )
 
 
@@ -1125,7 +1145,8 @@ def reference_four_line_assignment(
 
 def matches_builtin_four_line(family: SolutionFamily) -> bool:
     """Whether the family's instantiation at the first primes equals
-    builtin_q_prop4 for some parameters, under quantum (+-) factor matching.
+    builtin_q_prop4 for some parameters, matching factors as the family's
+    multipliers do: up to sign for a quantum family.
     A match there certifies that the family contains the closed form.
     Raises ValueError, naming the factor, when that instantiation has a
     zero factor or one vanishing on a system line."""
@@ -1134,7 +1155,7 @@ def matches_builtin_four_line(family: SolutionFamily) -> bool:
     reason = _degeneracy(_system_maps(system, [(*n, *x, *y)]), system.lines == "four")
     if reason is not None:
         raise ValueError(f"the instantiation at the first primes is degenerate: {reason}")
-    F = product_from_assignment(system, n, x, y, quantum=True)
+    F = product_from_assignment(system, n, x, y)
     beta_coeffs = {f.coeffs[1] for f in F.num} | {f.coeffs[1] for f in F.den}
     for anchor in F.num:
         n0, x0, yneg = anchor.coeffs
@@ -1145,7 +1166,7 @@ def matches_builtin_four_line(family: SolutionFamily) -> bool:
             if xp == x0:
                 continue
             try:
-                candidate = builtin_q_prop4(n0, x0, xp, y0, quantum=True)
+                candidate = builtin_q_prop4(n0, x0, xp, y0, quantum=F.quantum)
             except ValueError:
                 continue
             if is_identically_one(ratio(F, candidate)):

@@ -258,7 +258,7 @@ def test_search_family_record_shape():
     )
     system = build_system(4, "four", FOUR_LINE_PERMS, mult)
     family = solve_quantum(system).family
-    record = _family_json(FoundFamily(0, system, family))
+    record = _family_json(FoundFamily(0, family))
     assert record["nontrivial"] is True
     assert record["free_parameters"] == 4
     assert [r["verdict"] for r in record["line_check"]] == ["identically_one"] * 4

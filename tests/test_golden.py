@@ -43,6 +43,7 @@ COMMANDS = (
     ("check-identity", "--builtin", "q33", "--params", "2,3,1,1", "--plane"),
     ("--json", "check-identity", "--builtin", "x2k", "--k", "1", "--n", "0", "--plane"),
     ("--json", "search", "--k", "4", "--lines", "three", "--budget", "900"),
+    ("--json", "search", "--k", "4", "--lines", "three"),
     ("--json", "search", "--k", "4", "--lines", "four"),
     ("search", "--k", "3", "--no-dedup"),
     ("configs-enumerate", "--type", "9_3", "--color"),
@@ -82,6 +83,7 @@ DIGESTS = {
     'check-identity --builtin q33 --params 2,3,1,1 --plane': (1, 'ec17a60a297875b6622413390a712544b562eb0c1aa2812e89a9034f56a30f31'),
     '--json check-identity --builtin x2k --k 1 --n 0 --plane': (1, 'af805566492ac2bbfe21cbbf094dbc10f9aaabaf888f320391ae47d963223ef8'),
     '--json search --k 4 --lines three --budget 900': (0, '993d467602c6f35c61eb2615481b3682762c8c55d9897754a24d694fb7ee927b'),
+    '--json search --k 4 --lines three': (0, '5d77087121cf5dfa14a2545202423dce3c7a69850d05b46f59246f956b828a23'),
     '--json search --k 4 --lines four': (0, 'fd4228d61d1a5f891f6315a7c5d89694494dc4f2aa9481e1ae16bc522ecc73f1'),
     'search --k 3 --no-dedup': (1, '5e84cc80880067b50115344ad3cb6cf4ed749c9904ac0f2f92dfaac4139f1220'),
     'configs-enumerate --type 9_3 --color': (0, '0e55b26f17daecd3ec94810b7331ba694525de3596f15d6ada06457eb4134ab3'),

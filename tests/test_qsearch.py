@@ -174,6 +174,18 @@ def test_reference_four_line_plus_branch_is_trivial(rng):
         assert cancel(product).k == 0
 
 
+def test_product_is_quantum_exactly_when_the_system_is():
+    """`product_from_assignment` takes the product's kind from the system's
+    multipliers: quantum for +-1 ints, classical for the hand-solved
+    reference system."""
+    mult = MultiplierAssignment(ONES, ONES, NEGS, quantum=True)
+    family = solve_quantum(build_system(4, "four", FOUR_LINE_PERMS, mult)).family
+    product = product_from_assignment(family.system, *family.instantiate(family.first_primes()))
+    assert product.quantum and product == family.factor_product(family.first_primes())
+    system, n, x, y = reference_four_line_assignment(2, 3, 5, 7, 1, 2, 3)
+    assert not product_from_assignment(system, n, x, y).quantum
+
+
 def test_perturbed_reference_assignment_fails():
     system, n, x, y = reference_four_line_assignment(2, 3, 5, 7, 1, 2, 3)
     bad_y = (y[0] + 1,) + y[1:]
@@ -772,16 +784,16 @@ def _survives_in_full(k, s, km, space, four):
 
 
 @functools.cache
-def _y_columns_of(k, s, km, v):
-    """The search's `_y_columns` of (s, km, v), v = None on three lines."""
+def _y_codes_of(k, s, km, v):
+    """The search's `_y_codes` of (s, km, v), v = None on three lines."""
     rel = _relabelings(k) if v is not None else None
-    return qsearch._y_columns(k, qsearch._y_orbits(k, s, v), km, rel)
+    return qsearch._y_codes(k, qsearch._y_orbits(k, s, v), km, rel)
 
 
 def _y_entry(k, s, km, v, r):
-    """The search's y entry (nonzero, columns) of one case, or None when its
+    """The search's y entry (nonzero, codes) of one case, or None when its
     y part is zero."""
-    return _y_columns_of(k, s, km, v).get(r)
+    return _y_codes_of(k, s, km, v).get(r)
 
 
 def test_y_block_screen_is_exact_and_never_drops_a_family():
@@ -799,8 +811,8 @@ def test_y_block_screen_is_exact_and_never_drops_a_family():
     assert kept and dropped
 
 
-def _nx_units_by_search(k, s, p, c, km):
-    """The (m, units) of `_nx_part` by a depth-first search of the signed
+def _nx_codes_by_search(k, s, p, c, km):
+    """The (m, codes) of `_nx_part` by a depth-first search of the signed
     graph that the x and n relations of `_relation_terms` make on the 2k
     unknowns (a relation ca u_a + cb u_b = 0 is the edge u_b = -(ca cb) u_a),
     numbering the balanced components by least vertex."""
@@ -810,10 +822,11 @@ def _nx_units_by_search(k, s, p, c, km):
         2 * k, [(a, b, int(ca * cb > 0), 0) for (a, ca), (b, cb) in terms]
     )
     free = [root for root, conds in conditions.items() if (0, 1) not in conds]
-    units = [
-        (free.index(root), (-1) ** parity) if root in free else None for root, parity, _ in label
-    ]
-    return len(free), units
+    codes = tuple(
+        (-1) ** parity * (free.index(root) + 1) if root in free else 0
+        for root, parity, _ in label
+    )
+    return len(free), codes
 
 
 def test_nx_part_from_cycles_matches_a_graph_search():
@@ -826,23 +839,20 @@ def test_nx_part_from_cycles_matches_a_graph_search():
         (5, list(_stage1_classes(5))[::5])
     ]:
         for _, s, p, c, km, _ in classes:
-            expected = _nx_units_by_search(k, s, p, c, km)
+            expected = _nx_codes_by_search(k, s, p, c, km)
             for four in (False, True):
-                m, units = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), four)[:2]
-                assert (m, units) == expected, (k, s, p, c, km, four)
-            unbalanced["n"] += None in units[:k]
-            unbalanced["x"] += None in units[k:]
+                m, codes = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), four)[:2]
+                assert (m, codes) == expected, (k, s, p, c, km, four)
+            unbalanced["n"] += 0 in codes[:k]
+            unbalanced["x"] += 0 in codes[k:]
     assert unbalanced["n"] and unbalanced["x"]
 
 
-def test_three_line_shortcuts_agree_with_elimination():
-    """On every three-line case of `_screen_cases()`, and of the k = 4
-    classes (k <= 3 has no nontrivial one), with a nonzero y part that
-    `_pattern_degenerate` keeps, `_units_keep_a_factor` gives the verdict
-    of `_keeps_a_factor` on the columns of the full system's
-    `_relation_basis`, and that family passes `_degeneracy`, so the decision
-    need not run it; cases of both verdicts occur."""
-    verdicts = Counter()
+def _kept_three_line_cases():
+    """(k, s, p, c, km, codes) of every three-line case of `_screen_cases()`,
+    and of the k = 4 classes (k <= 3 has no nontrivial one), with a nonzero
+    y part that `_pattern_degenerate` keeps: its 3k codes, as the search
+    gives them to `_codes_keep_a_factor`."""
     cases = [case[:5] for case in _screen_cases() if case[5] is None]
     cases += [(4, s, p, c, km) for _, s, p, c, km, _ in _stage1_classes(4)]
     for k, s, p, c, km in cases:
@@ -850,16 +860,40 @@ def test_three_line_shortcuts_agree_with_elimination():
         if y_entry is None:
             continue
         y_nonzero, y = y_entry
-        units = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), False)[1]
-        if qsearch._pattern_degenerate(k, s, tuple(map(bool, units)) + y_nonzero):
-            continue
+        nx_codes = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), False)[1]
+        if not qsearch._pattern_degenerate(k, s, tuple(map(bool, nx_codes)) + y_nonzero):
+            yield k, s, p, c, km, nx_codes + y
+
+
+def test_three_line_shortcuts_agree_with_elimination():
+    """On every case of `_kept_three_line_cases()`, `_codes_keep_a_factor`
+    gives the verdict of `_keeps_a_factor` on the columns of the full
+    system's `_relation_basis`, and that family passes `_degeneracy`, so
+    the decision need not run it; cases of both verdicts occur."""
+    verdicts = Counter()
+    for k, s, p, c, km, codes in _kept_three_line_cases():
         space = qsearch._relation_basis(k, s, p, c, km)
         maps = qsearch._factor_maps(k, s, km, qsearch._columns(k, space))
         assert qsearch._degeneracy(maps, False) is None
-        verdict = qsearch._units_keep_a_factor(k, s, km, units, y)
+        verdict = qsearch._codes_keep_a_factor(k, s, km, codes)
         assert verdict == qsearch._keeps_a_factor(maps), (k, s, p, c, km)
         verdicts[verdict] += 1
     assert verdicts[True] and verdicts[False]
+
+
+def test_code_basis_is_the_rref_basis_of_full_elimination():
+    """On every case of `_kept_three_line_cases()`, found or not,
+    `_code_basis` of its codes spans the full system's solutions: its
+    `rref_basis` equals that of `_relation_basis`, and it is already that
+    rref basis."""
+    cases = 0
+    for k, s, p, c, km, codes in _kept_three_line_cases():
+        basis = qsearch._code_basis(k, codes)
+        expected = qsearch.rref_basis(qsearch._relation_basis(k, s, p, c, km))
+        assert qsearch.rref_basis(basis) == expected, (k, s, p, c, km)
+        assert [list(vec) for vec in basis] == expected
+        cases += 1
+    assert cases
 
 
 def test_zero_pattern_screen_rejects_only_cases_without_a_surviving_family():
@@ -875,8 +909,8 @@ def test_zero_pattern_screen_rejects_only_cases_without_a_surviving_family():
         if y_entry is None:
             continue
         y_nonzero = y_entry[0]
-        units = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), four)[1]
-        nx_nonzero = tuple(map(bool, units))
+        nx_codes = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), four)[1]
+        nx_nonzero = tuple(map(bool, nx_codes))
         rejected = qsearch._pattern_degenerate(k, s, nx_nonzero + y_nonzero)
         outcomes[four, rejected] += 1
         if not rejected and four:
@@ -893,10 +927,10 @@ def test_zero_pattern_screen_rejects_only_cases_without_a_surviving_family():
 @pytest.mark.parametrize("lines,budget,calls", [("four", 1000, 89), ("three", None, 905)])
 def test_zero_pattern_screen_leaves_few_cases_to_eliminate(monkeypatch, lines, budget, calls):
     """The cases that pass the screen at k = 4 and reach `_case_columns`
-    on four lines, `_units_keep_a_factor` on three; without the screen
+    on four lines, `_codes_keep_a_factor` on three; without the screen
     they are 359 and 1,364."""
     count = Counter()
-    name = "_case_columns" if lines == "four" else "_units_keep_a_factor"
+    name = "_case_columns" if lines == "four" else "_codes_keep_a_factor"
     decide = getattr(qsearch, name)
 
     def counting(*args):
@@ -908,8 +942,8 @@ def test_zero_pattern_screen_leaves_few_cases_to_eliminate(monkeypatch, lines, b
     assert count["calls"] == calls
 
 
-def _y_columns_per_km(k, s, km, rel):
-    """The y entries {(v, r): (nonzero, columns)} of every fourth-line
+def _y_codes_per_km(k, s, km, rel):
+    """The y entries {(v, r): (nonzero, codes)} of every fourth-line
     choice of `rel` with a nonzero y block, or of (None, None) without
     `rel`, built as the search built them before km was folded into the
     masks: one `_signed_components` call per (km, v), whose s-edge i has
@@ -927,16 +961,16 @@ def _y_columns_per_km(k, s, km, rel):
             odd = lambda mask: (neg & mask).bit_count() & 1
             roots = [root for root, conds in orbits.items() if all(odd(m) == q for m, q in conds)]
             if roots:
-                out[v, r] = tuple(root in roots for root, _, _ in label), [
-                    tuple((-1) ** (parity ^ odd(mask)) * (root == other) for other in roots)
+                out[v, r] = tuple(root in roots for root, _, _ in label), tuple(
+                    (-1) ** (parity ^ odd(mask)) * (roots.index(root) + 1) if root in roots else 0
                     for root, parity, mask in label
-                ]
+                )
     return out
 
 
 def test_y_entries_per_s_and_v_equal_the_per_km_construction():
     """Folding km into the masks of `_y_orbits` changes no y entry: on both
-    line sets, `_y_columns` of `_y_orbits(k, s, v)` equals the per-km
+    line sets, `_y_codes` of `_y_orbits(k, s, v)` equals the per-km
     construction for every (s, km, v, r) at k <= 4, and for every s with a
     sample of km at k = 5.  Zero and nonzero y parts both occur."""
     kinds = Counter()
@@ -950,9 +984,9 @@ def test_y_entries_per_s_and_v_equal_the_per_km_construction():
                     got = {
                         (v, r): entry
                         for v in vs
-                        for r, entry in qsearch._y_columns(k, y_orbits[v], km, line_rel).items()
+                        for r, entry in qsearch._y_codes(k, y_orbits[v], km, line_rel).items()
                     }
-                    assert got == _y_columns_per_km(k, s, km, line_rel), (k, s, km, line_rel)
+                    assert got == _y_codes_per_km(k, s, km, line_rel), (k, s, km, line_rel)
                     kinds["nonzero"] += len(got)
                     kinds["zero"] += len(vs) * (len(rel.signs) if line_rel else 1) - len(got)
     assert kinds["nonzero"] and kinds["zero"]
