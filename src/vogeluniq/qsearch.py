@@ -27,28 +27,30 @@ the orbits of <s, v> passes, and an (n, x) part.  On three lines that is
 every balanced n and x cycle, one parameter each, so a three-line case
 needs no elimination at all; on four lines it is the nullspace of the mixed
 fourth-line rows over them, by fraction-free integer elimination, done once
-per pairing for each set of mixed rows (`_case_columns`).  Every unknown of
-a case is +-1 times one parameter of its part or zero, and it is held as
-one int, its code: 0, or +-(j + 1) for +-1 times parameter j, the (n, x)
-components and the y orbits each numbered within their part.  Only the
-cases with a nonzero y part are decided, and of those only the ones whose
-forced zeros alone make no factor vanish on a system line
-(`_pattern_degenerate`).  On three lines that screen is the whole
-degeneracy test, and a kept case is decided on its 3k codes without
-building a column (`_codes_keep_a_factor`); a four-line case builds the
-maps of its family, the (n, x) maps over its nullspace and each y map as
-its one code, with no padding between the parts (`_case_columns`), and
-runs both tests on them (`_survives`).  Each case is decided by exact tests
-(degeneracy, and nontriviality by pairing the factors' linear maps up to
-sign), so the search draws no random numbers and its result does not depend
-on a seed.  A found case leaves the search as a record of plain integers
-with its family's integer basis: on three lines the signed unit vectors of
-its codes, already in rref (`_code_basis`), on four lines `_relation_basis`.
-Only the process that returns the result turns each record into a
-`FoundFamily` (`_found_family`), whose multipliers stay the record's ints
-and whose vectors are Fractions, so a process pool pickles no Fraction.
-Relabelings are the index tables of `_relabelings`, for the search and the
-survey alike.  The classical multipliers form a continuum; they are
+per pairing for each set of mixed rows.  Every unknown of a case is +-1
+times one parameter of its part or zero, and it is held as one int, its
+code: 0, or +-(j + 1) for +-1 times parameter j, the (n, x) components and
+the y orbits each numbered within their part.  Only the cases with a
+nonzero y part are decided, and of those only the ones whose forced zeros
+alone make no factor vanish on a system line (`_pattern_degenerate`); a
+four-line class whose (n, x) zeros alone do so is skipped before its y part
+is built.  On three lines that screen is the whole degeneracy test, and a
+kept case is decided on its 3k codes without building a column
+(`_codes_keep_a_factor`).  A four-line case is decided on codes too
+(`_four_line_survives`): each held nullspace is reduced once to a code per
+(n, x) parameter, equal codes for maps equal up to sign, and to the pairs of
+maps one of which is three times the other (`_reduction`), and the case's
+(n, x) codes composed through it keep every fact the tests read.  Each case
+is decided by exact tests (degeneracy, and nontriviality by pairing the
+factors' linear maps up to sign), so the search draws no random numbers and
+its result does not depend on a seed.  A found case leaves the search as a
+record of plain integers with its family's integer basis: on three lines the
+signed unit vectors of its codes, already in rref (`_code_basis`), on four
+lines `_relation_basis`.  Only the process that returns the result turns each
+record into a `FoundFamily` (`_found_family`), whose multipliers stay the
+record's ints and whose vectors are Fractions, so a process pool pickles no
+Fraction.  Relabelings are the index tables of `_relabelings`, for the search
+and the survey alike.  The classical multipliers form a continuum; they are
 verified rather than searched, except for the dedicated k = 3 survey which
 decides nontriviality on each pairing's all-nonzero stratum, the only one
 that can be nontrivial, exactly, at one point with distinct prime
@@ -57,6 +59,7 @@ coordinates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -579,19 +582,34 @@ def enumerate_families(
     With dedup on, permutation tuples are reduced to class representatives
     under simultaneous factor relabeling (`_stage1_classes`), and within a
     surviving three-line class the fourth-line choices are deduplicated by
-    the class stabilizer; dedup off iterates every raw tuple.  Every case
-    is decided exactly, as `_enumerate_chunk` describes, and each found
-    family is built here from its worker's integer record (`_found_family`),
-    equal to `solve_quantum`'s.  Nothing is sampled, so `seed` is accepted
-    but changes nothing.  Iteration order, and therefore the output, is
-    deterministic.  `budget` caps the number of examined cases, counted in
-    index order whether screened or solved, and flags the result incomplete
-    when exceeded.  Budgeted runs are serial and build only the stage-1
-    classes they reach.  Unbudgeted runs with threads > 1 deal the classes
-    into min(threads, `os.cpu_count()`) chunks, in flat order within each,
-    and run them on a process pool of one worker per chunk; the found cases
-    are merged by `case_index`, so the result is the serial one whatever the
-    number of chunks.
+    the class stabilizer; dedup off iterates every raw tuple.
+
+    Dedup loses no family, by this lemma.  Relabeling numerator and
+    denominator factor i together as tau(i) keeps the pairing on a = 0 the
+    identity, and maps a case (s, p, c, km, v, r) to (tau s tau^-1,
+    tau p tau^-1, c', km', tau v tau^-1, r'), where c' holds c_i at tau(i)
+    and so on (`_relabelings`).  The image's relations are the case's with
+    each unknown u_i renamed u_{tau(i)}, so renaming maps the case's
+    solutions one-to-one onto the image's, and each instantiation's product
+    onto the image's with its numerator and its denominator factors
+    reordered.  A zero factor, a restriction vanishing on a system line and
+    a pairing of factors up to sign do not depend on that order, so the
+    verdict (degenerate, trivial or nontrivial) is the same on a whole
+    orbit, and deciding one case per orbit decides them all: the raw search
+    finds exactly the relabeling orbits of the deduplicated families.
+
+    Every case is decided exactly, as `_enumerate_chunk` describes, and
+    each found family is built here from its worker's integer record
+    (`_found_family`), equal to `solve_quantum`'s.  Nothing is sampled, so
+    `seed` is accepted but changes nothing.  Iteration order, and therefore
+    the output, is deterministic.  `budget` caps the number of examined
+    cases, counted in index order whether screened or solved, and flags the
+    result incomplete when exceeded.  Budgeted runs are serial and build
+    only the stage-1 classes they reach.  Unbudgeted runs with threads > 1
+    deal the classes into min(threads, `os.cpu_count()`) chunks, in flat
+    order within each, and run them on a process pool of one worker per
+    chunk; the found cases are merged by `case_index`, so the result is the
+    serial one whatever the number of chunks.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -640,26 +658,32 @@ def _enumerate_chunk(args):
     (v, r).  Cases are counted in index order, up to `budget`, but only
     those with a nonzero y part (`_y_codes`) are decided: every other
     case is trivial.  A case whose zero pattern is degenerate
-    (`_pattern_degenerate`, memoised per pattern) is rejected; any other is
-    decided on its codes (`_codes_keep_a_factor`) on three lines, and on
-    `_case_columns` on four.
+    (`_pattern_degenerate`, memoised per pattern) is rejected, and so is
+    every case of a four-line class whose (n, x) pattern is degenerate with
+    every y unknown nonzero, before its y codes are built: a y code of 0
+    only adds zeros.  Any other case is decided on codes,
+    `_codes_keep_a_factor` on three lines and `_four_line_survives` on
+    four.
 
     Work shared between cases is done once and kept only while it can be
     reused.  Each stabilizer's stage-2 list comes with the first local
     index of each v in it, so a class builds the y entries of a v, for all
     r at once, only when some choice of that v is below its `todo`; they
     are kept per (km, v), from `_y_orbits` kept per v, both until s
-    changes.  The pairing's cycles and the nullspaces of `_case_columns`
-    are kept until (s, p) changes.  Classes come in flat order, s and then
-    p outermost, in a dealt chunk too, so each is built once per chunk;
-    given classes in any other order the search only rebuilds more."""
+    changes.  A class's mixed rows are built when a case first asks for
+    them (`_nx_part`).  The pairing's cycles and the nullspace reductions
+    of `_four_line_survives` are kept until (s, p) changes.  Classes come
+    in flat order, s and then p outermost, in a dealt chunk too, so each is
+    built once per chunk; given classes in any other order the search only
+    rebuilds more."""
     k, lines, entries, budget, rel = args
     four = lines == "four"
     per_class = len(rel.perms) * len(rel.signs) if four else 1
     found = []
     cases = 0
     stage2_of = {}  # trivial stabilizers are all one tuple, so they share an entry
-    degenerate = {}  # (s, n and x pattern, y pattern) -> `_pattern_degenerate`
+    # `_pattern_degenerate` of (s, n and x pattern, y pattern)
+    degenerate = functools.cache(lambda s, nx, y: _pattern_degenerate(k, s, nx + y))
     pair = None
     for flat, s, p, c, km, stab in entries:
         if stab not in stage2_of:
@@ -677,9 +701,15 @@ def _enumerate_chunk(args):
         if pair != (s, p):
             pair = s, p
             cycles = _pair_cycles(s, p)
-            nullspaces = {}  # the mixed-row nullspaces of `_case_columns`
+            reductions = {}  # the nullspace reductions of `_four_line_survives`
+        # The class screen, on four lines: a class whose (n, x) zero pattern
+        # with every y unknown nonzero is degenerate has only degenerate
+        # cases (`_pattern_degenerate`), so none of its y codes is built.  A
+        # three-line class is one case, whose y part is cheaper to build
+        # than its (n, x) part, so that comes first there.
+        nx = _nx_part(k, p, c, km, cycles, four) if four else None
         nonzero_y = []
-        for v, first in firsts:
+        for v, first in () if four and degenerate(s, nx[2], (True,) * k) else firsts:
             if first >= todo:
                 break
             if (km, v) not in y_codes_of:
@@ -690,23 +720,17 @@ def _enumerate_chunk(args):
                 local = local_of.get((v, r))
                 if local is not None and local < todo:
                     nonzero_y.append(local)
-        if nonzero_y:
+        if nonzero_y and not four:
             nx = _nx_part(k, p, c, km, cycles, four)
-            nx_nonzero = tuple(map(bool, nx[1]))
         for local_index in sorted(nonzero_y):
             v, r = stage2[local_index]
-            y_nonzero, y = y_codes_of[km, v][r]
-            key = s, nx_nonzero, y_nonzero
-            rejected = degenerate.get(key)
-            if rejected is None:
-                rejected = degenerate[key] = _pattern_degenerate(k, s, nx_nonzero + y_nonzero)
-            if rejected:
+            y_entry = y_codes_of[km, v][r]
+            if degenerate(s, nx[2], y_entry[0]):
                 continue
             if four:
-                cols = _case_columns(k, nx, y, v, r, nullspaces)
-                survives = cols is not None and _survives(k, s, km, cols)
+                survives = _four_line_survives(k, s, km, nx, v, r, y_entry, reductions, degenerate)
             else:
-                codes = nx[1] + y
+                codes = nx[1] + y_entry[1]
                 survives = _codes_keep_a_factor(k, s, km, codes)
             if survives:
                 if four:
@@ -733,8 +757,9 @@ def _found_family(k, lines, case_index, s, p, c, km, v, r, basis) -> FoundFamily
 def _pattern_degenerate(k, s, nonzero) -> bool:
     """Whether a case fails `_degeneracy` by its zero pattern alone, on
     either line set: `nonzero` holds, for each of the 3k unknowns, False if
-    it is forced to zero (an n or x unknown whose `_nx_part` code is 0, or a
-    y unknown whose `_y_codes` code is 0) and True otherwise.
+    it is forced to zero (an n or x unknown whose `_nx_part` code, or
+    reduced code in `_four_line_survives`, is 0, or a y unknown whose
+    `_y_codes` code is 0) and True otherwise.
 
     A degenerate pattern rejects the case soundly.  Every False of the
     pattern is a zero map of the case's family, whatever its (n, x) part
@@ -746,9 +771,14 @@ def _pattern_degenerate(k, s, nonzero) -> bool:
     n + 3x is zero only when n and x both are, so the rule of 3a' - b' = 0
     meets a pattern only where that of c' = 0 does, and the three-line
     rules decide both line sets.  The maps take km = all ones, since a sign
-    does not change whether a value is zero.  A class with no balanced n or x component,
-    m = 0 in `_nx_part`, makes every factor vanish on c' = 0, so all its
-    cases are rejected here."""
+    does not change whether a value is zero.  A class with no balanced n or
+    x component, m = 0 in `_nx_part`, makes every factor vanish on c' = 0,
+    so all its cases are rejected here.
+
+    For the same reason a pattern that is degenerate stays so when more of
+    its entries are False.  So when a four-line class's (n, x) pattern is
+    degenerate with every y entry True, every case of the class is, and the
+    search skips the class without building its y codes."""
     cols = [(bit,) for bit in nonzero]
     return _degeneracy(_factor_maps(k, s, (1,) * k, cols), False) is not None
 
@@ -876,14 +906,16 @@ def _pair_cycles(s: Perm, p: Perm) -> tuple[Perm, list, list]:
     return s_inv, _cycles(tuple(p[i] for i in s_inv)), _cycles(p)
 
 
-def _nx_part(k, p, c, km, pair_cycles, four: bool) -> tuple[int, tuple, dict]:
-    """(m, codes, rows) over the m balanced cycles of the signed
+def _nx_part(k, p, c, km, pair_cycles, four: bool) -> tuple:
+    """(m, codes, nonzero, rows) over the m balanced cycles of the signed
     permutations that the x and n relations of `_relation_terms` make on the
     2k unknowns n and x, given `_pair_cycles(s, p)`: codes[u] is +-(j + 1)
     when unknown u is +-1 times the parameter of component j, and 0 when u
-    is zero, and rows[i, j, sign] is `_mixed_terms(k, p, c, i, j, sign)` as
-    a row over the m parameters.  Three lines have no mixed relation, so
-    there rows is empty.
+    is zero, nonzero is their zero pattern, which keys the search's
+    degeneracy memo, and rows(i, j, sign) is `_mixed_terms(k, p, c, i, j,
+    sign)` as a row over the m parameters, built when a four-line case
+    first asks for it and then kept.  Three lines have no mixed relation,
+    so there rows is None.
 
     The x relations say x_{p(i)} = c_i x_i, so the x graph is the cycles of
     p, vertex i carrying the sign c_i.  The n relations say
@@ -908,71 +940,15 @@ def _nx_part(k, p, c, km, pair_cycles, four: bool) -> tuple[int, tuple, dict]:
                 for j, sign in zip(cycle, values):
                     codes[base + j] = sign * m
 
-    def row(*terms):
+    def row(i, j, sign):
         out = [0] * m
-        for u, coef in terms:
+        for u, coef in _mixed_terms(k, p, c, i, j, sign):
             code = codes[u]
             if code:
                 out[abs(code) - 1] += coef if code > 0 else -coef
         return tuple(out)
 
-    if not four:
-        return m, tuple(codes), {}
-    rows = {
-        (i, j, sign): row(*_mixed_terms(k, p, c, i, j, sign))
-        for i, j, sign in itertools.product(range(k), range(k), (1, -1))
-    }
-    return m, tuple(codes), rows
-
-
-def _case_columns(k, nx, y, v, r, nullspaces) -> list[tuple] | None:
-    """The maps of a four-line case's 3k unknowns, given `nx` of `_nx_part`
-    and the y codes `y` of `_y_codes`: each n and x map over the
-    nullspace of the case's mixed rows over the (n, x) parameters, and each
-    y map as the one-entry tuple (code,).  None when the (n, x) part is
-    zero: with n = x = 0 every factor vanishes on c' = 0.  The k mixed rows
-    of the choice, rows[i, v(i), r_i] of `_nx_part`, are eliminated as
-    written, unless `nullspaces` holds their nullspace already.
-
-    The family is the direct sum of the (n, x) nullspace and the y part,
-    and these maps are its columns with two changes, neither of which
-    changes a verdict of `_survives`: the coordinates that are zero in
-    every map of a part are dropped, the y ones from the n and x maps and
-    the (n, x) ones from the y maps, and a y column +-e_j becomes
-    (+-(j + 1),).  `_degeneracy` reads each factor's n, x and y maps apart,
-    and n + 3x pairs coordinates that n and x share; `_keeps_a_factor` keys
-    the concatenation n + x + y up to sign.  Dropping coordinates that are
-    zero in every map keeps whether a map is zero, whether two maps are
-    equal up to a common sign, and the sign of a map's first nonzero
-    entry; so does replacing +-e_j by (+-(j + 1),), and different j stay
-    different.  So each zero test gives the same answer, and each factor's
-    key changes by one injective map, the same for all factors, so the
-    `Counter`s of the numerators and of the denominators are equal exactly
-    when they were.
-
-    `nullspaces` maps (m, the sorted mixed rows) to `int_nullspace` of
-    those rows over m parameters, and a miss is stored in it.  The key is
-    sound because the primitive basis depends only on the row space: the
-    rref of the rows, and so its pivot and free columns, is the same for
-    every matrix with that row space, and `int_nullspace` returns for each
-    free column the rref basis vector scaled to the primitive integer
-    vector that is positive there, which is unique.  Rows that differ only
-    in order span the same space, so any case with the same key, of any
-    sign class of the pairing, has the same nullspace."""
-    m, codes, rows = nx
-    mixed = [rows[i, v[i], r[i]] for i in range(k)]
-    key = m, tuple(sorted(mixed))
-    null = nullspaces.get(key)
-    if null is None:
-        null = nullspaces[key] = int_nullspace(mixed, m)
-    if not null:
-        return None
-    maps, zero = list(zip(*null)), (0,) * len(null)  # maps[j]: the map of code j + 1
-    cols = [
-        maps[code - 1] if code > 0 else tuple(-a for a in maps[-code - 1]) if code else zero
-        for code in codes
-    ]
-    return cols + [(code,) for code in y]
+    return m, tuple(codes), tuple(map(bool, codes)), functools.cache(row) if four else None
 
 
 def _stage2_cases(rel: _Relabelings, stab) -> list[tuple[Perm, tuple]]:
@@ -987,21 +963,104 @@ def _stage2_cases(rel: _Relabelings, stab) -> list[tuple[Perm, tuple]]:
     return [(rel.perms[vr // n_s], rel.signs[vr % n_s]) for vr in minima]
 
 
-def _survives(k, s, km, cols) -> bool:
-    """Whether the family of a four-line case's `_case_columns` `cols`
-    passes `_degeneracy` and `_keeps_a_factor`, neither of which depends on
-    the family's basis.  The mixed rows can force more maps to zero than
-    the case's zero pattern holds, and the rule of 3a' - b' = 0 reads
-    n + 3x, so `_degeneracy` runs even on a case that
-    `_pattern_degenerate` keeps."""
-    maps = _factor_maps(k, s, km, cols)
-    return _degeneracy(maps, True) is None and _keeps_a_factor(maps)
+def _four_line_survives(k, s, km, nx, v, r, y_entry, reductions, degenerate) -> bool:
+    """Whether a four-line case that `_pattern_degenerate` keeps holds a
+    surviving family, one that passes `_degeneracy(maps, True)` and
+    `_keeps_a_factor`, decided on codes with no column built.  `nx` is
+    `_nx_part` of the case's class, `y_entry` the case's (zero pattern,
+    codes) of `_y_codes`, and degenerate(s, n and x pattern, y pattern)
+    the search's memoised `_pattern_degenerate`.
+
+    The family is the direct sum of the y part and the nullspace N of the
+    case's k mixed rows, rows(i, v(i), r_i), over the m (n, x) parameters.
+    Given a basis of N, an n or x unknown with code +-(j + 1) has the map
+    +-(row j of the basis), and 0 if its code is 0.  `_reduction` writes
+    each such map as 0 or as sigma R_id, sigma = +-1 and R_id the
+    representative, first nonzero entry positive, of its class of maps
+    equal up to sign, and red[code] is then 0 or sigma id: the unknown's
+    reduced code.  Its y code is kept.  These reduced codes keep all that
+    the two tests read of the maps:
+
+    - Zero-ness.  The zero-factor rule and the rules of a' = 0, b' = 0 and
+      c' = 0 read only which maps of a factor are zero (the denominator's
+      km_i n_{s(i)} is zero exactly when n_{s(i)} is), so on the family
+      they give the verdict of `_pattern_degenerate` on the reduced codes'
+      zero pattern and the y pattern, which the memo gives.
+    - n + 3x, read by the rule of 3a' - b' = 0 on a factor with y = 0.  If
+      n or x is zero, n + 3x is zero only when both are, which the rule of
+      c' = 0 has decided.  Otherwise n = sigma R_a and x = tau R_b, and
+      n + 3x = 0 exactly when R_a = -3 sigma tau R_b.  Both R have a
+      positive first nonzero entry, so R_a = -3 R_b is impossible, and this
+      holds exactly when sigma tau = -1 and R_a = 3 R_b: when n and x have
+      codes of opposite signs and (|n code|, |x code|) is a pair of
+      `triple`, and the `any` below rejects the case exactly then.
+    - Equality up to sign.  sigma R_a = e tau R_b, e = +-1, exactly when
+      a = b and sigma = e tau, since maps of different classes are not
+      equal up to sign; y maps are +-1 times y parameters, apart from N.
+      So two factor maps (n, x, y) are equal up to a common sign exactly
+      when their triples of codes are, which is all `_codes_keep_a_factor`
+      reads (its docstring has the proof that comparing the flipped sorted
+      triples is the `pair_factors` key); on the reduced codes it gives
+      `_keeps_a_factor` on the family's maps.
+
+    None of the three depends on the basis of N.  A zero N makes red all 0,
+    so every factor vanishes on c' = 0 and the memo rejects the case.
+
+    `reductions` maps (m, the sorted mixed rows) to the `_reduction` of
+    `int_nullspace` of those rows over m parameters, and a miss is stored
+    in it.  The key is sound because N depends only on the row space, and
+    rows that differ only in order span the same space; `int_nullspace`
+    even returns the same basis, since the primitive basis is the rref
+    basis, which depends only on the row space, each vector scaled to be
+    primitive and positive at its free column.  So any case with the same
+    key, of any sign class of the pairing, has the same reduction."""
+    m, codes, _, rows = nx
+    mixed = [rows(i, v[i], r[i]) for i in range(k)]
+    key = m, tuple(sorted(mixed))
+    held = reductions.get(key)
+    if held is None:
+        held = reductions[key] = _reduction(int_nullspace(mixed, m), m)
+    red, triple = held
+    codes = tuple(map(red.__getitem__, codes))
+    y_nonzero, y = y_entry
+    if degenerate(s, tuple(map(bool, codes)), y_nonzero) or triple and any(
+        n * codes[k + i] < 0 and (abs(n), abs(codes[k + i])) in triple
+        for i in range(k) if not y[i] for n in (codes[i], km[i] * codes[s[i]])
+    ):
+        return False
+    return _codes_keep_a_factor(k, s, km, codes + y)
+
+
+def _reduction(null, m) -> tuple[tuple[int, ...], set]:
+    """(red, triple) of `null`, a basis of a nullspace over m (n, x)
+    parameters, for `_four_line_survives`.  The map of parameter j is row j
+    of the basis, its entries across the basis vectors.  The nonzero maps
+    equal up to sign form a class, numbered id = 1, 2, ... in order of its
+    first parameter, whose representative R_id is its map with a positive
+    first nonzero entry.  red[code] is the reduced code of an unknown with
+    (n, x) code `code`, -m <= code <= m: 0 when the code or its map is
+    zero, and sigma id when its map is sigma R_id (a negative code indexes
+    red from the end, where the negations are).  triple holds the pairs
+    (a, b) of ids with R_a = 3 R_b."""
+    ids = {}  # R_id -> id
+    red = [0] * (m + 1)
+    for code, row in enumerate(zip(*null), 1):
+        lead = next(filter(None, row), 0)
+        if lead > 0:
+            red[code] = ids.setdefault(row, len(ids) + 1)
+        elif lead:
+            red[code] = -ids.setdefault(tuple(map(int.__neg__, row)), len(ids) + 1)
+    triple = {(a, b) for rep, b in ids.items() if (a := ids.get(tuple(map((3).__mul__, rep))))}
+    return tuple(red + [-a for a in red[:0:-1]]), triple
 
 
 def _codes_keep_a_factor(k, s, km, codes) -> bool:
     """Whether a three-line case that `_pattern_degenerate` keeps holds a
     surviving family, decided on its 3k codes: the n and x codes of
     `_nx_part`, then the y codes of `_y_codes`.  No column is built.
+    `_four_line_survives` calls it on a four-line case's reduced codes,
+    where two factor maps are equal up to sign exactly when their triples
+    of codes are, as here; the first paragraph below needs no more.
 
     A three-line case has no mixed rows, so its family is every balanced
     (n, x) component and every nonzero y orbit, one parameter each, and

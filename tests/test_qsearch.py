@@ -342,6 +342,24 @@ def test_deduped_enumeration_matches_raw_outcome():
     assert deduped.cases_examined < raw.cases_examined
 
 
+def test_raw_search_finds_the_relabeling_orbits_of_the_deduplicated_families():
+    """The dedup lemma of `enumerate_families` on an answer that is not
+    empty: the raw k = 4 three-line search finds exactly the relabeling
+    images of the 53 deduplicated families' systems, 768 of them.  The
+    action is written out here rather than read from `_relabelings`."""
+    key = lambda ff: (ff.system.perms.s, ff.system.perms.p, ff.system.mult.c, ff.system.mult.kmul)
+    raw = [key(ff) for ff in enumerate_families(4, "three", dedup=False).families]
+    deduped = [key(ff) for ff in enumerate_families(4, "three").families]
+    orbits = set()
+    for tau in itertools.permutations(range(4)):
+        inv = qsearch.perm_inverse(tau)
+        conj = lambda sigma: tuple(tau[sigma[inv[j]]] for j in range(4))
+        relabel = lambda vec: tuple(vec[inv[j]] for j in range(4))
+        orbits.update((conj(s), conj(p), relabel(c), relabel(km)) for s, p, c, km in deduped)
+    assert len(deduped) == 53 and len(raw) == len(set(raw)) == 768
+    assert set(raw) == orbits
+
+
 def test_enumeration_budget_flags_partial_results():
     result = enumerate_families(3, "three", budget=10, dedup=False)
     assert not result.complete
@@ -926,11 +944,11 @@ def test_zero_pattern_screen_rejects_only_cases_without_a_surviving_family():
 
 @pytest.mark.parametrize("lines,budget,calls", [("four", 1000, 89), ("three", None, 905)])
 def test_zero_pattern_screen_leaves_few_cases_to_eliminate(monkeypatch, lines, budget, calls):
-    """The cases that pass the screen at k = 4 and reach `_case_columns`
+    """The cases that pass the screen at k = 4 and reach `_four_line_survives`
     on four lines, `_codes_keep_a_factor` on three; without the screen
     they are 359 and 1,364."""
     count = Counter()
-    name = "_case_columns" if lines == "four" else "_codes_keep_a_factor"
+    name = "_four_line_survives" if lines == "four" else "_codes_keep_a_factor"
     decide = getattr(qsearch, name)
 
     def counting(*args):
@@ -994,34 +1012,35 @@ def test_y_entries_per_s_and_v_equal_the_per_km_construction():
 
 @pytest.mark.parametrize("budget,calls", [(1000, 65), (None, 9377)])
 def test_nullspace_reuse_within_a_pairing_is_exact(monkeypatch, budget, calls):
-    """In the k = 4 four-line search, `_case_columns` reuses a nullspace
-    exactly when one is held under the case's key (m, sorted mixed rows),
-    and every reused nullspace equals a fresh `int_nullspace` of the case's
-    own rows.  The search eliminates `calls` times in all, 89 and 31,580
-    without reuse (the full search's count includes the 23 `_relation_basis`
-    calls of its found cases), and holds at most 502 nullspaces at once."""
+    """In the k = 4 four-line search, `_four_line_survives` reuses a
+    nullspace reduction exactly when one is held under the case's key
+    (m, sorted mixed rows), and every reused reduction equals the
+    `_reduction` of a fresh `int_nullspace` of the case's own rows.  The
+    search eliminates `calls` times in all, 89 and 31,580 without reuse
+    (the full search's count includes the 23 `_relation_basis` calls of its
+    found cases), and holds at most 502 reductions at once."""
     count = Counter()
-    eliminate, case_columns = qsearch.int_nullspace, qsearch._case_columns
+    eliminate, decide = qsearch.int_nullspace, qsearch._four_line_survives
 
     def counting(rows, ncols):
         count["calls"] += 1
         return eliminate(rows, ncols)
 
-    def checking(k, nx, y, v, r, nullspaces):
-        m, _, rows = nx
-        own = [rows[i, v[i], r[i]] for i in range(k)]
+    def checking(k, s, km, nx, v, r, y_entry, reductions, degenerate):
+        m, _, _, rows = nx
+        own = [rows(i, v[i], r[i]) for i in range(k)]
         key = m, tuple(sorted(own))
-        hit, before = key in nullspaces, count["calls"]
+        hit, before = key in reductions, count["calls"]
         if hit:
-            assert nullspaces[key] == eliminate(own, m)
+            assert reductions[key] == qsearch._reduction(eliminate(own, m), m)
             count["hits"] += 1
-        cols = case_columns(k, nx, y, v, r, nullspaces)
+        survives = decide(k, s, km, nx, v, r, y_entry, reductions, degenerate)
         assert (count["calls"] == before) == hit
-        count["live"] = max(count["live"], len(nullspaces))
-        return cols
+        count["live"] = max(count["live"], len(reductions))
+        return survives
 
     monkeypatch.setattr(qsearch, "int_nullspace", counting)
-    monkeypatch.setattr(qsearch, "_case_columns", checking)
+    monkeypatch.setattr(qsearch, "_four_line_survives", checking)
     enumerate_families(4, "four", budget=budget)
     assert count["calls"] == calls and count["hits"] > 0
     assert count["live"] <= 502
@@ -1080,6 +1099,87 @@ def test_four_line_decision_matches_full_elimination():
             if expected:
                 found[k] = len(expected)
         assert found == families, lines
+
+
+def _four_line_decisions(k, entries, budget=None):
+    """Run the four-line `_enumerate_chunk` over `entries` and return each
+    call of `_four_line_survives` as (case, verdict, passes), case = (s, p,
+    c, km, v, r, y_entry), where passes is the verdict of the same call
+    with `_codes_keep_a_factor` taken as True, that is whether the decision
+    finds the family non-degenerate; the classes (s, p, c, km) the search
+    reached; and those whose y codes it built.  Each class starts with its
+    `_nx_part` call, which gives its class."""
+    calls, reached, built, current = [], [], set(), {}
+    nx_part, decide, y_codes = qsearch._nx_part, qsearch._four_line_survives, qsearch._y_codes
+
+    def tracking_nx_part(k, p, c, km, pair_cycles, four):
+        current["class"] = qsearch.perm_inverse(pair_cycles[0]), p, c, km
+        reached.append(current["class"])
+        return nx_part(k, p, c, km, pair_cycles, four)
+
+    def recording(k, s, km, nx, v, r, y_entry, reductions, degenerate):
+        verdict = decide(k, s, km, nx, v, r, y_entry, reductions, degenerate)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qsearch, "_codes_keep_a_factor", lambda *args: True)
+            passes = decide(k, s, km, nx, v, r, y_entry, reductions, degenerate)
+        calls.append(((*current["class"], v, r, y_entry), verdict, passes))
+        return verdict
+
+    def tracking_y_codes(*args):
+        built.add(current["class"])
+        return y_codes(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsearch, "_nx_part", tracking_nx_part)
+        patch.setattr(qsearch, "_four_line_survives", recording)
+        patch.setattr(qsearch, "_y_codes", tracking_y_codes)
+        qsearch._enumerate_chunk((k, "four", entries, budget, _relabelings(k)))
+    return calls, reached, built
+
+
+def test_four_line_code_decision_matches_full_elimination():
+    """On every case that reaches `_four_line_survives` in the budgeted
+    k = 4 search (budget 1000) and in the classes of the known k = 4 and
+    k = 5 families, the decision on codes equals `_survives_in_full` on the
+    full system's `_relation_basis`, and its degeneracy part equals
+    `_degeneracy` there.  The rule of 3a' - b' = 0 (`triple`) rejects some
+    case that the reduced zero pattern keeps.  The class screen skips some
+    class without building its y codes, and no case of a skipped class
+    survives by the same oracle."""
+    k4 = list(_stage1_classes(4))
+    samples = [
+        (4, k4, 1000),
+        (4, [cls for cls in k4 if cls[0] in K4_FOUR_LINE_CLASSES], None),
+        (5, [cls for cls in _stage1_classes(5) if cls[0] in K5_FOUR_LINE_CLASSES], None),
+    ]
+    outcomes = Counter()
+    for k, entries, budget in samples:
+        calls, reached, built = _four_line_decisions(k, entries, budget)
+        for (s, p, c, km, v, r, (y_nonzero, _)), verdict, passes in calls:
+            space = qsearch._relation_basis(k, s, p, c, km, v, r)
+            maps = qsearch._factor_maps(k, s, km, qsearch._columns(k, space))
+            reason = qsearch._degeneracy(maps, True)
+            assert passes == (reason is None), (k, s, p, c, km, v, r)
+            assert verdict == _survives_in_full(k, s, km, space, True), (k, s, p, c, km, v, r)
+            outcomes[verdict] += 1
+            m, codes, _, rows = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), True)
+            mixed = [rows(i, v[i], r[i]) for i in range(k)]
+            red = qsearch._reduction(qsearch.int_nullspace(mixed, m), m)[0]
+            reduced = tuple(bool(red[code]) for code in codes)
+            if not qsearch._pattern_degenerate(k, s, reduced + y_nonzero):
+                outcomes["triple"] += reason is not None
+        rel = _relabelings(k)
+        stabilizers = {cls[1:5]: cls[5] for cls in entries}
+        for s, p, c, km in reached:
+            nx_nonzero = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), True)[2]
+            if not qsearch._pattern_degenerate(k, s, nx_nonzero + (True,) * k):
+                continue
+            assert (s, p, c, km) not in built
+            outcomes["skipped"] += 1
+            for v, r in qsearch._stage2_cases(rel, stabilizers[s, p, c, km]):
+                space = qsearch._relation_basis(k, s, p, c, km, v, r)
+                assert not _survives_in_full(k, s, km, space, True), (k, s, p, c, km, v, r)
+    assert outcomes[True] and outcomes[False] and outcomes["triple"] and outcomes["skipped"]
 
 
 @pytest.mark.slow
