@@ -45,6 +45,8 @@ COMMANDS = (
     ("--json", "search", "--k", "4", "--lines", "three", "--budget", "900"),
     ("--json", "search", "--k", "4", "--lines", "three"),
     ("--json", "search", "--k", "4", "--lines", "four"),
+    ("--json", "search", "--k", "4", "--lines", "four", "--budget", "1000"),
+    ("--json", "search", "--k", "3", "--lines", "four"),
     ("search", "--k", "3", "--no-dedup"),
     ("configs-enumerate", "--type", "9_3", "--color"),
     ("--json", "sketch", "--builtin", "q33", "--params", "2,3,1,1", "--out", "{tmp}/q33.svg"),
@@ -85,6 +87,8 @@ DIGESTS = {
     '--json search --k 4 --lines three --budget 900': (0, '993d467602c6f35c61eb2615481b3682762c8c55d9897754a24d694fb7ee927b'),
     '--json search --k 4 --lines three': (0, '5d77087121cf5dfa14a2545202423dce3c7a69850d05b46f59246f956b828a23'),
     '--json search --k 4 --lines four': (0, 'fd4228d61d1a5f891f6315a7c5d89694494dc4f2aa9481e1ae16bc522ecc73f1'),
+    '--json search --k 4 --lines four --budget 1000': (1, 'b59a2e3a4e1ec46a963df615f9f8593104ad77615efd73e04c2480ab9e3eadad'),
+    '--json search --k 3 --lines four': (1, 'cc085e1b788aa83febec65c04cb6a16f833933e95a72d0236baf06e43fcd3134'),
     'search --k 3 --no-dedup': (1, '5e84cc80880067b50115344ad3cb6cf4ed749c9904ac0f2f92dfaac4139f1220'),
     'configs-enumerate --type 9_3 --color': (0, '0e55b26f17daecd3ec94810b7331ba694525de3596f15d6ada06457eb4134ab3'),
     '--json sketch --builtin q33 --params 2,3,1,1 --out {tmp}/q33.svg': (0, 'd7c24eb508e697102abe9facb34e12893170afe2fce23d8924a6749a683540f0'),

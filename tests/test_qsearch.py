@@ -801,11 +801,17 @@ def _survives_in_full(k, s, km, space, four):
     return qsearch._degeneracy(maps, four) is None and qsearch._keeps_a_factor(maps)
 
 
+def _signs(rel):
+    """The search's fourth-line (r, negative mask) list given `rel`, and
+    the three-line one, r = None, without."""
+    return list(zip(rel.signs, rel.negatives)) if rel else [(None, 0)]
+
+
 @functools.cache
 def _y_codes_of(k, s, km, v):
     """The search's `_y_codes` of (s, km, v), v = None on three lines."""
     rel = _relabelings(k) if v is not None else None
-    return qsearch._y_codes(k, qsearch._y_orbits(k, s, v), km, rel)
+    return qsearch._y_codes(k, qsearch._y_orbits(k, s, v), km, _signs(rel))
 
 
 def _y_entry(k, s, km, v, r):
@@ -867,34 +873,37 @@ def test_nx_part_from_cycles_matches_a_graph_search():
 
 
 def _kept_three_line_cases():
-    """(k, s, p, c, km, codes) of every three-line case of `_screen_cases()`,
-    and of the k = 4 classes (k <= 3 has no nontrivial one), with a nonzero
-    y part that `_pattern_degenerate` keeps: its 3k codes, as the search
-    gives them to `_codes_keep_a_factor`."""
+    """(k, s, p, c, km, nx, y_entry) of every three-line case of
+    `_screen_cases()`, and of the k = 4 classes (k <= 3 has no nontrivial
+    one), with a nonzero y part that `_pattern_degenerate` keeps: its
+    `_nx_part` and y entry, as the search gives them to `_survives`."""
     cases = [case[:5] for case in _screen_cases() if case[5] is None]
     cases += [(4, s, p, c, km) for _, s, p, c, km, _ in _stage1_classes(4)]
     for k, s, p, c, km in cases:
         y_entry = _y_entry(k, s, km, None, None)
         if y_entry is None:
             continue
-        y_nonzero, y = y_entry
-        nx_codes = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), False)[1]
-        if not qsearch._pattern_degenerate(k, s, tuple(map(bool, nx_codes)) + y_nonzero):
-            yield k, s, p, c, km, nx_codes + y
+        nx = qsearch._nx_part(k, p, c, km, qsearch._pair_cycles(s, p), False)
+        if not qsearch._pattern_degenerate(k, s, nx[2] + y_entry[0]):
+            yield k, s, p, c, km, nx, y_entry
 
 
 def test_three_line_shortcuts_agree_with_elimination():
     """On every case of `_kept_three_line_cases()`, `_codes_keep_a_factor`
-    gives the verdict of `_keeps_a_factor` on the columns of the full
-    system's `_relation_basis`, and that family passes `_degeneracy`, so
-    the decision need not run it; cases of both verdicts occur."""
+    on its 3k codes, and the search's one decision `_survives` with
+    v = r = None, give the verdict of `_keeps_a_factor` on the columns of
+    the full system's `_relation_basis`, and that family passes
+    `_degeneracy`, so the decision need not run it; cases of both verdicts
+    occur."""
     verdicts = Counter()
-    for k, s, p, c, km, codes in _kept_three_line_cases():
+    for k, s, p, c, km, nx, y_entry in _kept_three_line_cases():
         space = qsearch._relation_basis(k, s, p, c, km)
         maps = qsearch._factor_maps(k, s, km, qsearch._columns(k, space))
         assert qsearch._degeneracy(maps, False) is None
-        verdict = qsearch._codes_keep_a_factor(k, s, km, codes)
+        verdict = qsearch._codes_keep_a_factor(k, s, km, nx[1] + y_entry[1])
         assert verdict == qsearch._keeps_a_factor(maps), (k, s, p, c, km)
+        decision = qsearch._survives(k, s, km, nx, None, None, y_entry, None, None)
+        assert decision == verdict, (k, s, p, c, km)
         verdicts[verdict] += 1
     assert verdicts[True] and verdicts[False]
 
@@ -905,8 +914,8 @@ def test_code_basis_is_the_rref_basis_of_full_elimination():
     `rref_basis` equals that of `_relation_basis`, and it is already that
     rref basis."""
     cases = 0
-    for k, s, p, c, km, codes in _kept_three_line_cases():
-        basis = qsearch._code_basis(k, codes)
+    for k, s, p, c, km, nx, y_entry in _kept_three_line_cases():
+        basis = qsearch._code_basis(k, nx[1] + y_entry[1])
         expected = qsearch.rref_basis(qsearch._relation_basis(k, s, p, c, km))
         assert qsearch.rref_basis(basis) == expected, (k, s, p, c, km)
         assert [list(vec) for vec in basis] == expected
@@ -944,18 +953,16 @@ def test_zero_pattern_screen_rejects_only_cases_without_a_surviving_family():
 
 @pytest.mark.parametrize("lines,budget,calls", [("four", 1000, 89), ("three", None, 905)])
 def test_zero_pattern_screen_leaves_few_cases_to_eliminate(monkeypatch, lines, budget, calls):
-    """The cases that pass the screen at k = 4 and reach `_four_line_survives`
-    on four lines, `_codes_keep_a_factor` on three; without the screen
-    they are 359 and 1,364."""
+    """The cases that pass the screen at k = 4 and reach the decision
+    `_survives`; without the screen they are 359 and 1,364."""
     count = Counter()
-    name = "_four_line_survives" if lines == "four" else "_codes_keep_a_factor"
-    decide = getattr(qsearch, name)
+    decide = qsearch._survives
 
     def counting(*args):
         count["calls"] += 1
         return decide(*args)
 
-    monkeypatch.setattr(qsearch, name, counting)
+    monkeypatch.setattr(qsearch, "_survives", counting)
     enumerate_families(4, lines, budget=budget)
     assert count["calls"] == calls
 
@@ -999,10 +1006,11 @@ def test_y_entries_per_s_and_v_equal_the_per_km_construction():
             y_orbits = {v: qsearch._y_orbits(k, s, v) for v in [None, *rel.perms]}
             for km in kms:
                 for line_rel, vs in ((None, [None]), (rel, rel.perms)):
+                    signs = _signs(line_rel)
                     got = {
                         (v, r): entry
                         for v in vs
-                        for r, entry in qsearch._y_codes(k, y_orbits[v], km, line_rel).items()
+                        for r, entry in qsearch._y_codes(k, y_orbits[v], km, signs).items()
                     }
                     assert got == _y_codes_per_km(k, s, km, line_rel), (k, s, km, line_rel)
                     kinds["nonzero"] += len(got)
@@ -1012,15 +1020,15 @@ def test_y_entries_per_s_and_v_equal_the_per_km_construction():
 
 @pytest.mark.parametrize("budget,calls", [(1000, 65), (None, 9377)])
 def test_nullspace_reuse_within_a_pairing_is_exact(monkeypatch, budget, calls):
-    """In the k = 4 four-line search, `_four_line_survives` reuses a
-    nullspace reduction exactly when one is held under the case's key
-    (m, sorted mixed rows), and every reused reduction equals the
+    """In the k = 4 four-line search, `_survives` reuses a nullspace
+    reduction exactly when its `reductions` cache holds one, and then holds
+    it under the case's key (m, mixed rows in decreasing order), equal to the
     `_reduction` of a fresh `int_nullspace` of the case's own rows.  The
     search eliminates `calls` times in all, 89 and 31,580 without reuse
     (the full search's count includes the 23 `_relation_basis` calls of its
     found cases), and holds at most 502 reductions at once."""
     count = Counter()
-    eliminate, decide = qsearch.int_nullspace, qsearch._four_line_survives
+    eliminate, decide = qsearch.int_nullspace, qsearch._survives
 
     def counting(rows, ncols):
         count["calls"] += 1
@@ -1029,18 +1037,20 @@ def test_nullspace_reuse_within_a_pairing_is_exact(monkeypatch, budget, calls):
     def checking(k, s, km, nx, v, r, y_entry, reductions, degenerate):
         m, _, _, rows = nx
         own = [rows(i, v[i], r[i]) for i in range(k)]
-        key = m, tuple(sorted(own))
-        hit, before = key in reductions, count["calls"]
-        if hit:
-            assert reductions[key] == qsearch._reduction(eliminate(own, m), m)
-            count["hits"] += 1
+        before, held = count["calls"], reductions.cache_info()
         survives = decide(k, s, km, nx, v, r, y_entry, reductions, degenerate)
+        after = reductions.cache_info()
+        hit = after.hits > held.hits
         assert (count["calls"] == before) == hit
-        count["live"] = max(count["live"], len(reductions))
+        key = tuple(sorted(own, reverse=True))
+        assert reductions(m, key) == qsearch._reduction(eliminate(own, m), m)
+        assert reductions.cache_info().hits == after.hits + 1  # the key was held
+        count["hits"] += hit
+        count["live"] = max(count["live"], after.currsize)
         return survives
 
     monkeypatch.setattr(qsearch, "int_nullspace", counting)
-    monkeypatch.setattr(qsearch, "_four_line_survives", checking)
+    monkeypatch.setattr(qsearch, "_survives", checking)
     enumerate_families(4, "four", budget=budget)
     assert count["calls"] == calls and count["hits"] > 0
     assert count["live"] <= 502
@@ -1103,14 +1113,14 @@ def test_four_line_decision_matches_full_elimination():
 
 def _four_line_decisions(k, entries, budget=None):
     """Run the four-line `_enumerate_chunk` over `entries` and return each
-    call of `_four_line_survives` as (case, verdict, passes), case = (s, p,
+    call of `_survives` as (case, verdict, passes), case = (s, p,
     c, km, v, r, y_entry), where passes is the verdict of the same call
     with `_codes_keep_a_factor` taken as True, that is whether the decision
     finds the family non-degenerate; the classes (s, p, c, km) the search
     reached; and those whose y codes it built.  Each class starts with its
     `_nx_part` call, which gives its class."""
     calls, reached, built, current = [], [], set(), {}
-    nx_part, decide, y_codes = qsearch._nx_part, qsearch._four_line_survives, qsearch._y_codes
+    nx_part, decide, y_codes = qsearch._nx_part, qsearch._survives, qsearch._y_codes
 
     def tracking_nx_part(k, p, c, km, pair_cycles, four):
         current["class"] = qsearch.perm_inverse(pair_cycles[0]), p, c, km
@@ -1131,14 +1141,14 @@ def _four_line_decisions(k, entries, budget=None):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qsearch, "_nx_part", tracking_nx_part)
-        patch.setattr(qsearch, "_four_line_survives", recording)
+        patch.setattr(qsearch, "_survives", recording)
         patch.setattr(qsearch, "_y_codes", tracking_y_codes)
         qsearch._enumerate_chunk((k, "four", entries, budget, _relabelings(k)))
     return calls, reached, built
 
 
 def test_four_line_code_decision_matches_full_elimination():
-    """On every case that reaches `_four_line_survives` in the budgeted
+    """On every case that reaches `_survives` in the budgeted
     k = 4 search (budget 1000) and in the classes of the known k = 4 and
     k = 5 families, the decision on codes equals `_survives_in_full` on the
     full system's `_relation_basis`, and its degeneracy part equals
