@@ -40,8 +40,9 @@ four-line case with no mixed rows, whose codes are decided as they are
 (`_codes_keep_a_factor`), while a four-line case first takes its (n, x)
 codes through its held nullspace's reduction (`_reduction`), a code per
 (n, x) parameter, equal codes for maps equal up to sign, and the pairs of
-maps one of which is three times the other, which keeps every fact the
-tests read.  Each case is decided by exact tests (degeneracy, and nontriviality by pairing the
+maps one of which is three times the other, which keeps every fact that
+the degeneracy and nontriviality tests read.  Each case
+is decided by exact tests (degeneracy, and nontriviality by pairing the
 factors' linear maps up to sign), so the search draws no random numbers and
 its result does not depend on a seed.  A found case leaves the search as a
 record of plain integers with its family's integer basis: on three lines the
@@ -1046,8 +1047,8 @@ def _survives(k, s, km, nx, v, r, y_entry, reductions, degenerate) -> bool:
 
 def _reduction(null, m) -> tuple[tuple[int, ...], set]:
     """(red, triple) of `null`, a basis of a nullspace over m (n, x)
-    parameters, for `_survives`.  The map of parameter j is row j
-    of the basis, its entries across the basis vectors.  The nonzero maps
+    parameters, for `_survives`.  The map of parameter j is row j of the
+    basis, its entries across the basis vectors.  The nonzero maps
     equal up to sign form a class, numbered id = 1, 2, ... in order of its
     first parameter, whose representative R_id is its map with a positive
     first nonzero entry.  red[code] is the reduced code of an unknown with

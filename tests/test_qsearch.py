@@ -1022,8 +1022,8 @@ def test_y_entries_per_s_and_v_equal_the_per_km_construction():
 def test_nullspace_reuse_within_a_pairing_is_exact(monkeypatch, budget, calls):
     """In the k = 4 four-line search, `_survives` reuses a nullspace
     reduction exactly when its `reductions` cache holds one, and then holds
-    it under the case's key (m, mixed rows in decreasing order), equal to the
-    `_reduction` of a fresh `int_nullspace` of the case's own rows.  The
+    it under the case's key (m, mixed rows in decreasing order), equal to
+    the `_reduction` of a fresh `int_nullspace` of the case's own rows.  The
     search eliminates `calls` times in all, 89 and 31,580 without reuse
     (the full search's count includes the 23 `_relation_basis` calls of its
     found cases), and holds at most 502 reductions at once."""
@@ -1148,8 +1148,8 @@ def _four_line_decisions(k, entries, budget=None):
 
 
 def test_four_line_code_decision_matches_full_elimination():
-    """On every case that reaches `_survives` in the budgeted
-    k = 4 search (budget 1000) and in the classes of the known k = 4 and
+    """On every case that reaches `_survives` in the budgeted k = 4
+    four-line search (budget 1000) and in the classes of the known k = 4 and
     k = 5 families, the decision on codes equals `_survives_in_full` on the
     full system's `_relation_basis`, and its degeneracy part equals
     `_degeneracy` there.  The rule of 3a' - b' = 0 (`triple`) rejects some
